@@ -1,8 +1,8 @@
 """Confidence diffusion on a small graph, three ways.
 
 Solves the smoothness+fit problem on a 6-node chain by (a) the damped
-diffusion iteration, (b) preconditioned conjugate gradients on the
-stationarity system, and (c) a dense direct solve, and shows they agree.
+diffusion iteration, (b) conjugate gradients on the stationarity system,
+and (c) a dense direct solve, and shows they agree.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ def chain_graph(n):
     return assemble(
         np.array([0, n]),
         (i, i + 1, np.ones(n - 1)),
-        (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0)),
+        (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
     )
 
 

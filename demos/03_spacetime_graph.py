@@ -7,7 +7,7 @@ reliability from flow-histogram entropy.
 
 import numpy as np
 
-from vidseg.graph import build_graph, motion_noncoherence
+from vidseg.graph import build_graph, motion_noncoherence, temporal_edges
 from vidseg.synth import SynthConfig, generate
 
 
@@ -23,8 +23,8 @@ def main():
           f"weights {graph.spatial_w.min():.3g} .. {graph.spatial_w.max():.3g}")
     print(f"temporal edges: {len(graph.temporal_i):5d}  "
           f"weights {graph.temporal_w.min():.3g} .. {graph.temporal_w.max():.3g}")
-    print(f"overlap ratios rho: {graph.temporal_rho.min():.2f} .. "
-          f"{graph.temporal_rho.max():.2f}")
+    rho = temporal_edges(ds.superpixels, ds.flows)[2]
+    print(f"overlap ratios rho: {rho.min():.2f} .. {rho.max():.2f}")
 
     # same-region edges keep near-unit color affinity; boundary edges collapse
     strong = (graph.spatial_w > 0.5).sum()

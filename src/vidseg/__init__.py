@@ -6,7 +6,7 @@ and turned into binary object masks by exact min-cut energy minimization.
 """
 
 from .evaluation import EvalReport, iou, iou_macro, pixel_error, render_overlay
-from .gmm import GaussianMixture, fit_gmm, log_likelihood, sample_training_sets
+from .gmm import GaussianMixture, fit_gmm, sample_training_sets
 from .graph import (
     SpaceTimeGraph,
     assemble,

@@ -11,12 +11,13 @@ import json
 import os
 import sys
 
+from .evaluation import score_masks
 from .pipeline import (
     PipelineConfig,
     StageError,
     adapt_stage,
-    eval_stage,
     load_inputs,
+    load_mask_dir,
     pool_stage,
     read_confidence_csv,
     run_pipeline,
@@ -196,30 +197,12 @@ def _cmd_segment(args):
 
 
 def _cmd_eval(args):
-    from .evaluation import EvalReport, iou, iou_macro, pixel_error
-    from .pipeline import _frame_index, _listdir
-    from .video import load_mask
-
-    gt, pred = {}, {}
-    for target, root in ((gt, args.gt), (pred, args.pred)):
-        if not os.path.isdir(root):
-            raise DataError(f"missing directory: {root}")
-        for name in _listdir(root, ".pgm"):
-            idx = _frame_index(name)
-            if idx is not None:
-                target[idx] = load_mask(os.path.join(root, name))
-    annotated = sorted(gt)
-    missing = [t for t in annotated if t not in pred]
+    gt = load_mask_dir(args.gt)
+    pred = load_mask_dir(args.pred)
+    missing = sorted(set(gt) - set(pred))
     if missing:
         raise DataError(f"prediction missing annotated frames: {missing}")
-    report = EvalReport()
-    report.add(
-        args.video_id,
-        args.class_id,
-        iou(pred, gt, annotated),
-        iou_macro(pred, gt, annotated),
-        pixel_error(pred, gt, annotated),
-    )
+    report = score_masks(args.video_id, {args.class_id: pred}, gt)
     if args.out:
         report.write_csv(args.out)
     row = report.rows[0]

@@ -107,6 +107,25 @@ def pixel_error(pred_masks, gt_masks, annotated=None):
     return float(np.mean(errors)) if errors else 0.0
 
 
+def score_masks(video_id, masks, gt_masks):
+    """EvalReport with one row per class of `masks` on the annotated frames.
+
+    masks: class -> per-frame predicted masks; gt_masks: frame -> mask.
+    """
+    report = EvalReport()
+    annotated = sorted(gt_masks)
+    for cls, pred in sorted(masks.items()):
+        report.add(
+            video_id,
+            cls,
+            iou(pred, gt_masks, annotated),
+            iou_macro(pred, gt_masks, annotated),
+            pixel_error(pred, gt_masks, annotated),
+            frame_errors=frame_pixel_errors(pred, gt_masks, annotated),
+        )
+    return report
+
+
 def render_overlay(video, masks, out_dir, color=OVERLAY_COLOR):
     """Write per-frame PPM overlays with object pixels 50% blended in `color`.
 

@@ -46,11 +46,8 @@ class GaussianMixture:
     def log_likelihood(self, colors):
         """log sum_k w_k N(color; ...), floored at log(1e-12). Scalar in, scalar out."""
         colors = np.asarray(colors, dtype=np.float64)
-        scalar = colors.ndim == 1
-        log_w = np.log(np.where(self.weights > 0, self.weights, 1e-300))
-        ll = logsumexp(self.component_log_pdf(colors) + log_w, axis=1)
-        ll = np.maximum(ll, np.log(LIKELIHOOD_FLOOR))
-        return float(ll[0]) if scalar else ll
+        ll = np.maximum(responsibilities(self, colors)[1], np.log(LIKELIHOOD_FLOOR))
+        return float(ll[0]) if colors.ndim == 1 else ll
 
     def to_json(self):
         return json.dumps(
@@ -69,10 +66,6 @@ class GaussianMixture:
             np.asarray(rec["means"], dtype=np.float64),
             np.asarray(rec["covariances"], dtype=np.float64),
         )
-
-
-def log_likelihood(gmm: GaussianMixture, color):
-    return gmm.log_likelihood(color)
 
 
 def responsibilities(gmm: GaussianMixture, colors):

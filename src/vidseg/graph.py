@@ -41,7 +41,6 @@ class SpaceTimeGraph:
     temporal_i: np.ndarray  # source node (frame t-1)
     temporal_j: np.ndarray  # target node (frame t)
     temporal_w: np.ndarray
-    temporal_rho: np.ndarray
     affinity: sparse.csr_matrix
     degrees: np.ndarray
     operator: sparse.csr_matrix  # S = D^-1/2 A D^-1/2
@@ -144,9 +143,11 @@ def temporal_edges(sp: SuperpixelMap, flows):
     return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_rho)
 
 
-def color_distance(color_i, color_j, mean_sq):
-    """Squared RGB distance self-normalized by twice the graph-wide mean."""
+def color_distance(color_i, color_j, mean_sq=None):
+    """Squared RGB distance over twice mean_sq (by default the pairs' own mean)."""
     sq = np.sum((np.asarray(color_i, float) - np.asarray(color_j, float)) ** 2, axis=-1)
+    if mean_sq is None:
+        mean_sq = float(sq.mean())
     if mean_sq <= 0:
         return np.zeros_like(sq)
     return sq / (2.0 * mean_sq)
@@ -182,13 +183,14 @@ def flow_bin_index(flow_vectors):
 
 
 def histogram_entropy(hist):
-    """Shannon entropy in nats over the nonzero bins of a mass histogram."""
+    """Shannon entropy in nats of each row (last axis) of mass histograms."""
     h = np.asarray(hist, dtype=np.float64)
-    total = h.sum()
-    if total <= 0:
+    total = h.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise DataError("empty histogram")
-    p = h[h > 0] / total
-    return float(-np.sum(p * np.log(p))) + 0.0  # avoid -0.0
+    p = h / total
+    ent = -np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0), axis=-1)
+    return ent + 0.0  # avoid -0.0
 
 
 def motion_noncoherence(sp_mask, flow, w_c=MOTION_COHERENCE_WEIGHT):
@@ -198,31 +200,24 @@ def motion_noncoherence(sp_mask, flow, w_c=MOTION_COHERENCE_WEIGHT):
         raise DataError("empty superpixel")
     idx = flow_bin_index(np.asarray(flow)[sp_mask])
     hist = np.bincount(idx, minlength=N_FLOW_BINS)
-    pi = histogram_entropy(hist)
+    pi = float(histogram_entropy(hist))
     return pi, float(np.exp(-w_c * pi))
 
 
 def motion_reliability(sp: SuperpixelMap, flows, w_c=MOTION_COHERENCE_WEIGHT):
-    """Per-node reliability m for all superpixels that act as temporal sources.
+    """Per-node reliability m = exp(-w_c * entropy) over all global node ids.
 
     Superpixels of the last frame are never warped forward; they keep m = 1.
-    Returns (pi, m) arrays over all global node ids.
     """
-    n_total = sp.total_count
-    pi = np.zeros(n_total, dtype=np.float64)
-    m = np.ones(n_total, dtype=np.float64)
+    m = np.ones(sp.total_count, dtype=np.float64)
     offsets = sp.frame_offsets()
     for t in range(len(flows)):
         n = sp.counts[t]
         idx = flow_bin_index(flows[t])
         key = sp.labels[t].ravel().astype(np.int64) * N_FLOW_BINS + idx.ravel()
         hist = np.bincount(key, minlength=n * N_FLOW_BINS).reshape(n, N_FLOW_BINS)
-        p = hist / hist.sum(axis=1, keepdims=True)
-        ent = -np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0), axis=1)
-        ent = ent + 0.0  # avoid -0.0
-        pi[offsets[t] : offsets[t + 1]] = ent
-        m[offsets[t] : offsets[t + 1]] = np.exp(-w_c * ent)
-    return pi, m
+        m[offsets[t] : offsets[t + 1]] = np.exp(-w_c * histogram_entropy(hist))
+    return m
 
 
 def _dedupe_max(i, j, w, n_nodes):
@@ -240,25 +235,24 @@ def _dedupe_max(i, j, w, n_nodes):
 def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
     """Build A, degrees, and S from weighted spatial/temporal edge lists.
 
-    spatial: (i, j, w) arrays; temporal: (i, j, w, rho) arrays. Duplicate
-    undirected pairs are merged by max weight. Isolated nodes get zero rows
-    in S.
+    spatial and temporal: (i, j, w) arrays. Duplicate undirected pairs are
+    merged by max weight; self-loops are rejected, so diag(S) = 0. Isolated
+    nodes get zero rows in S.
     """
     frame_offsets = np.asarray(frame_offsets, dtype=np.int64)
     n = int(frame_offsets[-1])
-    si, sj, sw = (np.asarray(a) for a in spatial)
-    ti, tj, tw, trho = (np.asarray(a) for a in temporal)
-    for w in (sw, tw):
+    pools = []
+    for i, j, w in (spatial, temporal):
+        i, j, w = np.asarray(i, np.int64), np.asarray(j, np.int64), np.asarray(w, np.float64)
         if len(w) and (not np.all(np.isfinite(w)) or np.any(w < 0)):
             raise DataError("edge weights must be finite and non-negative")
-    si, sj, sw = _dedupe_max(si.astype(np.int64), sj.astype(np.int64), sw.astype(np.float64), n)
-    ti2, tj2, tw2 = _dedupe_max(ti.astype(np.int64), tj.astype(np.int64), tw.astype(np.float64), n)
-    all_i = np.concatenate([si, ti2])
-    all_j = np.concatenate([sj, tj2])
-    all_w = np.concatenate([sw, tw2])
-    rows = np.concatenate([all_i, all_j])
-    cols = np.concatenate([all_j, all_i])
-    data = np.concatenate([all_w, all_w])
+        if np.any(i == j):
+            raise DataError("self-loop edges are not allowed")
+        pools.append(_dedupe_max(i, j, w, n))
+    (si, sj, sw), (ti, tj, tw) = pools
+    rows = np.concatenate([si, ti, sj, tj])
+    cols = np.concatenate([sj, tj, si, ti])
+    data = np.concatenate([sw, tw, sw, tw])
     affinity = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     degrees = np.asarray(affinity.sum(axis=1)).ravel()
     dinv = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
@@ -270,10 +264,9 @@ def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
         spatial_i=si,
         spatial_j=sj,
         spatial_w=sw,
-        temporal_i=ti2,
-        temporal_j=tj2,
-        temporal_w=tw2,
-        temporal_rho=trho,
+        temporal_i=ti,
+        temporal_j=tj,
+        temporal_w=tw,
         affinity=affinity,
         degrees=degrees,
         operator=operator,
@@ -302,9 +295,7 @@ def build_graph(
     ti, tj, rho = temporal_edges(sp, flows)
 
     if len(si):
-        sq_s = np.sum((colors[si] - colors[sj]) ** 2, axis=1)
-        mean_sq_s = float(sq_s.mean())
-        d_c_s = sq_s / (2.0 * mean_sq_s) if mean_sq_s > 0 else np.zeros_like(sq_s)
+        d_c_s = color_distance(colors[si], colors[sj])
         cent_d = np.linalg.norm(centroids[si] - centroids[sj], axis=1)
         mean_cent = float(cent_d.mean())
         d_s = cent_d / mean_cent if mean_cent > 0 else np.zeros_like(cent_d)
@@ -313,12 +304,10 @@ def build_graph(
         sw = np.empty(0, np.float64)
 
     if len(ti):
-        sq_t = np.sum((colors[ti] - colors[tj]) ** 2, axis=1)
-        mean_sq_t = float(sq_t.mean())
-        d_c_t = sq_t / (2.0 * mean_sq_t) if mean_sq_t > 0 else np.zeros_like(sq_t)
-        _, m = motion_reliability(sp, flows, w_c)
+        d_c_t = color_distance(colors[ti], colors[tj])
+        m = motion_reliability(sp, flows, w_c)
         tw = temporal_affinity(d_c_t, rho, m[ti])
     else:
         tw = np.empty(0, np.float64)
 
-    return assemble(offsets, (si, sj, sw), (ti, tj, tw, rho))
+    return assemble(offsets, (si, sj, sw), (ti, tj, tw))

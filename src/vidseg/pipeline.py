@@ -17,14 +17,7 @@ import numpy as np
 
 from . import gmm as gmm_mod
 from . import mrf as mrf_mod
-from .evaluation import (
-    EvalReport,
-    frame_pixel_errors,
-    iou,
-    iou_macro,
-    pixel_error,
-    render_overlay,
-)
+from .evaluation import EvalReport, render_overlay, score_masks
 from .graph import MOTION_COHERENCE_WEIGHT, build_graph
 from .pnm import write_pgm
 from .proposals import (
@@ -35,7 +28,7 @@ from .proposals import (
     pool_confidence,
     score_proposals,
 )
-from .propagation import PropagationConfig, adapt_confidence
+from .propagation import ConvergenceError, PropagationConfig, adapt_confidence
 from .video import (
     DataError,
     compute_superpixel_stats,
@@ -99,13 +92,12 @@ class PipelineConfig:
             raise DataError(f"proposal_manifest does not exist: {self.proposal_manifest!r}")
         if self.gt_dir and not os.path.isdir(self.gt_dir):
             raise DataError(f"gt_dir does not exist: {self.gt_dir!r}")
+        self.propagation_config()
         for name in (
-            "mu",
             "motion_coherence_weight",
             "lambda_object",
             "lambda_spatial",
             "lambda_temporal",
-            "tolerance",
         ):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be positive")
@@ -160,9 +152,22 @@ def _listdir(path, suffix):
     return sorted(n for n in os.listdir(path) if n.lower().endswith(suffix))
 
 
-def _frame_index(name):
-    match = _FRAME_INDEX_RE.search(os.path.splitext(name)[0])
-    return int(match.group(1)) if match else None
+def load_mask_dir(path, frame_count=None):
+    """Masks of a directory of PGMs, keyed by the frame number ending each name.
+
+    A name without a frame number, or one at or past frame_count, is a
+    DataError.
+    """
+    if not os.path.isdir(path):
+        raise DataError(f"missing directory: {path}")
+    masks = {}
+    for name in _listdir(path, ".pgm"):
+        match = _FRAME_INDEX_RE.search(os.path.splitext(name)[0])
+        idx = int(match.group(1)) if match else None
+        if idx is None or (frame_count is not None and idx >= frame_count):
+            raise DataError(f"cannot map mask file {name} in {path} to a frame")
+        masks[idx] = load_mask(os.path.join(path, name))
+    return masks
 
 
 def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
@@ -187,13 +192,7 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
         motion = np.stack(
             [load_mask(os.path.join(cfg.motion_dir, n)) for n in motion_names]
         )
-        gt_masks = {}
-        if cfg.gt_dir:
-            for name in _listdir(cfg.gt_dir, ".pgm"):
-                idx = _frame_index(name)
-                if idx is None or idx >= video.frame_count:
-                    raise DataError(f"cannot map ground-truth file {name} to a frame")
-                gt_masks[idx] = load_mask(os.path.join(cfg.gt_dir, name))
+        gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count) if cfg.gt_dir else {}
         stats = compute_superpixel_stats(video, sp)
         graph = (
             build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
@@ -231,8 +230,6 @@ def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
 
 def adapt_stage(cfg: PipelineConfig, inputs: LoadedInputs, pooled):
     """Diffuse each class's pooled field over the space-time graph."""
-    from .propagation import ConvergenceError
-
     try:
         prop_cfg = cfg.propagation_config()
         return {
@@ -243,82 +240,70 @@ def adapt_stage(cfg: PipelineConfig, inputs: LoadedInputs, pooled):
         raise StageError("adapt", exc) from exc
 
 
-def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, confidences, write=True):
-    """Fit color models, minimize the labeling energy, rasterize masks."""
+def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
+    """Fit color models and min-cut one class; returns (masks, gmm_obj, gmm_bg)."""
+    (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(
+        fieldv, inputs.stats
+    )
+    gmm_obj = gmm_mod.fit_gmm(
+        obj_colors, obj_w, cfg.gmm_components, seed=cfg.gmm_seed
+    )
+    gmm_bg = gmm_mod.fit_gmm(
+        bg_colors, bg_w, cfg.gmm_components, seed=cfg.gmm_seed + 1
+    )
+    colors = np.concatenate(inputs.stats.mean_color, axis=0)
+    problem = mrf_mod.build_problem(
+        inputs.graph,
+        fieldv.flat(),
+        colors,
+        gmm_obj,
+        gmm_bg,
+        cfg.lambda_object,
+        cfg.lambda_spatial,
+        cfg.lambda_temporal,
+    )
+    labeling = mrf_mod.solve_binary(problem)
+    return mrf_mod.rasterize(labeling, inputs.superpixels), gmm_obj, gmm_bg
+
+
+def write_segmentation(out_dir, cls, video, masks, gmm_obj, gmm_bg):
+    """Write one class's mask PGMs, overlay PPMs and mixture JSON."""
+    mask_dir = os.path.join(out_dir, "masks", cls)
+    os.makedirs(mask_dir, exist_ok=True)
+    for t in range(video.frame_count):
+        write_pgm(
+            os.path.join(mask_dir, f"frame_{t:04d}.pgm"),
+            masks[t].astype(np.uint8) * 255,
+        )
+    render_overlay(video, masks, os.path.join(out_dir, "overlays", cls))
+    models = {
+        "object": json.loads(gmm_obj.to_json()),
+        "background": json.loads(gmm_bg.to_json()),
+    }
+    with open(os.path.join(out_dir, f"gmm_{cls}.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(models, sort_keys=True))
+
+
+def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, confidences):
+    """Segment every class and write its masks, overlays and color models."""
     try:
         masks = {}
         for cls, fieldv in sorted(confidences.items()):
-            (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(
-                fieldv, inputs.stats
-            )
-            gmm_obj = gmm_mod.fit_gmm(
-                obj_colors, obj_w, cfg.gmm_components, seed=cfg.gmm_seed
-            )
-            gmm_bg = gmm_mod.fit_gmm(
-                bg_colors, bg_w, cfg.gmm_components, seed=cfg.gmm_seed + 1
-            )
-            colors = np.concatenate(inputs.stats.mean_color, axis=0)
-            problem = mrf_mod.build_problem(
-                inputs.graph,
-                fieldv.flat(),
-                colors,
-                gmm_obj,
-                gmm_bg,
-                cfg.lambda_object,
-                cfg.lambda_spatial,
-                cfg.lambda_temporal,
-            )
-            labeling = mrf_mod.solve_binary(problem)
-            masks[cls] = mrf_mod.rasterize(labeling, inputs.superpixels)
-            if write:
-                mask_dir = os.path.join(cfg.out_dir, "masks", cls)
-                os.makedirs(mask_dir, exist_ok=True)
-                for t in range(inputs.video.frame_count):
-                    write_pgm(
-                        os.path.join(mask_dir, f"frame_{t:04d}.pgm"),
-                        masks[cls][t].astype(np.uint8) * 255,
-                    )
-                render_overlay(
-                    inputs.video, masks[cls], os.path.join(cfg.out_dir, "overlays", cls)
-                )
-                with open(
-                    os.path.join(cfg.out_dir, f"gmm_{cls}.json"), "w", encoding="utf-8"
-                ) as fh:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "object": json.loads(gmm_obj.to_json()),
-                                "background": json.loads(gmm_bg.to_json()),
-                            },
-                            sort_keys=True,
-                        )
-                    )
+            masks[cls], gmm_obj, gmm_bg = segment_class(cfg, inputs, fieldv)
+            write_segmentation(cfg.out_dir, cls, inputs.video, masks[cls], gmm_obj, gmm_bg)
         return masks
     except (OSError, DataError, ValueError) as exc:
         raise StageError("segment", exc) from exc
 
 
-def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks, write=True):
-    """Compare predicted masks with ground truth on the annotated frames."""
+def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks):
+    """Score the masks against ground truth, if any, and write report.csv."""
     try:
         report = EvalReport()
         if inputs.gt_masks:
-            annotated = sorted(inputs.gt_masks)
-            gt_list = {t: inputs.gt_masks[t] for t in annotated}
-            for cls, pred in sorted(masks.items()):
-                pred_list = {t: pred[t] for t in annotated}
-                errors = frame_pixel_errors(pred_list, gt_list, annotated)
-                report.add(
-                    cfg.video_id,
-                    cls,
-                    iou(pred_list, gt_list, annotated),
-                    iou_macro(pred_list, gt_list, annotated),
-                    pixel_error(pred_list, gt_list, annotated),
-                    frame_errors=errors,
-                )
-        if write:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            report.write_csv(os.path.join(cfg.out_dir, "report.csv"))
+            report = score_masks(cfg.video_id, masks, inputs.gt_masks)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        report.write_csv(os.path.join(cfg.out_dir, "report.csv"))
         return report
     except (OSError, DataError, ValueError) as exc:
         raise StageError("eval", exc) from exc

@@ -5,7 +5,7 @@ from vidseg.graph import assemble
 
 
 def graph_from_edges(n, spatial=(), temporal=()):
-    """Single-frame graph over n nodes from explicit (i, j, w[, rho]) edges."""
+    """Single-frame graph over n nodes from explicit (i, j, w) edges."""
     offsets = np.array([0, n], dtype=np.int64)
     si = np.array([e[0] for e in spatial], dtype=np.int64)
     sj = np.array([e[1] for e in spatial], dtype=np.int64)
@@ -13,8 +13,7 @@ def graph_from_edges(n, spatial=(), temporal=()):
     ti = np.array([e[0] for e in temporal], dtype=np.int64)
     tj = np.array([e[1] for e in temporal], dtype=np.int64)
     tw = np.array([e[2] for e in temporal], dtype=np.float64)
-    trho = np.array([e[3] if len(e) > 3 else 1.0 for e in temporal], dtype=np.float64)
-    return assemble(offsets, (si, sj, sw), (ti, tj, tw, trho))
+    return assemble(offsets, (si, sj, sw), (ti, tj, tw))
 
 
 def random_graph(rng, max_nodes=200):
@@ -33,7 +32,7 @@ def random_graph(rng, max_nodes=200):
         if rng.random() < 0.5:
             spatial.append((int(i), int(j), w))
         else:
-            temporal.append((int(i), int(j), w, float(rng.uniform(0.1, 1.0))))
+            temporal.append((int(i), int(j), w))
     return graph_from_edges(n, spatial, temporal)
 
 

@@ -151,6 +151,13 @@ def test_entropy_uniform_32_bins():
     assert histogram_entropy(np.ones(32)) == pytest.approx(LN32, abs=1e-12)
 
 
+def test_entropy_row_wise():
+    ent = histogram_entropy([[1, 1, 0], [0, 5, 0], [1, 1, 2]])
+    assert np.allclose(ent, [LN2, 0.0, 1.5 * LN2], rtol=0, atol=1e-12)
+    with pytest.raises(DataError, match="empty histogram"):
+        histogram_entropy([[1, 1], [0, 0]])
+
+
 def test_assemble_two_nodes():
     g = graph_from_edges(2, spatial=[(0, 1, 1.0)])
     assert np.allclose(g.degrees, [1.0, 1.0])
@@ -169,6 +176,13 @@ def test_assemble_three_chain():
     s = g.operator.toarray()
     assert s[0, 1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert s[1, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+
+
+def test_assemble_rejects_self_loops():
+    with pytest.raises(DataError, match="self-loop"):
+        graph_from_edges(2, spatial=[(0, 0, 1.0), (0, 1, 1.0)])
+    with pytest.raises(DataError, match="self-loop"):
+        graph_from_edges(2, spatial=[(0, 1, 1.0)], temporal=[(1, 1, 0.5)])
 
 
 def test_assemble_rejects_bad_weights():
@@ -226,3 +240,9 @@ def test_build_graph_dump_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "kind,frame_i,sp_i,frame_j,sp_j,weight"
     assert len(lines) == 1 + len(g.spatial_i) + len(g.temporal_i)
+
+
+def test_build_graph_operator_has_zero_diagonal():
+    video, sp, flows = _tiny_scene()
+    g = build_graph(video, sp, flows)
+    assert len(g.temporal_i) and np.all(g.operator.diagonal() == 0.0)

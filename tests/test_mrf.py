@@ -64,7 +64,7 @@ def test_color_unary_both_floored():
 
 def test_pairwise_weights_reuse_affinities():
     g = graph_from_edges(3, spatial=[(0, 1, 1.2130613194252668)],
-                         temporal=[(1, 2, 0.4, 0.5)])
+                         temporal=[(1, 2, 0.4)])
     edges, weights = pairwise_weights(g, lambda_spatial=1000.0, lambda_temporal=2000.0)
     assert edges.shape == (2, 2)
     assert weights[0] == pytest.approx(1213.0613194252668)

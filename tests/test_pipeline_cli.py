@@ -1,13 +1,21 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from vidseg.cli import main
-from vidseg.pipeline import PipelineConfig, read_confidence_csv, run_pipeline
+from vidseg.pipeline import (
+    PipelineConfig,
+    load_inputs,
+    read_confidence_csv,
+    run_pipeline,
+    segment_class,
+)
 from vidseg.synth import SynthConfig, generate, write_dataset
+from vidseg.video import load_mask
 
 
 def _dataset_config(root, **synth_kw):
@@ -227,3 +235,48 @@ def test_run_pipeline_validates_paths(tmp_path):
     )
     with pytest.raises(Exception, match="video_dir"):
         run_pipeline(cfg)
+
+
+def test_config_rejects_unknown_solver_before_writing(tmp_path, capsys):
+    root = str(tmp_path / "bogus")
+    config_path = _dataset_config(root)
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    cfg["solver"] = "bogus"
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["pipeline", "--config", config_path]) == 2
+    assert "unknown solver" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(root, "out", "pooled.csv"))
+
+
+@pytest.mark.parametrize("side", ["--gt", "--pred"])
+def test_eval_cli_rejects_unmappable_mask_names(dataset, tmp_path, capsys, side):
+    root, _ = dataset
+    gt_dir = os.path.join(root, "gt")
+    odd_dir = str(tmp_path / "masks")
+    shutil.copytree(gt_dir, odd_dir)
+    shutil.copy(os.path.join(odd_dir, sorted(os.listdir(odd_dir))[0]),
+                os.path.join(odd_dir, "notes.pgm"))
+    dirs = {"--gt": gt_dir, "--pred": gt_dir, side: odd_dir}
+    assert main(["eval", "--pred", dirs["--pred"], "--gt", dirs["--gt"]]) == 2
+    assert "notes.pgm" in capsys.readouterr().err
+
+
+def test_segment_class_writes_nothing(dataset, tmp_path):
+    root, config_path = dataset
+    out = os.path.join(root, "out")
+    if not os.path.isdir(out):
+        assert main(["pipeline", "--config", config_path]) == 0
+    cfg = PipelineConfig.from_json(config_path, {"out_dir": str(tmp_path / "unused")})
+    inputs = load_inputs(cfg)
+    fieldv = read_confidence_csv(os.path.join(out, "adapted.csv"), "adapted")["object"]
+    masks, gmm_obj, gmm_bg = segment_class(cfg, inputs, fieldv)
+    assert not os.path.exists(cfg.out_dir)
+    for t, name in enumerate(sorted(os.listdir(os.path.join(out, "masks", "object")))):
+        written = load_mask(os.path.join(out, "masks", "object", name))
+        assert np.array_equal(masks[t], written)
+    with open(os.path.join(out, "gmm_object.json")) as fh:
+        models = json.load(fh)
+    assert models["object"] == json.loads(gmm_obj.to_json())
+    assert models["background"] == json.loads(gmm_bg.to_json())

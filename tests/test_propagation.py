@@ -198,13 +198,3 @@ def test_disconnected_components_solve_independently(rng):
     x_a = propagate_linear(g_a, c[:3], cfg).x
     x_b = propagate_linear(g_b, c[3:], cfg).x
     assert np.allclose(x_all, np.concatenate([x_a, x_b]), atol=1e-10)
-
-
-def test_ilu_preconditioner_matches_jacobi(rng):
-    g = random_graph(rng, max_nodes=40)
-    c = rng.random(g.n_nodes)
-    x_j = propagate_linear(g, c, PropagationConfig(tolerance=1e-12)).x
-    x_ilu = propagate_linear(
-        g, c, PropagationConfig(tolerance=1e-12, preconditioner="ilu")
-    ).x
-    assert np.allclose(x_j, x_ilu, atol=1e-9)
