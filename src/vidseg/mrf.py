@@ -9,7 +9,8 @@ that reuse the graph affinities:
 
 With two labels and non-negative pairwise weights the energy is submodular,
 so a single s-t min-cut gives the exact global minimum; ties resolve to
-background (the minimal source side of the cut).
+background (the minimal source side of the cut). solve_binary finds the cut
+with SciPy's compiled max-flow and certifies it against the energy.
 """
 
 from __future__ import annotations
@@ -17,11 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+
+from .propagation import ConvergenceError
 
 LAMBDA_OBJECT = 10.0
 LAMBDA_SPATIAL = 1000.0
 LAMBDA_TEMPORAL = 2000.0
 CONFIDENCE_CLAMP = 1e-6
+FLOW_SCALE = 2**29  # int32 headroom: a reverse residual is capacity plus flow
+MINCUT_EPS = 1e-12  # residual arcs below this share of the terminal total are cut
+CERTIFICATE_RTOL = 1e-9
+MAX_ROUNDS = 32  # each round shrinks the flow still missing ~2**29 / arcs-fold
 
 
 @dataclass
@@ -36,6 +44,11 @@ class MRFProblem:
         self.cost_background = np.asarray(self.cost_background, dtype=np.float64)
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.edge_weight = np.asarray(self.edge_weight, dtype=np.float64)
+        n = len(self.cost_object)
+        if len(self.cost_background) != n or self.edge_weight.shape != (len(self.edges),):
+            raise ValueError("MRF needs two costs per node and one weight per edge")
+        if len(self.edges) and (self.edges.min() < 0 or self.edges.max() >= n):
+            raise ValueError(f"MRF edges must join node ids in [0, {n})")
         if np.any(self.edge_weight < 0):
             raise ValueError("pairwise weights must be non-negative")
         if not (
@@ -55,6 +68,8 @@ class Labeling:
     """Per-superpixel object/background assignment; True = object."""
 
     labels: np.ndarray  # (n,) bool
+    flow_value: float | None = None  # max-flow plus unary constant; = energy
+    rounds: int = 0  # scaled max-flow rounds that produced it
 
 
 def semantic_unary(c):
@@ -116,125 +131,107 @@ def mrf_energy(problem: MRFProblem, labels):
     """Evaluate the labeling energy (True = object)."""
     labels = np.asarray(labels, dtype=bool)
     unary = np.where(labels, problem.cost_object, problem.cost_background).sum()
-    if len(problem.edges):
-        disagree = labels[problem.edges[:, 0]] != labels[problem.edges[:, 1]]
-        return float(unary + problem.edge_weight[disagree].sum())
-    return float(unary)
+    disagree = labels[problem.edges[:, 0]] != labels[problem.edges[:, 1]]
+    return float(unary + problem.edge_weight[disagree].sum())
 
 
 def solve_binary(problem: MRFProblem) -> Labeling:
     """Exact global minimum of the binary Potts energy via s-t min-cut.
 
-    The network has source-side = object: source->i carries the background
-    cost (paid when i is cut to the sink side), i->sink the object cost, and
-    each Potts edge a symmetric arc pair. Nodes residual-reachable from the
-    source after max-flow are labeled object, which resolves ties to
-    background.
+    Source side = object: source->i carries the background cost and i->sink
+    the object cost, both less their minimum (a shift shared by every cut);
+    each Potts edge is an arc each way. SciPy's Dinic takes integer
+    capacities, so rounds floor the float residual scaled to a cut's residual
+    (a bound on the flow still missing) and subtract the integer flow, until
+    the nodes reachable over arcs above MINCUT_EPS of the smaller terminal
+    total exclude the sink and their cut's residual, their energy less the
+    flow, is within the certificate. Those nodes are labeled object, so ties
+    go to background. ConvergenceError is raised if
+    |energy - flow| > CERTIFICATE_RTOL * max(energy, 1), or after MAX_ROUNDS.
     """
+    from scipy.sparse.csgraph import maximum_flow
+
     n = problem.n_nodes
     source, sink = n, n + 1
-    m_pair = len(problem.edges)
-    n_arcs = 4 * n + 2 * m_pair
-    arc_to = np.empty(n_arcs, dtype=np.int64)
-    arc_cap = np.zeros(n_arcs, dtype=np.float64)
-    arc_from = np.empty(n_arcs, dtype=np.int64)
+    base = np.minimum(problem.cost_object, problem.cost_background)
+    to_source, to_sink = problem.cost_background - base, problem.cost_object - base
+    eps = MINCUT_EPS * min(to_source.sum(), to_sink.sum())
+    cap, indices, indptr = _network(problem, to_source, to_sink)
 
-    ids = np.arange(n)
-    # source -> i (cap: background cost) with zero reverse
-    arc_from[0 : 2 * n : 2] = source
-    arc_to[0 : 2 * n : 2] = ids
-    arc_cap[0 : 2 * n : 2] = problem.cost_background
-    arc_from[1 : 2 * n : 2] = ids
-    arc_to[1 : 2 * n : 2] = source
-    # i -> sink (cap: object cost) with zero reverse
-    base = 2 * n
-    arc_from[base : base + 2 * n : 2] = ids
-    arc_to[base : base + 2 * n : 2] = sink
-    arc_cap[base : base + 2 * n : 2] = problem.cost_object
-    arc_from[base + 1 : base + 2 * n : 2] = sink
-    arc_to[base + 1 : base + 2 * n : 2] = ids
-    # Potts edges: symmetric mutual-reverse arc pairs
-    base = 4 * n
-    if m_pair:
-        arc_from[base::2] = problem.edges[:, 0]
-        arc_to[base::2] = problem.edges[:, 1]
-        arc_cap[base::2] = problem.edge_weight
-        arc_from[base + 1 :: 2] = problem.edges[:, 1]
-        arc_to[base + 1 :: 2] = problem.edges[:, 0]
-        arc_cap[base + 1 :: 2] = problem.edge_weight
-
-    reachable = _dinic_min_cut(n + 2, source, sink, arc_from, arc_to, arc_cap)
-    labels = reachable[:n].copy()
-    return Labeling(labels=labels)
-
-
-def _dinic_min_cut(n_nodes, source, sink, arc_from, arc_to, arc_cap):
-    """Dinic max-flow on float capacities; returns the residual-reachable set.
-
-    Arcs are paired so that arc k ^ 1 is the reverse of arc k. Capacities are
-    mutated in place (callers pass freshly built arrays).
-    """
-    order = np.argsort(arc_from, kind="stable")
-    adj_arcs = order
-    start = np.searchsorted(arc_from[order], np.arange(n_nodes + 1))
-    cap = arc_cap
-    to = arc_to
-
-    level = np.empty(n_nodes, dtype=np.int64)
-    INF = np.iinfo(np.int64).max
-
+    flow_value, rounds = 0.0, 0
+    side = np.arange(n + 2) == source  # later the source side of a cut
     while True:
-        # BFS level graph over residual arcs
-        level.fill(-1)
-        level[source] = 0
-        queue = [source]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for idx in range(start[v], start[v + 1]):
-                a = adj_arcs[idx]
-                u = to[a]
-                if cap[a] > 0 and level[u] < 0:
-                    level[u] = level[v] + 1
-                    queue.append(u)
-        if level[sink] < 0:
-            return level >= 0
-        # blocking flow with current-arc pointers
-        it = start.copy()
-        path_arcs = []
-        path = [source]
-        while path:
-            v = path[-1]
-            if v == sink:
-                bottleneck = INF
-                for a in path_arcs:
-                    if cap[a] < bottleneck:
-                        bottleneck = cap[a]
-                for a in path_arcs:
-                    cap[a] -= bottleneck
-                    cap[a ^ 1] += bottleneck
-                retreat = 0
-                while retreat < len(path_arcs) and cap[path_arcs[retreat]] > 0:
-                    retreat += 1
-                del path[retreat + 1 :]
-                del path_arcs[retreat:]
-                continue
-            advanced = False
-            while it[v] < start[v + 1]:
-                a = adj_arcs[it[v]]
-                u = to[a]
-                if cap[a] > 0 and level[u] == level[v] + 1:
-                    path.append(u)
-                    path_arcs.append(a)
-                    advanced = True
-                    break
-                it[v] += 1
-            if not advanced:
-                level[v] = -1
-                path.pop()
-                if path_arcs:
-                    path_arcs.pop()
+        reached = _reachable(indptr, indices, cap > eps, source)
+        if not reached[sink]:
+            side = reached
+        bound = cap[np.repeat(side, np.diff(indptr)) & ~side[indices]].sum()
+        # bound is now the labeling's energy less the flow; half the
+        # tolerance is left for round-off in the energy
+        if not reached[sink] and bound <= 0.5 * CERTIFICATE_RTOL * max(flow_value + base.sum(), 1):
+            break
+        if rounds == MAX_ROUNDS:
+            message = f"min-cut uncertified after {rounds} rounds"
+            raise ConvergenceError(message, reached[:n], bound, rounds)
+        # no flow still missing exceeds bound, so no int32 capacity, flow or
+        # residual overflows
+        scale = FLOW_SCALE / bound
+        icap = (np.clip(cap, 0.0, bound) * scale).astype(np.int32)
+        graph = csr_array((icap, indices, indptr), shape=(n + 2, n + 2))
+        result = maximum_flow(graph, source, sink, method="dinic")
+        flow = result.flow
+        if not (np.array_equal(flow.indptr, indptr) and np.array_equal(flow.indices, indices)):
+            raise RuntimeError("maximum_flow returned its flow on another sparsity pattern")
+        rounds += 1
+        cap -= flow.data / scale
+        flow_value += result.flow_value / scale
+        side = _reachable(indptr, indices, icap > flow.data, source)
+        del graph, result, flow, icap
+
+    labels = reached[:n].copy()
+    flow_value = float(flow_value + base.sum())
+    energy = mrf_energy(problem, labels)
+    if abs(energy - flow_value) > CERTIFICATE_RTOL * max(energy, 1.0):
+        raise ConvergenceError(
+            f"min-cut certificate failed: energy {energy!r}, flow {flow_value!r}",
+            labels, abs(energy - flow_value), rounds,
+        )
+    return Labeling(labels=labels, flow_value=flow_value, rounds=rounds)
+
+
+def _network(problem, to_source, to_sink):
+    """Capacities, indices and indptr of the CSR network; source n, sink n + 1.
+
+    Every arc's reverse is stored (terminal ones at capacity 0), so that
+    maximum_flow returns its flow on exactly this pattern.
+    """
+    n = problem.n_nodes
+    ids, s_ids, zeros = np.arange(n, dtype=np.int32), np.full(n, n, dtype=np.int32), np.zeros(n)
+    keep = problem.edges[:, 0] != problem.edges[:, 1]  # self-loops never cut
+    i, j = problem.edges[keep].T.astype(np.int32)
+    w = problem.edge_weight[keep]
+    net = csr_array(
+        (
+            np.concatenate([to_source, zeros, to_sink, zeros, w, w]),
+            (np.concatenate([s_ids, ids, ids, s_ids + 1, i, j]),
+             np.concatenate([ids, s_ids, s_ids + 1, ids, j, i])),
+        ),
+        shape=(n + 2, n + 2),
+    )
+    return net.data, net.indices, net.indptr
+
+
+def _reachable(indptr, indices, live, start):
+    """Boolean mask of the nodes reachable from start over the live arcs."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    # own copies: csgraph counts stored zeros as arcs, and pruning them
+    # compacts the index arrays in place
+    size = len(indptr) - 1
+    graph = csr_array((live.astype(np.float64), indices.copy(), indptr.copy()), shape=(size, size))
+    graph.eliminate_zeros()
+    reached = np.zeros(size, dtype=bool)
+    reached[breadth_first_order(graph, start, return_predecessors=False)] = True
+    return reached
 
 
 def rasterize(labeling: Labeling, sp) -> np.ndarray:

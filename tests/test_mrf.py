@@ -4,6 +4,7 @@ import pytest
 from conftest import graph_from_edges
 from vidseg.gmm import GaussianMixture
 from vidseg.mrf import (
+    CERTIFICATE_RTOL,
     MRFProblem,
     Labeling,
     color_unary,
@@ -181,6 +182,103 @@ def test_scale_invariance_of_argmin(rng):
 def test_rejects_negative_weights():
     with pytest.raises(ValueError):
         MRFProblem(np.zeros(2), np.zeros(2), np.array([[0, 1]]), np.array([-1.0]))
+
+
+@pytest.mark.parametrize(
+    "cost_bg, edges, weights",
+    [
+        (np.zeros(3), [[0, -1]], [1.0]),
+        (np.zeros(3), [[0, 3]], [1.0]),
+        (np.zeros(3), [[0, 1], [1, 2]], [1.0]),
+        (np.zeros(3), [[0, 1]], [1.0, 2.0]),
+        (np.zeros(1), [[0, 1]], [1.0]),
+    ],
+    ids=["negative-id", "id-past-n", "too-few-weights", "too-many-weights", "short-costs"],
+)
+def test_rejects_malformed_problems(cost_bg, edges, weights):
+    with pytest.raises(ValueError):
+        MRFProblem(np.zeros(3), cost_bg, np.array(edges), np.array(weights))
+
+
+def _grid_edges(height, width):
+    ids = np.arange(height * width).reshape(height, width)
+    return np.concatenate(
+        [
+            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+            np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1),
+        ]
+    )
+
+
+def test_certificate_on_large_grid(rng):
+    edges = _grid_edges(100, 100)
+    problem = MRFProblem(
+        rng.uniform(0, 20, size=10000),
+        rng.uniform(0, 20, size=10000),
+        edges,
+        rng.uniform(0, 15, size=len(edges)),
+    )
+    labeling = solve_binary(problem)
+    energy = mrf_energy(problem, labeling.labels)
+    assert labeling.rounds >= 1
+    assert abs(labeling.flow_value - energy) <= CERTIFICATE_RTOL * energy
+    assert 0 < labeling.labels.sum() < 10000
+
+
+def test_exact_tie_on_grid_goes_background(rng):
+    # coupling outweighs every unary margin, so only the uniform labelings
+    # compete, and permuted integer costs make them tie exactly
+    edges = _grid_edges(30, 30)
+    cost_obj = rng.integers(0, 10, size=900).astype(np.float64)
+    problem = MRFProblem(
+        cost_obj, rng.permutation(cost_obj), edges, np.full(len(edges), 1e5)
+    )
+    labeling = solve_binary(problem)
+    assert not labeling.labels.any()
+    assert mrf_energy(problem, labeling.labels) == cost_obj.sum()
+    assert labeling.flow_value == pytest.approx(cost_obj.sum(), rel=CERTIFICATE_RTOL)
+
+
+def test_solve_extreme_weight_range_exact(rng):
+    # Potts weights up to the distance clamp's ~2e9 next to unaries near 1e2
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        weights = np.exp(rng.uniform(np.log(1e-9), np.log(2e9), size=len(edges)))
+        problem = MRFProblem(
+            rng.uniform(0, 100, size=n), rng.uniform(0, 100, size=n), edges, weights
+        )
+        labels = solve_binary(problem).labels
+        _, best = enumerate_labelings_oracle(problem)
+        assert mrf_energy(problem, labels) <= best + 1e-9 * max(best, 1.0)
+
+
+def test_tiny_bottleneck_solved_in_a_second_round():
+    # the first round's integer capacities floor the 1e-9 edge to zero
+    problem = MRFProblem(
+        np.array([0.0, 50.0]), np.array([50.0, 0.0]), np.array([[0, 1]]), np.array([1e-9])
+    )
+    labeling = solve_binary(problem)
+    assert labeling.labels.tolist() == [True, False]
+    assert labeling.rounds == 2
+    assert labeling.flow_value == pytest.approx(1e-9, rel=1e-9)
+
+
+def test_sub_threshold_arcs_still_certified():
+    # ten paths of 5e-10 each, every arc below the reachability threshold:
+    # the labeling is found at once, but its certificate needs another round
+    k = 10
+    cost_obj = np.zeros(k + 2)
+    cost_bg = np.zeros(k + 2)
+    cost_bg[0] = cost_obj[1] = 1000.0
+    mid = np.arange(2, k + 2)
+    edges = np.concatenate(
+        [np.stack([np.zeros(k, int), mid], axis=1), np.stack([mid, np.ones(k, int)], axis=1)]
+    )
+    problem = MRFProblem(cost_obj, cost_bg, edges, np.full(2 * k, 5e-10))
+    labeling = solve_binary(problem)
+    assert labeling.labels.tolist() == [True] + [False] * (k + 1)
+    assert labeling.flow_value == pytest.approx(k * 5e-10, rel=CERTIFICATE_RTOL)
 
 
 def test_rasterize():
