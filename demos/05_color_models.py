@@ -26,12 +26,8 @@ def main():
             np.clip(0.1 + rng.normal(0, 0.1, n_bg), 0, 1),
         ]
     )
-    field = ConfidenceField("demo", [conf], "adapted")
-    stats = SuperpixelStats(
-        pixel_count=[np.ones(len(colors), dtype=np.int64)],
-        mean_color=[colors],
-        centroid=[np.zeros((len(colors), 2))],
-    )
+    field = ConfidenceField("demo", [conf])
+    stats = SuperpixelStats(mean_color=colors, centroid=np.zeros((len(colors), 2)))
 
     (oc, ow), (bc, bw) = sample_training_sets(field, stats)
     print(f"object training set: {len(oc)} samples, total weight {ow.sum():.1f}")

@@ -25,7 +25,7 @@ from .pipeline import (
     write_confidence_csv,
 )
 from .propagation import ConvergenceError
-from .video import DataError
+from .video import DataError, check_id
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,7 +179,7 @@ def _cmd_adapt(args):
     overrides = {"solver": args.solver} if args.solver else {}
     cfg = _load_config(args, overrides)
     inputs = load_inputs(cfg)
-    pooled = read_confidence_csv(args.confidence, "pooled")
+    pooled = read_confidence_csv(args.confidence)
     adapted = adapt_stage(cfg, inputs, pooled)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_confidence_csv(args.out, adapted)
@@ -190,13 +190,15 @@ def _cmd_adapt(args):
 def _cmd_segment(args):
     cfg = _load_config(args)
     inputs = load_inputs(cfg)
-    confidences = read_confidence_csv(args.confidence, "adapted")
+    confidences = read_confidence_csv(args.confidence)
     segment_stage(cfg, inputs, confidences)
     print(f"masks and overlays written under {cfg.out_dir}")
     return EXIT_OK
 
 
 def _cmd_eval(args):
+    check_id("video_id", args.video_id)
+    check_id("class", args.class_id)
     gt = load_mask_dir(args.gt)
     pred = load_mask_dir(args.pred)
     missing = sorted(set(gt) - set(pred))

@@ -17,8 +17,7 @@ OVERLAY_COLOR = (255, 64, 64)
 class EvalReport:
     rows: list = field(default_factory=list)  # dicts: video, class, metrics
 
-    def add(self, video_id, class_id, iou_micro, iou_macro, mean_pixel_error,
-            frame_errors=None):
+    def add(self, video_id, class_id, iou_micro, iou_macro, mean_pixel_error):
         self.rows.append(
             {
                 "video": video_id,
@@ -26,7 +25,6 @@ class EvalReport:
                 "iou_micro": iou_micro,
                 "iou_macro": iou_macro,
                 "mean_pixel_error": mean_pixel_error,
-                "frame_errors": list(frame_errors) if frame_errors is not None else None,
             }
         )
 
@@ -53,12 +51,30 @@ class EvalReport:
             )
 
 
-def _check_pair(pred, gt):
-    pred = np.asarray(pred, dtype=bool)
-    gt = np.asarray(gt, dtype=bool)
-    if pred.shape != gt.shape:
-        raise DataError("prediction and ground-truth dimensions differ")
-    return pred, gt
+def frame_counts(pred_masks, gt_masks, annotated=None):
+    """(F, 3) pixel counts |pred & gt|, |pred | gt|, |pred ^ gt| per annotated frame."""
+    if annotated is None:
+        annotated = range(len(gt_masks))
+    counts = []
+    for t in annotated:
+        pred = np.asarray(pred_masks[t], dtype=bool)
+        gt = np.asarray(gt_masks[t], dtype=bool)
+        if pred.shape != gt.shape:
+            raise DataError("prediction and ground-truth dimensions differ")
+        counts.append(
+            [np.count_nonzero(pred & gt), np.count_nonzero(pred | gt), np.count_nonzero(pred ^ gt)]
+        )
+    return np.array(counts, dtype=np.int64).reshape(-1, 3)
+
+
+def _scores(counts):
+    """Micro IoU, macro IoU and mean pixel error of frame_counts rows; (1, 1, 0) if none."""
+    inter, union, error = counts.T
+    micro = 1.0 if union.sum() == 0 else float(inter.sum() / union.sum())
+    per_frame = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+    macro = float(np.mean(per_frame)) if len(counts) else 1.0
+    mean_error = float(np.mean(error)) if len(counts) else 0.0
+    return micro, macro, mean_error
 
 
 def iou(pred_masks, gt_masks, annotated=None):
@@ -67,44 +83,17 @@ def iou(pred_masks, gt_masks, annotated=None):
     IoU = sum |pred & gt| / sum |pred | gt|; if every annotated frame is
     empty in both, the ratio is defined as 1.
     """
-    if annotated is None:
-        annotated = range(len(gt_masks))
-    inter = union = 0
-    for t in annotated:
-        pred, gt = _check_pair(pred_masks[t], gt_masks[t])
-        inter += int(np.count_nonzero(pred & gt))
-        union += int(np.count_nonzero(pred | gt))
-    return 1.0 if union == 0 else inter / union
+    return _scores(frame_counts(pred_masks, gt_masks, annotated))[0]
 
 
 def iou_macro(pred_masks, gt_masks, annotated=None):
     """Mean of per-frame IoU over the annotated frames (empty-empty frame = 1)."""
-    if annotated is None:
-        annotated = range(len(gt_masks))
-    scores = []
-    for t in annotated:
-        pred, gt = _check_pair(pred_masks[t], gt_masks[t])
-        union = int(np.count_nonzero(pred | gt))
-        inter = int(np.count_nonzero(pred & gt))
-        scores.append(1.0 if union == 0 else inter / union)
-    return float(np.mean(scores)) if scores else 1.0
-
-
-def frame_pixel_errors(pred_masks, gt_masks, annotated=None):
-    """Incorrect-pixel count per annotated frame."""
-    if annotated is None:
-        annotated = range(len(gt_masks))
-    errors = []
-    for t in annotated:
-        pred, gt = _check_pair(pred_masks[t], gt_masks[t])
-        errors.append(int(np.count_nonzero(pred ^ gt)))
-    return errors
+    return _scores(frame_counts(pred_masks, gt_masks, annotated))[1]
 
 
 def pixel_error(pred_masks, gt_masks, annotated=None):
     """Mean count of incorrect pixels per annotated frame."""
-    errors = frame_pixel_errors(pred_masks, gt_masks, annotated)
-    return float(np.mean(errors)) if errors else 0.0
+    return _scores(frame_counts(pred_masks, gt_masks, annotated))[2]
 
 
 def score_masks(video_id, masks, gt_masks):
@@ -115,14 +104,7 @@ def score_masks(video_id, masks, gt_masks):
     report = EvalReport()
     annotated = sorted(gt_masks)
     for cls, pred in sorted(masks.items()):
-        report.add(
-            video_id,
-            cls,
-            iou(pred, gt_masks, annotated),
-            iou_macro(pred, gt_masks, annotated),
-            pixel_error(pred, gt_masks, annotated),
-            frame_errors=frame_pixel_errors(pred, gt_masks, annotated),
-        )
+        report.add(video_id, cls, *_scores(frame_counts(pred, gt_masks, annotated)))
     return report
 
 

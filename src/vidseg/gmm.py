@@ -84,7 +84,7 @@ def sample_training_sets(field, stats):
     c_i and to the background set with weight 1 - c_i; weights below 1e-3 are
     omitted from that set.
     """
-    colors = np.concatenate(stats.mean_color, axis=0)
+    colors = stats.mean_color
     conf = field.flat()
     if len(conf) != len(colors):
         raise ValueError("confidence field and stats cover different superpixels")

@@ -4,8 +4,8 @@ Nodes are superpixels across all frames; spatial edges join 4-connected
 superpixels of one frame, temporal edges join superpixels of consecutive
 frames linked by flow-warped overlap. Affinities combine self-normalized
 color distances with centroid distances (spatial) or overlap ratio and
-motion reliability (temporal). The assembled graph carries the affinity
-matrix A, node degrees, and the symmetrically normalized operator
+motion reliability (temporal). The assembled graph carries the node
+degrees of the affinity matrix A and the symmetrically normalized operator
 S = D^-1/2 A D^-1/2 used by the diffusion solvers.
 """
 
@@ -22,6 +22,7 @@ from .video import (
     SuperpixelStats,
     VideoVolume,
     compute_superpixel_stats,
+    warp_pixels,
 )
 
 MOTION_COHERENCE_WEIGHT = 2.0  # w_c in m = exp(-w_c * entropy)
@@ -41,8 +42,7 @@ class SpaceTimeGraph:
     temporal_i: np.ndarray  # source node (frame t-1)
     temporal_j: np.ndarray  # target node (frame t)
     temporal_w: np.ndarray
-    affinity: sparse.csr_matrix
-    degrees: np.ndarray
+    degrees: np.ndarray  # row sums of A
     operator: sparse.csr_matrix  # S = D^-1/2 A D^-1/2
 
     @property
@@ -113,17 +113,16 @@ def temporal_edges(sp: SuperpixelMap, flows):
     offsets = sp.frame_offsets()
     height, width = sp.labels.shape[1:]
     npix = height * width
-    grid_x, grid_y = np.meshgrid(np.arange(width), np.arange(height))
+    grid_y, grid_x = np.indices((height, width)).reshape(2, -1)
     out_i, out_j, out_rho = [], [], []
     for t in range(1, sp.frame_count):
         flow = np.asarray(flows[t - 1])
         if flow.shape[:2] != (height, width):
             raise DataError(f"flow {t - 1} dimensions differ from frames")
-        dest_x = np.floor(grid_x + flow[:, :, 0] + 0.5).astype(np.int64)
-        dest_y = np.floor(grid_y + flow[:, :, 1] + 0.5).astype(np.int64)
-        valid = (dest_x >= 0) & (dest_x < width) & (dest_y >= 0) & (dest_y < height)
-        src = sp.labels[t - 1][valid].astype(np.int64)
-        dest = dest_y[valid] * width + dest_x[valid]
+        dest = warp_pixels(flow, grid_y, grid_x)
+        valid = dest >= 0
+        src = sp.labels[t - 1].ravel()[valid].astype(np.int64)
+        dest = dest[valid]
         # union semantics: collapse source pixels landing on one destination
         pairs = np.unique(src * npix + dest)
         src_u = pairs // npix
@@ -233,7 +232,7 @@ def _dedupe_max(i, j, w, n_nodes):
 
 
 def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
-    """Build A, degrees, and S from weighted spatial/temporal edge lists.
+    """Build the degrees of A and S from weighted spatial/temporal edge lists.
 
     spatial and temporal: (i, j, w) arrays. Duplicate undirected pairs are
     merged by max weight; self-loops are rejected, so diag(S) = 0. Isolated
@@ -253,12 +252,12 @@ def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
     rows = np.concatenate([si, ti, sj, tj])
     cols = np.concatenate([sj, tj, si, ti])
     data = np.concatenate([sw, tw, sw, tw])
-    affinity = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    degrees = np.asarray(affinity.sum(axis=1)).ravel()
+    operator = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    degrees = np.asarray(operator.sum(axis=1)).ravel()
     dinv = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
-    # entry-wise A_ij * (dinv_i * dinv_j) keeps S exactly symmetric
-    s_data = data * (dinv[rows] * dinv[cols])
-    operator = sparse.coo_matrix((s_data, (rows, cols)), shape=(n, n)).tocsr()
+    # A becomes S in place; entry-wise A_ij * (dinv_i * dinv_j) keeps S exactly symmetric
+    row_of = np.repeat(np.arange(n), np.diff(operator.indptr))
+    operator.data *= dinv[row_of] * dinv[operator.indices]
     return SpaceTimeGraph(
         frame_offsets=frame_offsets,
         spatial_i=si,
@@ -267,7 +266,6 @@ def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
         temporal_i=ti,
         temporal_j=tj,
         temporal_w=tw,
-        affinity=affinity,
         degrees=degrees,
         operator=operator,
     )
@@ -287,8 +285,7 @@ def build_graph(
     """
     if stats is None:
         stats = compute_superpixel_stats(video, sp)
-    colors = np.concatenate(stats.mean_color, axis=0)
-    centroids = np.concatenate(stats.centroid, axis=0)
+    colors, centroids = stats.mean_color, stats.centroid
     offsets = sp.frame_offsets()
 
     si, sj = spatial_edges(sp)

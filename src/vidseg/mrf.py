@@ -236,12 +236,7 @@ def _reachable(indptr, indices, live, start):
 
 def rasterize(labeling: Labeling, sp) -> np.ndarray:
     """Per-frame boolean masks: pixel set where its superpixel is object."""
-    offsets = sp.frame_offsets()
     labels = np.asarray(labeling.labels, dtype=bool)
-    if len(labels) != offsets[-1]:
+    if len(labels) != sp.total_count:
         raise ValueError("labeling does not cover all superpixels")
-    out = np.empty(sp.labels.shape, dtype=bool)
-    for t in range(sp.frame_count):
-        frame_lab = labels[offsets[t] : offsets[t + 1]]
-        out[t] = frame_lab[sp.labels[t]]
-    return out
+    return labels[sp.node_ids()]

@@ -31,6 +31,7 @@ from .proposals import (
 from .propagation import ConvergenceError, PropagationConfig, adapt_confidence
 from .video import (
     DataError,
+    check_id,
     compute_superpixel_stats,
     load_flow,
     load_mask,
@@ -92,6 +93,9 @@ class PipelineConfig:
             raise DataError(f"proposal_manifest does not exist: {self.proposal_manifest!r}")
         if self.gt_dir and not os.path.isdir(self.gt_dir):
             raise DataError(f"gt_dir does not exist: {self.gt_dir!r}")
+        check_id("video_id", self.video_id)
+        for cls in self.classes:
+            check_id("class", cls)
         self.propagation_config()
         for name in (
             "motion_coherence_weight",
@@ -141,7 +145,6 @@ class PipelineConfig:
 class LoadedInputs:
     video: object
     superpixels: object
-    flows: list
     motion_masks: np.ndarray
     gt_masks: dict  # frame index -> mask; empty when no ground truth
     stats: object
@@ -201,7 +204,7 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
         )
     except (OSError, DataError, ValueError) as exc:
         raise StageError("ingest", exc) from exc
-    return LoadedInputs(video, sp, flows, motion, gt_masks, stats, graph)
+    return LoadedInputs(video, sp, motion, gt_masks, stats, graph)
 
 
 def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
@@ -251,11 +254,10 @@ def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
     gmm_bg = gmm_mod.fit_gmm(
         bg_colors, bg_w, cfg.gmm_components, seed=cfg.gmm_seed + 1
     )
-    colors = np.concatenate(inputs.stats.mean_color, axis=0)
     problem = mrf_mod.build_problem(
         inputs.graph,
         fieldv.flat(),
-        colors,
+        inputs.stats.mean_color,
         gmm_obj,
         gmm_bg,
         cfg.lambda_object,
@@ -319,7 +321,7 @@ def write_confidence_csv(path, confidence_fields):
                     fh.write(f"{t},{s},{cls},{v:.17g}\n")
 
 
-def read_confidence_csv(path, derivation="pooled"):
+def read_confidence_csv(path):
     """Read confidence fields back; inverse of write_confidence_csv."""
     per_class = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -335,7 +337,10 @@ def read_confidence_csv(path, derivation="pooled"):
                 frame, sp_id, value = int(frame_s), int(sp_s), float(value_s)
             except ValueError as exc:
                 raise DataError(f"malformed confidence row {lineno} in {path}") from exc
-            per_class.setdefault(cls, {}).setdefault(frame, {})[sp_id] = value
+            row = per_class.setdefault(cls, {}).setdefault(frame, {})
+            if sp_id in row:
+                raise DataError(f"duplicate confidence row {lineno} in {path}")
+            row[sp_id] = value
     out = {}
     for cls, frames in per_class.items():
         values = []
@@ -344,7 +349,7 @@ def read_confidence_csv(path, derivation="pooled"):
             if sorted(row) != list(range(len(row))):
                 raise DataError(f"non-contiguous superpixel ids for frame {t} in {path}")
             values.append(np.array([row[s] for s in range(len(row))], dtype=np.float64))
-        out[cls] = ConfidenceField(cls, values, derivation)
+        out[cls] = ConfidenceField(cls, values)
     return out
 
 
@@ -353,9 +358,9 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
     inputs = load_inputs(cfg)
+    pooled = pool_stage(cfg, inputs)
     if cfg.dump_graph:
         inputs.graph.dump_csv(os.path.join(cfg.out_dir, "graph.csv"))
-    pooled = pool_stage(cfg, inputs)
     write_confidence_csv(os.path.join(cfg.out_dir, "pooled.csv"), pooled)
     if cfg.skip_adaptation:
         confidences = pooled

@@ -63,7 +63,6 @@ class PropagationResult:
     x: np.ndarray
     iterations: int
     residual: float
-    route: str
 
 
 def energy(x, graph, c, mu):
@@ -103,7 +102,7 @@ def propagate_iterative(graph, c, cfg: PropagationConfig) -> PropagationResult:
         residual = float(np.max(np.abs(x_next - x))) if len(x) else 0.0
         x = x_next
         if residual <= cfg.tolerance:
-            return PropagationResult(x, k, residual, "iterative")
+            return PropagationResult(x, k, residual)
     raise ConvergenceError(
         f"diffusion did not converge in {cfg.max_iterations} iterations "
         f"(residual {residual:.3e})",
@@ -128,7 +127,7 @@ def propagate_linear(graph, c, cfg: PropagationConfig) -> PropagationResult:
     b = eta * c
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
-        return PropagationResult(np.zeros_like(c), 0, 0.0, "linear")
+        return PropagationResult(np.zeros_like(c), 0, 0.0)
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -142,7 +141,7 @@ def propagate_linear(graph, c, cfg: PropagationConfig) -> PropagationResult:
         r -= alpha * ap
         residual = float(np.linalg.norm(r)) / norm_b
         if residual <= cfg.tolerance:
-            return PropagationResult(x, k, residual, "linear")
+            return PropagationResult(x, k, residual)
         rr_next = float(r @ r)
         p = r + (rr_next / rr) * p
         rr = rr_next
@@ -171,4 +170,4 @@ def adapt_confidence(field: ConfidenceField, graph, cfg: PropagationConfig) -> C
     result = propagate(graph, flat, cfg)
     adapted = np.clip(result.x, 0.0, 1.0)
     counts = [len(v) for v in field.values]
-    return ConfidenceField.from_flat(field.class_id, adapted, counts, "adapted")
+    return ConfidenceField.from_flat(field.class_id, adapted, counts)

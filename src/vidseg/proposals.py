@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .video import DataError, SuperpixelMap, load_mask
+from .video import DataError, SuperpixelMap, check_id, load_mask
 
 CONFIDENCE_THRESHOLD = 0.01
 
@@ -34,19 +34,14 @@ class ConfidenceField:
 
     class_id: str
     values: list  # per frame, (n_t,) float arrays
-    derivation: str = "pooled"  # "pooled" | "adapted"
 
     def flat(self) -> np.ndarray:
         return np.concatenate([np.asarray(v, dtype=np.float64) for v in self.values])
 
     @staticmethod
-    def from_flat(class_id, flat, counts, derivation):
-        values = []
-        pos = 0
-        for n in counts:
-            values.append(np.asarray(flat[pos : pos + n], dtype=np.float64))
-            pos += n
-        return ConfidenceField(class_id, values, derivation)
+    def from_flat(class_id, flat, counts):
+        bounds = np.cumsum(counts)[:-1]
+        return ConfidenceField(class_id, np.split(np.asarray(flat, dtype=np.float64), bounds))
 
 
 def context_score(mask, motion) -> float:
@@ -145,7 +140,7 @@ def pool_confidence(proposals, class_id, sp: SuperpixelMap) -> ConfidenceField:
             by_frame.get(t, []), class_id, sp.labels[t], sp.counts[t]
         )
         values.append(frame_vals)
-    return ConfidenceField(class_id, values, "pooled")
+    return ConfidenceField(class_id, values)
 
 
 def load_proposal_manifest(path):
@@ -166,7 +161,9 @@ def load_proposal_manifest(path):
                 frame = int(rec["frame"])
                 mask_rel = rec["mask"]
                 appearance = float(rec["appearance"])
-                confidences = {str(k): float(v) for k, v in rec["confidences"].items()}
+                confidences = {
+                    check_id("class", str(k)): float(v) for k, v in rec["confidences"].items()
+                }
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
             for cls, conf in confidences.items():

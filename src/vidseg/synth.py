@@ -18,7 +18,7 @@ import numpy as np
 from .mrf import Labeling, MRFProblem, mrf_energy
 from .pnm import write_pgm, write_ppm
 from .proposals import ScoredProposal
-from .video import SuperpixelMap, VideoVolume, write_flow
+from .video import SuperpixelMap, VideoVolume, check_id, write_flow
 
 DENSE_ORACLE_LIMIT = 1000
 ENUMERATION_LIMIT = 16
@@ -52,6 +52,7 @@ class SynthConfig:
             raise ValueError("bad frame geometry")
         if self.cell_size < 1:
             raise ValueError("bad cell size")
+        check_id("class", self.class_id)
         for t in (0, self.frame_count - 1):
             x = self.start_x + t * self.velocity[0]
             y = self.start_y + t * self.velocity[1]

@@ -23,6 +23,13 @@ class DataError(ValueError):
     """Invalid or inconsistent input data."""
 
 
+def check_id(kind, value):
+    """Return value, or raise DataError if it would break a CSV row it is written into."""
+    if any(ch in str(value) for ch in ",\r\n"):
+        raise DataError(f"{kind} {value!r} contains a comma or line break")
+    return value
+
+
 @dataclass
 class VideoVolume:
     """An ordered stack of RGB frames, shape (T, H, W, 3) uint8."""
@@ -78,18 +85,21 @@ class SuperpixelMap:
         """Global node-id offset per frame: node = offsets[t] + superpixel id."""
         return np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int64)
 
+    def node_ids(self):
+        """(T, H, W) global node id of every pixel."""
+        return self.labels + self.frame_offsets()[:-1, None, None]
+
 
 @dataclass
 class SuperpixelStats:
-    """Per-superpixel aggregates, one array triple per frame.
+    """Per-superpixel aggregates indexed by global node id (frame offset + label).
 
-    pixel_count[t]: (n_t,) int; mean_color[t]: (n_t, 3) float, 0-255 scale;
-    centroid[t]: (n_t, 2) float as (x, y) in pixel coordinates.
+    mean_color: (N, 3) float, 0-255 scale; centroid: (N, 2) float as (x, y)
+    in pixel coordinates.
     """
 
-    pixel_count: list
-    mean_color: list
-    centroid: list
+    mean_color: np.ndarray
+    centroid: np.ndarray
 
 
 def load_video(path) -> VideoVolume:
@@ -195,30 +205,35 @@ def load_mask(path) -> np.ndarray:
 
 
 def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> SuperpixelStats:
-    """Pixel counts, mean RGB colors, and centroids for every superpixel."""
+    """Mean RGB colors and centroids of every superpixel, by global node id."""
     if video.frames.shape[:3] != sp.labels.shape:
         raise DataError("video and superpixel dimensions differ")
-    height, width = video.height, video.width
-    xs = np.tile(np.arange(width, dtype=np.float64), height)
-    ys = np.repeat(np.arange(height, dtype=np.float64), width)
-    pixel_count, mean_color, centroid = [], [], []
-    for t in range(video.frame_count):
-        labels = sp.labels[t].ravel()
-        n = sp.counts[t]
-        counts = np.bincount(labels, minlength=n).astype(np.int64)
-        if np.any(counts == 0):
-            raise DataError(f"frame {t} has empty superpixel labels")
-        rgb = video.frames[t].reshape(-1, 3).astype(np.float64)
-        color = np.stack(
-            [np.bincount(labels, weights=rgb[:, c], minlength=n) for c in range(3)],
-            axis=1,
-        )
-        cx = np.bincount(labels, weights=xs, minlength=n)
-        cy = np.bincount(labels, weights=ys, minlength=n)
-        pixel_count.append(counts)
-        mean_color.append(color / counts[:, None])
-        centroid.append(np.stack([cx, cy], axis=1) / counts[:, None])
-    return SuperpixelStats(pixel_count, mean_color, centroid)
+    offsets = sp.frame_offsets()
+    n = int(offsets[-1])
+    nodes = sp.node_ids().ravel()
+    counts = np.bincount(nodes, minlength=n)
+    if not counts.all():
+        t = np.searchsorted(offsets, np.argmin(counts), side="right") - 1
+        raise DataError(f"frame {t} has empty superpixel labels")
+    ys, xs = np.indices(sp.labels.shape[1:], dtype=np.float64).reshape(2, -1)
+    reps = sp.frame_count
+    columns = (*video.frames.reshape(-1, 3).T, np.tile(xs, reps), np.tile(ys, reps))
+    sums = np.stack([np.bincount(nodes, weights=w, minlength=n) for w in columns], axis=1)
+    means = sums / counts[:, None]
+    return SuperpixelStats(mean_color=means[:, :3], centroid=means[:, 3:])
+
+
+def warp_pixels(flow, ys, xs):
+    """Flat index of the pixel each (ys, xs) lands on when pushed along flow.
+
+    A pixel moves to (floor(x + dx + 0.5), floor(y + dy + 0.5)); one that
+    leaves the frame gets -1.
+    """
+    height, width = flow.shape[:2]
+    dest_x = np.floor(xs + flow[ys, xs, 0] + 0.5).astype(np.int64)
+    dest_y = np.floor(ys + flow[ys, xs, 1] + 0.5).astype(np.int64)
+    inside = (dest_x >= 0) & (dest_x < width) & (dest_y >= 0) & (dest_y < height)
+    return np.where(inside, dest_y * width + dest_x, -1)
 
 
 def warp_mask(mask, flow) -> np.ndarray:
@@ -231,11 +246,7 @@ def warp_mask(mask, flow) -> np.ndarray:
     flow = np.asarray(flow)
     if mask.shape != flow.shape[:2]:
         raise DataError("mask and flow dimensions differ")
-    ys, xs = np.nonzero(mask)
-    dest_x = np.floor(xs + flow[ys, xs, 0] + 0.5).astype(np.int64)
-    dest_y = np.floor(ys + flow[ys, xs, 1] + 0.5).astype(np.int64)
-    height, width = mask.shape
-    keep = (dest_x >= 0) & (dest_x < width) & (dest_y >= 0) & (dest_y < height)
-    out = np.zeros_like(mask)
-    out[dest_y[keep], dest_x[keep]] = True
-    return out
+    dest = warp_pixels(flow, *np.nonzero(mask))
+    out = np.zeros(mask.size, dtype=bool)
+    out[dest[dest >= 0]] = True
+    return out.reshape(mask.shape)

@@ -272,7 +272,8 @@ def _tree_digest(root):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             digest.update(os.path.relpath(path, root).encode())
-            digest.update(open(path, "rb").read())
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
     return digest.hexdigest()
 
 

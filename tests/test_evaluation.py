@@ -3,7 +3,7 @@ import pytest
 
 from vidseg.evaluation import (
     EvalReport,
-    frame_pixel_errors,
+    frame_counts,
     iou,
     iou_macro,
     pixel_error,
@@ -57,7 +57,7 @@ def test_pixel_error_values():
     assert pixel_error(gt, gt) == 0.0
     pred = [_mask1d(20, 0, 16), _mask1d(20, 0, 14)]  # 6 + 4 wrong pixels
     assert pixel_error(pred, gt) == 5.0
-    assert frame_pixel_errors(pred, gt) == [6, 4]
+    assert frame_counts(pred, gt)[:, 2].tolist() == [6, 4]
     inv = [~np.zeros((4, 4), dtype=bool)]
     assert pixel_error(inv, [np.zeros((4, 4), dtype=bool)]) == 16.0
 
@@ -100,7 +100,8 @@ def test_render_overlay_blends_and_is_deterministic(tmp_path):
     p2 = render_overlay(video, masks, tmp_path / "b", color=(255, 64, 64))[0]
     img = read_pnm(p1)
     assert np.all(img == [(100 + 255) // 2, (100 + 64) // 2, (100 + 64) // 2])
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def test_report_csv(tmp_path):

@@ -18,15 +18,11 @@ LOG_FLOOR = -27.631021115928547  # log(1e-12)
 def _stats(colors):
     colors = np.asarray(colors, dtype=np.float64)
     n = len(colors)
-    return SuperpixelStats(
-        pixel_count=[np.ones(n, dtype=np.int64)],
-        mean_color=[colors],
-        centroid=[np.zeros((n, 2))],
-    )
+    return SuperpixelStats(mean_color=colors, centroid=np.zeros((n, 2)))
 
 
 def _field(confidences):
-    return ConfidenceField("c", [np.asarray(confidences, dtype=np.float64)], "adapted")
+    return ConfidenceField("c", [np.asarray(confidences, dtype=np.float64)])
 
 
 def test_training_sets_all_object_degenerate():

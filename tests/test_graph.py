@@ -208,7 +208,7 @@ def test_operator_spectrum_bounded(rng):
 
 def test_affinities_strictly_positive(rng):
     g = random_graph(rng, max_nodes=30)
-    assert np.all(g.affinity.data > 0)
+    assert np.all(g.spatial_w > 0) and np.all(g.temporal_w > 0)
 
 
 def _tiny_scene():

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from vidseg.pipeline import (
     segment_class,
 )
 from vidseg.synth import SynthConfig, generate, write_dataset
-from vidseg.video import load_mask
+from vidseg.video import DataError, load_mask
 
 
 def _dataset_config(root, **synth_kw):
@@ -58,7 +60,8 @@ def dataset(tmp_path_factory):
 
 
 def _digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _mask_digests(mask_dir):
@@ -151,7 +154,7 @@ def test_adapt_resumption_round_trip(dataset, tmp_path):
     out = os.path.join(root, "out")
     if not os.path.isdir(out):
         assert main(["pipeline", "--config", config_path]) == 0
-    fields = read_confidence_csv(os.path.join(out, "adapted.csv"), "adapted")
+    fields = read_confidence_csv(os.path.join(out, "adapted.csv"))
     assert set(fields) == {"object"}
     flat = fields["object"].flat()
     assert np.all((flat >= 0) & (flat <= 1))
@@ -270,7 +273,7 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
         assert main(["pipeline", "--config", config_path]) == 0
     cfg = PipelineConfig.from_json(config_path, {"out_dir": str(tmp_path / "unused")})
     inputs = load_inputs(cfg)
-    fieldv = read_confidence_csv(os.path.join(out, "adapted.csv"), "adapted")["object"]
+    fieldv = read_confidence_csv(os.path.join(out, "adapted.csv"))["object"]
     masks, gmm_obj, gmm_bg = segment_class(cfg, inputs, fieldv)
     assert not os.path.exists(cfg.out_dir)
     for t, name in enumerate(sorted(os.listdir(os.path.join(out, "masks", "object")))):
@@ -280,3 +283,62 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
         models = json.load(fh)
     assert models["object"] == json.loads(gmm_obj.to_json())
     assert models["background"] == json.loads(gmm_bg.to_json())
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("manifest", "a,b"), ("classes", "a\nb"), ("video_id", "v,1"), ("video_id", "v\r")],
+)
+def test_ids_that_break_csv_rows_rejected_before_writing(tmp_path, capsys, key, bad):
+    root = str(tmp_path / "ids")
+    config_path = _dataset_config(root)
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    if key == "manifest":
+        manifest = os.path.join(root, cfg["proposal_manifest"])
+        with open(manifest) as fh:
+            lines = [json.loads(line) for line in fh]
+        with open(manifest, "w") as fh:
+            for rec in lines:
+                rec["confidences"] = {bad: rec["confidences"]["object"]}
+                fh.write(json.dumps(rec) + "\n")
+    else:
+        cfg[key] = [bad] if key == "classes" else bad
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    out = str(tmp_path / "out")
+    assert main(["pipeline", "--config", config_path, "--dump-graph", "--out", out]) == 2
+    assert repr(bad) in capsys.readouterr().err
+    assert [name for _, _, names in os.walk(out) for name in names] == []
+
+
+def test_eval_cli_rejects_ids_that_break_csv_rows(dataset, tmp_path, capsys):
+    gt_dir = os.path.join(dataset[0], "gt")
+    report = str(tmp_path / "report.csv")
+    for flag in ("--video-id", "--class-id"):
+        argv = ["eval", "--pred", gt_dir, "--gt", gt_dir, "--out", report, flag, "a,b"]
+        assert main(argv) == 2
+        assert "'a,b'" in capsys.readouterr().err
+    assert not os.path.exists(report)
+
+
+def test_read_confidence_csv_rejects_duplicate_rows(tmp_path):
+    path = tmp_path / "pooled.csv"
+    path.write_text(
+        "frame,superpixel_id,class,value\n0,0,object,0.25\n0,1,object,0.5\n0,0,object,0.99\n"
+    )
+    with pytest.raises(DataError, match="duplicate confidence row 4"):
+        read_confidence_csv(str(path))
+
+
+def test_cli_import_loads_no_sparse_solvers():
+    import vidseg
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vidseg.__file__)))
+    code = "import sys, vidseg.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "vidseg.cli" in loaded
+    assert not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph"}

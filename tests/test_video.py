@@ -102,9 +102,8 @@ def test_stats_uniform_frame():
     video = _video_of([frame])
     sp = SuperpixelMap(np.zeros((1, 8, 8), dtype=np.int32), [1])
     stats = compute_superpixel_stats(video, sp)
-    assert np.allclose(stats.mean_color[0][0], [255, 0, 0])
-    assert np.allclose(stats.centroid[0][0], [3.5, 3.5])
-    assert stats.pixel_count[0][0] == 64
+    assert np.allclose(stats.mean_color, [[255, 0, 0]])
+    assert np.allclose(stats.centroid, [[3.5, 3.5]])
 
 
 def test_stats_mean_of_two_pixels():
@@ -112,7 +111,7 @@ def test_stats_mean_of_two_pixels():
     video = _video_of([frame])
     sp = SuperpixelMap(np.zeros((1, 1, 2), dtype=np.int32), [1])
     stats = compute_superpixel_stats(video, sp)
-    assert np.allclose(stats.mean_color[0][0], [127.5, 127.5, 127.5])
+    assert np.allclose(stats.mean_color, [[127.5, 127.5, 127.5]])
 
 
 def test_stats_single_pixel_superpixels():
@@ -120,17 +119,31 @@ def test_stats_single_pixel_superpixels():
     video = _video_of([frame])
     sp = SuperpixelMap(np.array([[[0, 1]]], dtype=np.int32), [2])
     stats = compute_superpixel_stats(video, sp)
-    assert np.array_equal(stats.pixel_count[0], [1, 1])
-    assert np.allclose(stats.centroid[0], [[0, 0], [1, 0]])
+    assert np.allclose(stats.centroid, [[0, 0], [1, 0]])
 
 
-def test_stats_pixel_counts_partition(rng):
-    labels = rng.integers(0, 5, size=(1, 9, 7)).astype(np.int32)
-    labels[0, 0, :5] = np.arange(5)  # every label present
-    video = _video_of([rng.integers(0, 256, size=(9, 7, 3)).astype(np.uint8)])
-    sp = SuperpixelMap(labels, [5])
-    stats = compute_superpixel_stats(video, sp)
-    assert stats.pixel_count[0].sum() == 9 * 7
+def test_stats_match_brute_force_over_frames(rng):
+    counts = [5, 3, 6]
+    labels = np.stack([rng.integers(0, n, size=(9, 7)) for n in counts]).astype(np.int32)
+    for t, n in enumerate(counts):
+        labels[t, 0, :n] = np.arange(n)  # every label present
+    frames = rng.integers(0, 256, size=(3, 9, 7, 3)).astype(np.uint8)
+    stats = compute_superpixel_stats(VideoVolume(frames), SuperpixelMap(labels, counts))
+    assert stats.mean_color.shape == (sum(counts), 3)
+    node = 0
+    for t, n in enumerate(counts):
+        for s in range(n):
+            ys, xs = np.nonzero(labels[t] == s)
+            assert np.allclose(stats.mean_color[node], frames[t, ys, xs].mean(axis=0))
+            assert np.allclose(stats.centroid[node], [xs.mean(), ys.mean()])
+            node += 1
+
+
+def test_stats_name_the_frame_with_an_empty_label():
+    labels = np.zeros((2, 2, 2), dtype=np.int32)
+    sp = SuperpixelMap(labels, [1, 2])  # frame 1 never uses label 1
+    with pytest.raises(DataError, match="frame 1 "):
+        compute_superpixel_stats(_video_of([np.zeros((2, 2, 3), np.uint8)] * 2), sp)
 
 
 def test_warp_translation():
