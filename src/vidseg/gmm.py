@@ -3,6 +3,15 @@
 Object and background mixtures are trained on superpixel mean colors,
 each sample weighted by the (adapted) confidence c_i for the object set
 and 1 - c_i for the background set.
+
+One density kernel serves the E-step, `responsibilities` and
+`GaussianMixture.log_likelihood` (hence the MRF color unaries). It works
+component-major: colors are a (d, n) array and every per-sample quantity
+is a (K, n) array, so sums over the K components or the d channels are
+elementwise operations on whole rows. `_log_density` whitens all samples
+against all components with one (K*d, d) @ (d, n) product by the inverse
+Cholesky factors, and `_log_normalize` turns the (K, n) log-joint into
+posteriors with one in-place max-shift log-sum-exp.
 """
 
 from __future__ import annotations
@@ -11,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 DEFAULT_COMPONENTS = 5
 COVARIANCE_FLOOR = 1.0  # squared 8-bit units, on covariance eigenvalues
@@ -28,20 +36,6 @@ class GaussianMixture:
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, 3)
     covariances: np.ndarray  # (K, 3, 3)
-
-    def component_log_pdf(self, colors):
-        """(n, K) log N(color; mean_k, cov_k)."""
-        colors = np.atleast_2d(np.asarray(colors, dtype=np.float64))
-        k = len(self.weights)
-        out = np.empty((colors.shape[0], k))
-        for idx in range(k):
-            chol = np.linalg.cholesky(self.covariances[idx])
-            diff = colors - self.means[idx]
-            sol = np.linalg.solve(chol, diff.T)
-            maha = np.sum(sol**2, axis=0)
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            out[:, idx] = -0.5 * (3.0 * _LOG_2PI + logdet + maha)
-        return out
 
     def log_likelihood(self, colors):
         """log sum_k w_k N(color; ...), floored at log(1e-12). Scalar in, scalar out."""
@@ -68,13 +62,38 @@ class GaussianMixture:
         )
 
 
+def _log_density(gmm: GaussianMixture, colors_t):
+    """(K, n) log w_k N(x; mean_k, cov_k) for colors_t of shape (d, n)."""
+    k, d = gmm.means.shape
+    chol = np.linalg.cholesky(gmm.covariances)  # (K, d, d), lower
+    inv_chol = np.linalg.inv(chol)
+    # rows k*d .. k*d+d-1 hold L_k^-1 x; subtracting L_k^-1 mean_k whitens x
+    z = (inv_chol.reshape(k * d, d) @ colors_t).reshape(k, d, -1)
+    z -= inv_chol @ gmm.means[:, :, None]
+    z *= z
+    maha = z.sum(axis=1)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    maha += (d * _LOG_2PI + logdet)[:, None]
+    maha *= -0.5
+    maha += np.log(np.where(gmm.weights > 0, gmm.weights, 1e-300))[:, None]
+    return maha
+
+
+def _log_normalize(log_joint):
+    """Posteriors (K, n) and log-normaliser (n,) of a (K, n) log-joint, in place."""
+    shift = log_joint.max(axis=0)
+    log_joint -= shift
+    np.exp(log_joint, out=log_joint)
+    total = log_joint.sum(axis=0)
+    log_joint /= total
+    return log_joint, np.log(total) + shift
+
+
 def responsibilities(gmm: GaussianMixture, colors):
     """E-step posteriors (n, K) and per-sample mixture log-likelihood (n,)."""
-    log_comp = gmm.component_log_pdf(colors) + np.log(
-        np.where(gmm.weights > 0, gmm.weights, 1e-300)
-    )
-    log_norm = logsumexp(log_comp, axis=1)
-    return np.exp(log_comp - log_norm[:, None]), log_norm
+    colors_t = np.atleast_2d(np.asarray(colors, dtype=np.float64)).T
+    post, log_norm = _log_normalize(_log_density(gmm, colors_t))
+    return post.T, log_norm
 
 
 def sample_training_sets(field, stats):
@@ -125,6 +144,16 @@ def _floor_covariance(cov):
     return (vecs * vals) @ vecs.T
 
 
+def _count_distinct(colors_t, limit):
+    """min(limit, number of distinct columns of colors_t), without sorting them."""
+    unseen = np.ones(colors_t.shape[1], dtype=bool)
+    count = 0
+    while count < limit and unseen.any():
+        unseen &= ~(colors_t == colors_t[:, [np.argmax(unseen)]]).all(axis=0)
+        count += 1
+    return count
+
+
 def fit_gmm(colors, weights, n_components=DEFAULT_COMPONENTS, seed=0, history=None):
     """Fit a Gaussian mixture to weighted color samples by EM.
 
@@ -141,8 +170,8 @@ def fit_gmm(colors, weights, n_components=DEFAULT_COMPONENTS, seed=0, history=No
         raise ValueError("colors must be (n, d) with one weight per sample")
     if np.any(weights <= 0):
         raise ValueError("sample weights must be positive")
-    distinct = np.unique(colors, axis=0)
-    k = min(n_components, len(distinct))
+    colors_t = np.ascontiguousarray(colors.T)  # (d, n)
+    k = _count_distinct(colors_t, n_components)
     rng = np.random.default_rng(seed)
 
     means = _kmeanspp_init(colors, weights, k, rng)
@@ -153,7 +182,7 @@ def fit_gmm(colors, weights, n_components=DEFAULT_COMPONENTS, seed=0, history=No
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITERATIONS):
         model = GaussianMixture(mix, means, covariances)
-        resp, log_norm = responsibilities(model, colors)
+        wr, log_norm = _log_normalize(_log_density(model, colors_t))
         ll = float(weights @ log_norm)
         if history is not None:
             history.append(ll)
@@ -161,16 +190,13 @@ def fit_gmm(colors, weights, n_components=DEFAULT_COMPONENTS, seed=0, history=No
             break
         prev_ll = ll
 
-        wr = resp * weights[:, None]  # (n, K)
-        nk = wr.sum(axis=0)
+        wr *= weights  # (K, n) weighted posteriors
+        nk = wr.sum(axis=1)
         alive = nk > 1e-12 * total_w
         mix = np.where(alive, nk / total_w, 0.0)
         mix = mix / mix.sum()
-        for idx in range(k):
-            if not alive[idx]:
-                continue
-            means[idx] = wr[:, idx] @ colors / nk[idx]
-            diff = colors - means[idx]
-            cov = (wr[:, idx, None] * diff).T @ diff / nk[idx]
-            covariances[idx] = _floor_covariance(cov)
+        for idx in np.flatnonzero(alive):
+            means[idx] = colors_t @ wr[idx] / nk[idx]
+            diff = colors_t - means[idx][:, None]
+            covariances[idx] = _floor_covariance((wr[idx] * diff) @ diff.T / nk[idx])
     return GaussianMixture(mix, means, covariances)

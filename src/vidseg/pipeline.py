@@ -343,6 +343,7 @@ def read_confidence_csv(path):
             row[sp_id] = value
     out = {}
     for cls, frames in per_class.items():
+        check_id("class", cls)
         values = []
         for t in range(max(frames) + 1):
             row = frames.get(t, {})

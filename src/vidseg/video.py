@@ -24,9 +24,16 @@ class DataError(ValueError):
 
 
 def check_id(kind, value):
-    """Return value, or raise DataError if it would break a CSV row it is written into."""
-    if any(ch in str(value) for ch in ",\r\n"):
+    """Return value, or raise DataError if it would break a CSV row or an output path.
+
+    Ids are written into CSV rows and joined into file names under out_dir,
+    so each must be one safe path component without commas or line breaks.
+    """
+    text = str(value)
+    if any(ch in text for ch in ",\r\n"):
         raise DataError(f"{kind} {value!r} contains a comma or line break")
+    if text in ("", ".", "..") or any(ch in text for ch in "/\\"):
+        raise DataError(f"{kind} {value!r} is not a single path component")
     return value
 
 

@@ -2,6 +2,7 @@
 PASS/FAIL line (run with -s to see them)."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -10,7 +11,7 @@ import time
 import numpy as np
 
 from conftest import random_graph
-from vidseg.gmm import fit_gmm
+from vidseg.gmm import fit_gmm, sample_training_sets
 from vidseg.graph import histogram_entropy, motion_noncoherence, spatial_affinity
 from vidseg.mrf import MRFProblem, mrf_energy, solve_binary
 from vidseg.pipeline import PipelineConfig, run_pipeline
@@ -29,6 +30,7 @@ from vidseg.synth import (
     generate,
     write_dataset,
 )
+from vidseg.video import compute_superpixel_stats
 
 
 def _report(name, ok, detail=""):
@@ -291,8 +293,10 @@ def test_pipeline_determinism(tmp_path):
     )
 
 
-def test_propagation_speed_at_scale():
-    # 100 frames at ~1000 superpixels per frame
+@functools.cache
+def _scale_l_clip():
+    """The L clip: 100 static frames at ~1000 superpixels per frame, its graph
+    and its pooled confidence."""
     from vidseg.graph import build_graph
     from vidseg.proposals import pool_confidence, score_proposals, filter_by_confidence
 
@@ -306,11 +310,16 @@ def test_propagation_speed_at_scale():
         seed=5,
     )
     ds = generate(cfg)
-    per_frame = ds.superpixels.total_count / cfg.frame_count
     graph = build_graph(ds.video, ds.superpixels, ds.flows)
     scored = score_proposals(ds.proposals, ds.motion_masks)
     retained = filter_by_confidence(scored, cfg.class_id, 0.01)
     pooled = pool_confidence(retained, cfg.class_id, ds.superpixels)
+    return cfg, ds, graph, pooled
+
+
+def test_propagation_speed_at_scale():
+    cfg, ds, graph, pooled = _scale_l_clip()
+    per_frame = ds.superpixels.total_count / cfg.frame_count
     start = time.monotonic()
     adapted = adapt_confidence(pooled, graph, PropagationConfig())
     elapsed = time.monotonic() - start
@@ -319,4 +328,25 @@ def test_propagation_speed_at_scale():
         "propagation speed (100 frames, ~1000 superpixels/frame, <= 30 s)",
         elapsed <= 30.0 and per_frame >= 1000 and np.all(np.isfinite(values)),
         f"nodes={graph.n_nodes} ({per_frame:.0f}/frame) adapt time={elapsed:.2f}s",
+    )
+
+
+def test_gmm_fit_speed_at_scale():
+    # both color models of the L clip, as segment_class fits them
+    _, ds, graph, pooled = _scale_l_clip()
+    adapted = adapt_confidence(pooled, graph, PropagationConfig())
+    stats = compute_superpixel_stats(ds.video, ds.superpixels)
+    (obj_colors, obj_w), (bg_colors, bg_w) = sample_training_sets(adapted, stats)
+    histories = ([], [])
+    start = time.monotonic()
+    fit_gmm(obj_colors, obj_w, seed=0, history=histories[0])
+    fit_gmm(bg_colors, bg_w, seed=1, history=histories[1])
+    elapsed = time.monotonic() - start
+    worst_drop = max(0.0, *(float(-np.diff(h).min()) for h in histories))
+    _report(
+        "GMM fit speed at scale (both L color models, monotone EM, < 2 s)",
+        elapsed < 2.0 and worst_drop <= 1e-9,
+        f"samples={len(obj_colors)}+{len(bg_colors)} "
+        f"iterations={len(histories[0])}+{len(histories[1])} "
+        f"worst LL drop={worst_drop:.2e} time={elapsed:.2f}s",
     )

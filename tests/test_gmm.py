@@ -4,6 +4,8 @@ import pytest
 from vidseg.gmm import (
     COVARIANCE_FLOOR,
     GaussianMixture,
+    _count_distinct,
+    _log_density,
     fit_gmm,
     responsibilities,
     sample_training_sets,
@@ -177,3 +179,54 @@ def test_json_round_trip(rng):
 def test_fit_rejects_bad_weights():
     with pytest.raises(ValueError):
         fit_gmm(np.zeros((3, 3)), np.array([1.0, 0.0, 1.0]))
+
+
+def _random_spd(rng, d=3):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return (q * np.exp(rng.uniform(0.0, np.log(1e4), size=d))) @ q.T  # eigenvalues 1..1e4
+
+
+def test_log_density_matches_scipy_oracle(rng):
+    from scipy.stats import multivariate_normal
+
+    k = 4
+    means = rng.uniform(0, 255, size=(k, 3))
+    covs = np.array([_random_spd(rng) for _ in range(k)])
+    weights = rng.dirichlet(np.ones(k))
+    colors = rng.uniform(-50, 300, size=(200, 3))
+    log_joint = _log_density(GaussianMixture(weights, means, covs), colors.T)
+    for idx in range(k):
+        oracle = multivariate_normal(means[idx], covs[idx]).logpdf(colors)
+        # relative: far samples have log-densities near -1e4, where both
+        # routes carry round-off of a few 1e-12 relative
+        np.testing.assert_allclose(
+            log_joint[idx] - np.log(weights[idx]), oracle, rtol=1e-10, atol=1e-10
+        )
+
+
+def test_far_sample_posteriors_finite_and_normalised():
+    # every component density underflows to 0 at 1e4 units from all means,
+    # so only the max-shift keeps the posterior defined
+    gmm = GaussianMixture(
+        weights=np.array([0.3, 0.7]),
+        means=np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]]),
+        covariances=np.array([np.eye(3), np.eye(3) * 4.0]),
+    )
+    colors = np.array([[1e4, 1e4, 1e4], [-1e4, 5e3, 1e4]])
+    resp, log_norm = responsibilities(gmm, colors)
+    assert np.all(np.isfinite(resp)) and np.all(np.isfinite(log_norm))
+    assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(log_norm < -1e7)
+
+
+def test_fit_three_distinct_colors_uses_three_components():
+    colors = np.repeat([[10.0, 20.0, 30.0], [200.0, 20.0, 30.0], [10.0, 20.0, 31.0]], 7, axis=0)
+    gmm = fit_gmm(colors, np.ones(len(colors)), n_components=5, seed=0)
+    assert len(gmm.weights) == 3
+
+
+def test_count_distinct_matches_unique(rng):
+    colors = rng.integers(0, 4, size=(300, 3)).astype(np.float64)
+    distinct = len(np.unique(colors, axis=0))
+    for limit in (1, 5, distinct - 1, distinct, distinct + 3):
+        assert _count_distinct(np.ascontiguousarray(colors.T), limit) == min(limit, distinct)

@@ -285,9 +285,29 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
     assert models["background"] == json.loads(gmm_bg.to_json())
 
 
+def _files_under(root):
+    return sorted(
+        os.path.relpath(os.path.join(dirpath, name), root)
+        for dirpath, _, names in os.walk(root)
+        for name in names
+    )
+
+
 @pytest.mark.parametrize(
     "key, bad",
-    [("manifest", "a,b"), ("classes", "a\nb"), ("video_id", "v,1"), ("video_id", "v\r")],
+    [
+        ("manifest", "a,b"),
+        ("classes", "a\nb"),
+        ("video_id", "v,1"),
+        ("video_id", "v\r"),
+        ("manifest", "../../escaped"),
+        ("manifest", ""),
+        ("classes", ".."),
+        ("classes", "."),
+        ("classes", "a/b"),
+        ("classes", "a\\b"),
+        ("video_id", "../v"),
+    ],
 )
 def test_ids_that_break_csv_rows_rejected_before_writing(tmp_path, capsys, key, bad):
     root = str(tmp_path / "ids")
@@ -306,10 +326,23 @@ def test_ids_that_break_csv_rows_rejected_before_writing(tmp_path, capsys, key, 
         cfg[key] = [bad] if key == "classes" else bad
     with open(config_path, "w") as fh:
         json.dump(cfg, fh)
+    before = _files_under(str(tmp_path))
     out = str(tmp_path / "out")
     assert main(["pipeline", "--config", config_path, "--dump-graph", "--out", out]) == 2
     assert repr(bad) in capsys.readouterr().err
-    assert [name for _, _, names in os.walk(out) for name in names] == []
+    # nothing inside out_dir, and nothing next to it (a "../" id would land there)
+    assert _files_under(str(tmp_path)) == before
+
+
+def test_segment_cli_rejects_path_class_in_confidence_csv(dataset, tmp_path, capsys):
+    _, config_path = dataset
+    csv_path = tmp_path / "adapted.csv"
+    csv_path.write_text("frame,superpixel_id,class,value\n0,0,../../escaped,0.5\n")
+    out = tmp_path / "nested" / "out"
+    argv = ["segment", "--config", config_path, "--confidence", str(csv_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert "'../../escaped'" in capsys.readouterr().err
+    assert _files_under(str(tmp_path)) == ["adapted.csv"]
 
 
 def test_eval_cli_rejects_ids_that_break_csv_rows(dataset, tmp_path, capsys):
@@ -341,4 +374,5 @@ def test_cli_import_loads_no_sparse_solvers():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "vidseg.cli" in loaded
-    assert not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph"}
+    # every CLI start would pay for importing these
+    assert not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special"}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_from_edges
+from vidseg.cli import main
 from vidseg.mrf import MRFProblem, mrf_energy, solve_binary
 from vidseg.synth import (
     SynthConfig,
@@ -85,6 +86,16 @@ def test_shape_exits_frame_rejected():
 def test_class_id_that_breaks_csv_rows_rejected():
     with pytest.raises(ValueError, match="comma or line break"):
         generate(_small_cfg(class_id="a,b"))
+
+
+@pytest.mark.parametrize("bad", ["../../escaped", "", ".", "..", "a/b", "a\\b"])
+def test_class_id_that_is_not_a_path_component_rejected(tmp_path, capsys, bad):
+    with pytest.raises(ValueError, match="not a single path component"):
+        generate(_small_cfg(class_id=bad))
+    out = tmp_path / "data"
+    assert main(["synth", "--class-id", bad, "--out", str(out), "--frames", "2"]) == 2
+    assert repr(bad) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generation_deterministic():
