@@ -49,28 +49,30 @@ def _build_parser():
     pipe.add_argument("--skip-adaptation", action="store_true", default=None,
                       help="feed the pooled confidences to segmentation directly")
     pipe.add_argument("--solver", choices=("iterative", "linear"), default=None)
-    pipe.add_argument("--out", default=None, help="output directory override")
-    pipe.add_argument("--dump-graph", action="store_true",
+    pipe.add_argument("--out", type=os.path.abspath, help="output directory override")
+    pipe.add_argument("--dump-graph", action="store_true", default=None,
                       help="also write the space-time graph edges as CSV")
 
-    synth = sub.add_parser("synth", help="generate a synthetic dataset")
+    # Each flag's dest is its SynthConfig field; a flag not given keeps the field's default.
+    synth = sub.add_parser("synth", help="generate a synthetic dataset",
+                           argument_default=argparse.SUPPRESS)
     synth.add_argument("--out", required=True)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--frames", type=int, default=20)
-    synth.add_argument("--width", type=int, default=128)
-    synth.add_argument("--height", type=int, default=128)
-    synth.add_argument("--shape", choices=("rectangle", "disc"), default="rectangle")
-    synth.add_argument("--shape-size", type=int, nargs=2, default=(40, 40),
-                       metavar=("W", "H"))
-    synth.add_argument("--start", type=int, nargs=2, default=(10, 20), metavar=("X", "Y"))
-    synth.add_argument("--velocity", type=int, nargs=2, default=(2, 1), metavar=("VX", "VY"))
-    synth.add_argument("--cell-size", type=int, default=8)
-    synth.add_argument("--proposals-per-frame", type=int, default=1)
-    synth.add_argument("--jitter", type=int, default=5)
-    synth.add_argument("--confidence-base", type=float, default=0.05)
-    synth.add_argument("--confidence-noise", type=float, default=0.2)
-    synth.add_argument("--color-noise", type=float, default=3.0)
-    synth.add_argument("--class-id", default="object")
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--frames", dest="frame_count", type=int, metavar="FRAMES")
+    synth.add_argument("--width", type=int)
+    synth.add_argument("--height", type=int)
+    synth.add_argument("--shape", choices=("rectangle", "disc"))
+    synth.add_argument("--shape-size", type=int, nargs=2, metavar=("W", "H"))
+    synth.add_argument("--start", type=int, nargs=2, metavar=("X", "Y"))
+    synth.add_argument("--velocity", type=int, nargs=2, metavar=("VX", "VY"))
+    synth.add_argument("--cell-size", type=int)
+    synth.add_argument("--proposals-per-frame", type=int)
+    synth.add_argument("--jitter", dest="jitter_px", type=int, metavar="JITTER")
+    synth.add_argument("--confidence-base", type=float)
+    synth.add_argument("--confidence-noise", dest="confidence_noise_sigma", type=float,
+                       metavar="CONFIDENCE_NOISE")
+    synth.add_argument("--color-noise", dest="color_noise_sigma", type=float, metavar="COLOR_NOISE")
+    synth.add_argument("--class-id")
 
     pool = sub.add_parser("pool", help="pool proposals into confidence CSVs")
     pool.add_argument("--config", required=True)
@@ -85,7 +87,7 @@ def _build_parser():
     segment = sub.add_parser("segment", help="segment from a confidence CSV")
     segment.add_argument("--config", required=True)
     segment.add_argument("--confidence", required=True)
-    segment.add_argument("--out", default=None, help="output directory override")
+    segment.add_argument("--out", type=os.path.abspath, help="output directory override")
 
     ev = sub.add_parser("eval", help="score predicted masks against ground truth")
     ev.add_argument("--pred", required=True, help="directory of predicted mask PGMs")
@@ -96,22 +98,13 @@ def _build_parser():
     return parser
 
 
-def _load_config(args, overrides=None):
-    merged = dict(overrides or {})
-    if getattr(args, "out", None):
-        merged["out_dir"] = os.path.abspath(args.out)
-    return PipelineConfig.from_json(args.config, merged).validate()
+def _load_config(args, **overrides):
+    return PipelineConfig.from_json(args.config, overrides).validate()
 
 
 def _cmd_pipeline(args):
-    overrides = {}
-    if args.skip_adaptation:
-        overrides["skip_adaptation"] = True
-    if args.solver:
-        overrides["solver"] = args.solver
-    if args.dump_graph:
-        overrides["dump_graph"] = True
-    cfg = _load_config(args, overrides)
+    cfg = _load_config(args, out_dir=args.out, solver=args.solver,
+                       skip_adaptation=args.skip_adaptation, dump_graph=args.dump_graph)
     report = run_pipeline(cfg)
     summary = report.summary()
     print(
@@ -125,37 +118,16 @@ def _cmd_pipeline(args):
 def _cmd_synth(args):
     from .synth import SynthConfig, generate, write_dataset
 
-    cfg = SynthConfig(
-        width=args.width,
-        height=args.height,
-        frame_count=args.frames,
-        shape=args.shape,
-        shape_width=args.shape_size[0],
-        shape_height=args.shape_size[1],
-        start_x=args.start[0],
-        start_y=args.start[1],
-        velocity=tuple(args.velocity),
-        color_noise_sigma=args.color_noise,
-        cell_size=args.cell_size,
-        proposals_per_frame=args.proposals_per_frame,
-        jitter_px=args.jitter,
-        confidence_base=args.confidence_base,
-        confidence_noise_sigma=args.confidence_noise,
-        class_id=args.class_id,
-        seed=args.seed,
-    )
-    dataset = generate(cfg)
-    paths = write_dataset(dataset, args.out)
-    config = {
-        "video_dir": "frames",
-        "superpixel_dir": "superpixels",
-        "flow_dir": "flow",
-        "motion_dir": "motion",
-        "gt_dir": "gt",
-        "proposal_manifest": os.path.join("proposals", "manifest.jsonl"),
-        "out_dir": "out",
-        "classes": [cfg.class_id],
-    }
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    for pair, names in (("shape_size", ("shape_width", "shape_height")),
+                        ("start", ("start_x", "start_y"))):
+        given.update(zip(names, given.pop(pair, ())))
+    if "velocity" in given:
+        given["velocity"] = tuple(given["velocity"])
+    cfg = SynthConfig(**given)
+    paths = write_dataset(generate(cfg), args.out)
+    config = {key: os.path.relpath(path, args.out) for key, path in paths.items()}
+    config.update(out_dir="out", classes=[cfg.class_id])
     config_path = os.path.join(args.out, "config.json")
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
@@ -176,8 +148,7 @@ def _cmd_pool(args):
 
 
 def _cmd_adapt(args):
-    overrides = {"solver": args.solver} if args.solver else {}
-    cfg = _load_config(args, overrides)
+    cfg = _load_config(args, solver=args.solver)
     inputs = load_inputs(cfg)
     pooled = read_confidence_csv(args.confidence)
     adapted = adapt_stage(cfg, inputs, pooled)
@@ -188,7 +159,7 @@ def _cmd_adapt(args):
 
 
 def _cmd_segment(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, out_dir=args.out)
     inputs = load_inputs(cfg)
     confidences = read_confidence_csv(args.confidence)
     segment_stage(cfg, inputs, confidences)

@@ -51,6 +51,13 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+# Path keys; relative values resolve against the config file.
+_PATHS = ("video_dir", "superpixel_dir", "flow_dir", "motion_dir", "proposal_manifest", "gt_dir",
+          "out_dir")
+# Field annotation -> the JSON values it admits; a bool is never a number.
+_JSON_TYPES = {"str": str, "list[str]": list, "bool": bool, "int": int, "float": (int, float)}
+
+
 @dataclass
 class PipelineConfig:
     video_dir: str = ""
@@ -61,82 +68,75 @@ class PipelineConfig:
     gt_dir: str = ""
     out_dir: str = "out"
     video_id: str = "video"
-    classes: list = field(default_factory=list)  # empty -> all manifest classes
+    classes: list[str] = field(default_factory=list)  # empty -> all manifest classes
     confidence_threshold: float = CONFIDENCE_THRESHOLD
-    mu: float = 0.5
+    mu: float = PropagationConfig.mu
     motion_coherence_weight: float = MOTION_COHERENCE_WEIGHT
     lambda_object: float = mrf_mod.LAMBDA_OBJECT
     lambda_spatial: float = mrf_mod.LAMBDA_SPATIAL
     lambda_temporal: float = mrf_mod.LAMBDA_TEMPORAL
     gmm_components: int = gmm_mod.DEFAULT_COMPONENTS
     gmm_seed: int = 0
-    solver: str = "linear"
-    tolerance: float = 1e-8
-    max_iterations: int = 10000
+    solver: str = PropagationConfig.solver
+    tolerance: float = PropagationConfig.tolerance
+    max_iterations: int = PropagationConfig.max_iterations
     skip_adaptation: bool = False
     dump_graph: bool = False
 
     def propagation_config(self):
-        return PropagationConfig(
-            mu=self.mu,
-            solver=self.solver,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-        )
+        names = [f.name for f in fields(PropagationConfig)]
+        return PropagationConfig(**{name: getattr(self, name) for name in names})
 
     def validate(self):
-        for name in ("video_dir", "superpixel_dir", "flow_dir", "motion_dir"):
-            path = getattr(self, name)
-            if not path or not os.path.isdir(path):
-                raise DataError(f"{name} does not exist: {path!r}")
-        if not os.path.isfile(self.proposal_manifest):
-            raise DataError(f"proposal_manifest does not exist: {self.proposal_manifest!r}")
-        if self.gt_dir and not os.path.isdir(self.gt_dir):
-            raise DataError(f"gt_dir does not exist: {self.gt_dir!r}")
-        check_id("video_id", self.video_id)
-        for cls in self.classes:
-            check_id("class", cls)
-        self.propagation_config()
+        """Check each key's type and range, then the input paths; errors name the key."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            typed = isinstance(value, _JSON_TYPES[f.type])
+            if not typed or isinstance(value, bool) != (f.type == "bool") or (
+                f.type == "list[str]" and not all(isinstance(v, str) for v in value)
+            ):
+                raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in (
             "motion_coherence_weight",
             "lambda_object",
             "lambda_spatial",
             "lambda_temporal",
+            "gmm_components",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DataError(f"{name} must be positive")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise DataError("confidence_threshold must lie in [0, 1]")
-        if self.gmm_components < 1 or self.max_iterations < 1:
-            raise DataError("gmm_components and max_iterations must be >= 1")
+        if self.gmm_seed < 0:
+            raise DataError("gmm_seed must be >= 0")
+        self.propagation_config()
+        check_id("video_id", self.video_id)
+        for cls in self.classes:
+            check_id("class", cls)
+        for name in _PATHS[:-1]:  # out_dir is written, not read; gt_dir is optional
+            path = getattr(self, name)
+            exists = os.path.isdir if name.endswith("_dir") else os.path.isfile
+            if not exists(path) and (path or name != "gt_dir"):
+                raise DataError(f"{name} does not exist: {path!r}")
         return self
 
     @staticmethod
     def from_json(path, overrides=None):
-        """Load a flat-key JSON config; relative paths resolve against it."""
+        """Load a flat-key JSON config, overrides (None: unset) on top; relative paths
+        resolve against it."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {f.name for f in fields(PipelineConfig)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise DataError(f"config {path} is not a JSON object")
+        raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+        unknown = set(raw) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         cfg = PipelineConfig(**raw)
-        if overrides:
-            for key, value in overrides.items():
-                if value is not None:
-                    setattr(cfg, key, value)
         base = os.path.dirname(os.path.abspath(path))
-        for name in (
-            "video_dir",
-            "superpixel_dir",
-            "flow_dir",
-            "motion_dir",
-            "proposal_manifest",
-            "gt_dir",
-            "out_dir",
-        ):
+        for name in _PATHS:
             value = getattr(cfg, name)
-            if value and not os.path.isabs(value):
+            if isinstance(value, str) and value:
                 setattr(cfg, name, os.path.join(base, value))
         return cfg
 
@@ -147,7 +147,7 @@ class LoadedInputs:
     superpixels: object
     motion_masks: np.ndarray
     gt_masks: dict  # frame index -> mask; empty when no ground truth
-    stats: object
+    stats: object  # stats and graph are None when loaded without build
     graph: object
 
 
@@ -174,19 +174,15 @@ def load_mask_dir(path, frame_count=None):
 
 
 def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
-    """Ingest stage: load and validate all inputs, derive stats and the graph."""
+    """Ingest stage: load and validate the inputs; with build, also the flow, stats and graph.
+
+    Pooling reads neither the flow nor the stats, so `vidseg pool` loads without build.
+    """
     try:
         video = load_video(cfg.video_dir)
         sp = load_superpixels(cfg.superpixel_dir, video.frame_count)
-        flow_names = _listdir(cfg.flow_dir, ".flo")
-        if len(flow_names) != video.frame_count - 1:
-            raise DataError(
-                f"expected {video.frame_count - 1} flow files, found {len(flow_names)}"
-            )
-        flows = [load_flow(os.path.join(cfg.flow_dir, n)) for n in flow_names]
-        for k, flow in enumerate(flows):
-            if flow.shape[:2] != (video.height, video.width):
-                raise DataError(f"flow {flow_names[k]} dimensions differ from frames")
+        if video.frames.shape[:3] != sp.labels.shape:
+            raise DataError("video and superpixel dimensions differ")
         motion_names = _listdir(cfg.motion_dir, ".pgm")
         if len(motion_names) != video.frame_count:
             raise DataError(
@@ -196,12 +192,19 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
             [load_mask(os.path.join(cfg.motion_dir, n)) for n in motion_names]
         )
         gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count) if cfg.gt_dir else {}
-        stats = compute_superpixel_stats(video, sp)
-        graph = (
-            build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
-            if build
-            else None
-        )
+        stats = graph = None
+        if build:
+            flow_names = _listdir(cfg.flow_dir, ".flo")
+            if len(flow_names) != video.frame_count - 1:
+                raise DataError(
+                    f"expected {video.frame_count - 1} flow files, found {len(flow_names)}"
+                )
+            flows = [load_flow(os.path.join(cfg.flow_dir, n)) for n in flow_names]
+            for k, flow in enumerate(flows):
+                if flow.shape[:2] != (video.height, video.width):
+                    raise DataError(f"flow {flow_names[k]} dimensions differ from frames")
+            stats = compute_superpixel_stats(video, sp)
+            graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
     except (OSError, DataError, ValueError) as exc:
         raise StageError("ingest", exc) from exc
     return LoadedInputs(video, sp, motion, gt_masks, stats, graph)
@@ -245,6 +248,7 @@ def adapt_stage(cfg: PipelineConfig, inputs: LoadedInputs, pooled):
 
 def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
     """Fit color models and min-cut one class; returns (masks, gmm_obj, gmm_bg)."""
+    fieldv.check_counts(inputs.superpixels.counts)
     (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(
         fieldv, inputs.stats
     )

@@ -42,12 +42,11 @@ class PropagationConfig:
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        for name in ("mu", "tolerance", "max_iterations"):
+            if not getattr(self, name) > 0:  # NaN is not positive either
+                raise ValueError(f"{name} must be positive")
         if self.solver not in ("linear", "iterative"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
     @property
     def eta(self):
@@ -162,12 +161,8 @@ def propagate(graph, c, cfg: PropagationConfig) -> PropagationResult:
 
 def adapt_confidence(field: ConfidenceField, graph, cfg: PropagationConfig) -> ConfidenceField:
     """Diffuse a pooled confidence field over the graph; clamp into [0, 1]."""
-    flat = field.flat()
-    if len(flat) != graph.n_nodes:
-        raise ValueError(
-            f"field covers {len(flat)} superpixels, graph has {graph.n_nodes}"
-        )
-    result = propagate(graph, flat, cfg)
+    counts = np.diff(graph.frame_offsets)
+    field.check_counts(counts)
+    result = propagate(graph, field.flat(), cfg)
     adapted = np.clip(result.x, 0.0, 1.0)
-    counts = [len(v) for v in field.values]
     return ConfidenceField.from_flat(field.class_id, adapted, counts)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -37,6 +38,16 @@ class ConfidenceField:
 
     def flat(self) -> np.ndarray:
         return np.concatenate([np.asarray(v, dtype=np.float64) for v in self.values])
+
+    def check_counts(self, counts):
+        """Raise DataError naming the first frame t that does not hold counts[t] values."""
+        have = [len(v) for v in self.values]
+        for t, (got, want) in enumerate(zip_longest(have, counts, fillvalue=0)):
+            if got != want:
+                raise DataError(
+                    f"class {self.class_id!r}: frame {t} has {got} confidence values "
+                    f"for {want} superpixels"
+                )
 
     @staticmethod
     def from_flat(class_id, flat, counts):

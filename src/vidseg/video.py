@@ -212,9 +212,10 @@ def load_mask(path) -> np.ndarray:
 
 
 def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> SuperpixelStats:
-    """Mean RGB colors and centroids of every superpixel, by global node id."""
-    if video.frames.shape[:3] != sp.labels.shape:
-        raise DataError("video and superpixel dimensions differ")
+    """Mean RGB colors and centroids of every superpixel, by global node id.
+
+    The caller checks that video and sp share their (T, H, W) shape.
+    """
     offsets = sp.frame_offsets()
     n = int(offsets[-1])
     nodes = sp.node_ids().ravel()

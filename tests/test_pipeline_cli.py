@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from vidseg.pipeline import (
     run_pipeline,
     segment_class,
 )
+from vidseg.pnm import write_pgm
 from vidseg.synth import SynthConfig, generate, write_dataset
 from vidseg.video import DataError, load_mask
 
@@ -376,3 +379,115 @@ def test_cli_import_loads_no_sparse_solvers():
     assert "vidseg.cli" in loaded
     # every CLI start would pay for importing these
     assert not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special"}
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("max_iterations", 1.5),
+        ("mu", "0.5"),
+        ("lambda_spatial", "1e3"),
+        ("lambda_spatial", True),
+        ("confidence_threshold", None),
+        ("skip_adaptation", "no"),
+        ("gmm_components", 2.5),
+        ("classes", "object"),
+        ("classes", [1]),
+        ("gmm_seed", -1),
+    ],
+)
+def test_config_type_and_range_errors_name_the_key_before_writing(tmp_path, capsys, key, bad):
+    config_path = _dataset_config(str(tmp_path / "typed"))
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    cfg[key] = bad
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    before = _files_under(str(tmp_path))
+    assert main(["pipeline", "--config", config_path]) == 2
+    assert key in capsys.readouterr().err
+    assert _files_under(str(tmp_path)) == before
+
+
+def test_config_takes_an_int_for_a_float_key(tmp_path, capsys):
+    config_path = _dataset_config(str(tmp_path / "typed"))
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    cfg["mu"] = 1
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["pipeline", "--config", config_path]) == 0
+
+
+def _rewrite_confidence_csv(src, dst, case):
+    """Copy a one-class confidence CSV, made stale in one of two ways.
+
+    "shifted": frame 0 gains a row and frame 1 loses its last, so the total
+    row count and the contiguous ids still hold. "missing": frame 1 is gone.
+    """
+    with open(src) as fh:
+        header, *rows = fh.read().splitlines()
+    frames = [int(row.split(",")[0]) for row in rows]
+    frame1 = [row for row, t in zip(rows, frames) if t == 1]
+    if case == "shifted":
+        n0 = frames.count(0)
+        value = frame1[-1].split(",", 3)[3]
+        rows.insert(n0, f"0,{n0},object,{value}")
+        rows.remove(frame1[-1])
+    else:
+        rows = [row for row, t in zip(rows, frames) if t != 1]
+    with open(dst, "w") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("command", ["adapt", "segment"])
+@pytest.mark.parametrize("case, frame", [("shifted", 0), ("missing", 1)])
+def test_stale_confidence_csv_names_the_frame(dataset, tmp_path, capsys, command, case, frame):
+    _, config_path = dataset
+    pooled = str(tmp_path / "pooled.csv")
+    assert main(["pool", "--config", config_path, "--out", pooled]) == 0
+    stale = str(tmp_path / "stale.csv")
+    _rewrite_confidence_csv(pooled, stale, case)
+    out = str(tmp_path / "out")
+    argv = [command, "--config", config_path, "--confidence", stale, "--out"]
+    argv.append(os.path.join(out, "adapted.csv") if command == "adapt" else out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"'object': frame {frame} " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_pool_reads_no_flow(dataset, tmp_path):
+    root, config_path = dataset
+    pooled = str(tmp_path / "pooled.csv")
+    assert main(["pool", "--config", config_path, "--out", pooled]) == 0
+    copy = str(tmp_path / "noflow")
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("*.flo"))
+    assert os.listdir(os.path.join(copy, "flow")) == []
+    pooled_copy = str(tmp_path / "pooled_copy.csv")
+    assert main(["pool", "--config", os.path.join(copy, "config.json"), "--out", pooled_copy]) == 0
+    assert _digest(pooled_copy) == _digest(pooled)
+
+
+def test_pool_rejects_superpixels_of_another_size(tmp_path, capsys):
+    root = str(tmp_path / "sized")
+    config_path = _dataset_config(root)
+    sp_dir = os.path.join(root, "superpixels")
+    for name in os.listdir(sp_dir):
+        write_pgm(os.path.join(sp_dir, name), np.zeros((32, 64), dtype=np.uint16), maxval=65535)
+    pooled = str(tmp_path / "pooled.csv")
+    assert main(["pool", "--config", config_path, "--out", pooled]) == 2
+    assert "ingest" in capsys.readouterr().err
+    assert not os.path.exists(pooled)
+
+
+def test_readme_configuration_table_lists_every_key():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert keys == {f.name for f in dataclasses.fields(PipelineConfig)}

@@ -127,6 +127,80 @@ def test_written_tree_deterministic(tmp_path):
     assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
 
 
+def _file_digests(root):
+    out = {}
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def _synth_config_json(class_id):
+    """The config.json `vidseg synth` writes next to a dataset, byte for byte."""
+    return (
+        '{\n  "classes": [\n    "%s"\n  ],\n  "flow_dir": "flow",\n  "gt_dir": "gt",\n'
+        '  "motion_dir": "motion",\n  "out_dir": "out",\n'
+        '  "proposal_manifest": "proposals/manifest.jsonl",\n'
+        '  "superpixel_dir": "superpixels",\n  "video_dir": "frames"\n}\n' % class_id
+    )
+
+
+def _synth_cli_tree(out, argv):
+    """Run `vidseg synth` into out; returns its file digests without config.json and that file."""
+    assert main(["synth", "--out", str(out), *argv]) == 0
+    with open(os.path.join(out, "config.json")) as fh:
+        config = fh.read()
+    tree = _file_digests(out)
+    del tree["config.json"]
+    return tree, config
+
+
+def _written_tree(out, cfg):
+    write_dataset(generate(cfg), str(out))
+    return _file_digests(out)
+
+
+def test_synth_cli_without_flags_writes_the_default_config(tmp_path, capsys):
+    tree, config = _synth_cli_tree(tmp_path / "cli", [])
+    assert tree == _written_tree(tmp_path / "lib", SynthConfig())
+    assert config == _synth_config_json("object")
+
+
+# A small clip: 3 frames of 40x40 with a 12x12 shape.
+_SMALL_ARGV = ["--frames", "3", "--width", "40", "--height", "40", "--shape-size", "12", "12"]
+_SMALL_FIELDS = dict(frame_count=3, width=40, height=40, shape_width=12, shape_height=12)
+
+
+@pytest.mark.parametrize(
+    "flag, values, fields",
+    [
+        ("--seed", ["3"], {"seed": 3}),
+        ("--frames", ["2"], {"frame_count": 2}),
+        ("--width", ["44"], {"width": 44}),
+        ("--height", ["36"], {"height": 36}),
+        ("--shape", ["disc"], {"shape": "disc"}),
+        ("--shape-size", ["10", "14"], {"shape_width": 10, "shape_height": 14}),
+        ("--start", ["6", "8"], {"start_x": 6, "start_y": 8}),
+        ("--velocity", ["1", "2"], {"velocity": (1, 2)}),
+        ("--cell-size", ["4"], {"cell_size": 4}),
+        ("--proposals-per-frame", ["2"], {"proposals_per_frame": 2}),
+        ("--jitter", ["3"], {"jitter_px": 3}),
+        ("--confidence-base", ["0.3"], {"confidence_base": 0.3}),
+        ("--confidence-noise", ["0.1"], {"confidence_noise_sigma": 0.1}),
+        ("--color-noise", ["5.5"], {"color_noise_sigma": 5.5}),
+        ("--class-id", ["car"], {"class_id": "car"}),
+    ],
+)
+def test_synth_cli_flag_sets_its_config_field(tmp_path, capsys, flag, values, fields):
+    tree, config = _synth_cli_tree(tmp_path / "cli", [*_SMALL_ARGV, flag, *values])
+    assert tree == _written_tree(tmp_path / "lib", SynthConfig(**{**_SMALL_FIELDS, **fields}))
+    # the flag matters: the small clip without it is a different tree
+    assert tree != _written_tree(tmp_path / "base", SynthConfig(**_SMALL_FIELDS))
+    assert config == _synth_config_json(fields.get("class_id", "object"))
+
+
 def test_dense_oracle_two_node():
     g = graph_from_edges(2, spatial=[(0, 1, 1.0)])
     x = dense_solve_oracle(g, np.array([1.0, 0.0]), mu=0.5)
