@@ -141,7 +141,6 @@ def _cmd_pool(args):
     cfg = _load_config(args)
     inputs = load_inputs(cfg, build=False)
     pooled = pool_stage(cfg, inputs)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_confidence_csv(args.out, pooled)
     print(f"pooled confidences for {len(pooled)} class(es) -> {args.out}")
     return EXIT_OK
@@ -152,7 +151,6 @@ def _cmd_adapt(args):
     inputs = load_inputs(cfg)
     pooled = read_confidence_csv(args.confidence)
     adapted = adapt_stage(cfg, inputs, pooled)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_confidence_csv(args.out, adapted)
     print(f"adapted confidences for {len(adapted)} class(es) -> {args.out}")
     return EXIT_OK
@@ -204,9 +202,6 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except ConvergenceError as exc:
-        print(f"error (non-convergence): {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except StageError as exc:
         if isinstance(exc.cause, ConvergenceError):
             print(f"error (non-convergence): {exc}", file=sys.stderr)

@@ -8,47 +8,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pnm import write_ppm
-from .video import DataError
+from .video import DataError, write_rows
 
 OVERLAY_COLOR = (255, 64, 64)
+COLUMNS = ("video", "class", "iou_micro", "iou_macro", "mean_pixel_error")  # of report.csv
 
 
 @dataclass
 class EvalReport:
-    rows: list = field(default_factory=list)  # dicts: video, class, metrics
+    rows: list = field(default_factory=list)  # dicts keyed by COLUMNS
 
     def add(self, video_id, class_id, iou_micro, iou_macro, mean_pixel_error):
-        self.rows.append(
-            {
-                "video": video_id,
-                "class": class_id,
-                "iou_micro": iou_micro,
-                "iou_macro": iou_macro,
-                "mean_pixel_error": mean_pixel_error,
-            }
-        )
+        values = (video_id, class_id, iou_micro, iou_macro, mean_pixel_error)
+        self.rows.append(dict(zip(COLUMNS, values)))
 
     def summary(self):
         if not self.rows:
-            return {"iou_micro": 0.0, "iou_macro": 0.0, "mean_pixel_error": 0.0}
-        return {
-            key: float(np.mean([r[key] for r in self.rows]))
-            for key in ("iou_micro", "iou_macro", "mean_pixel_error")
-        }
+            return dict.fromkeys(COLUMNS[2:], 0.0)
+        return {key: float(np.mean([r[key] for r in self.rows])) for key in COLUMNS[2:]}
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("video,class,iou_micro,iou_macro,mean_pixel_error\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r['video']},{r['class']},{r['iou_micro']:.17g},"
-                    f"{r['iou_macro']:.17g},{r['mean_pixel_error']:.17g}\n"
-                )
-            s = self.summary()
-            fh.write(
-                f"mean,,{s['iou_micro']:.17g},{s['iou_macro']:.17g},"
-                f"{s['mean_pixel_error']:.17g}\n"
-            )
+        rows = [tuple(r[c] for c in COLUMNS) for r in self.rows]
+        rows.append(("mean", "", *self.summary().values()))
+        write_rows(path, ",".join(COLUMNS), "%s,%s,%.17g,%.17g,%.17g\n", rows)
 
 
 def frame_counts(pred_masks, gt_masks, annotated=None):

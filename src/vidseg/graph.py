@@ -23,6 +23,7 @@ from .video import (
     VideoVolume,
     compute_superpixel_stats,
     warp_pixels,
+    write_rows,
 )
 
 MOTION_COHERENCE_WEIGHT = 2.0  # w_c in m = exp(-w_c * entropy)
@@ -49,26 +50,15 @@ class SpaceTimeGraph:
     def n_nodes(self):
         return int(self.frame_offsets[-1])
 
-    def node_frame(self, nodes):
-        """Frame index of each global node id."""
-        return np.searchsorted(self.frame_offsets, np.asarray(nodes), side="right") - 1
-
     def dump_csv(self, path):
         """Debug dump: kind, frame_i, sp_i, frame_j, sp_j, weight per edge."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("kind,frame_i,sp_i,frame_j,sp_j,weight\n")
-            for kind, (ii, jj, ww) in (
-                ("spatial", (self.spatial_i, self.spatial_j, self.spatial_w)),
-                ("temporal", (self.temporal_i, self.temporal_j, self.temporal_w)),
-            ):
-                fi = self.node_frame(ii)
-                fj = self.node_frame(jj)
-                si = ii - self.frame_offsets[fi]
-                sj = jj - self.frame_offsets[fj]
-                for k in range(len(ii)):
-                    fh.write(
-                        f"{kind},{fi[k]},{si[k]},{fj[k]},{sj[k]},{ww[k]:.17g}\n"
-                    )
+        ends = np.hstack([(self.spatial_i, self.spatial_j), (self.temporal_i, self.temporal_j)])
+        frames = np.searchsorted(self.frame_offsets, ends, side="right") - 1
+        (fi, fj), (si, sj) = frames, ends - self.frame_offsets[frames]
+        kinds = ["spatial"] * len(self.spatial_i) + ["temporal"] * len(self.temporal_i)
+        weights = np.concatenate([self.spatial_w, self.temporal_w])
+        rows = zip(kinds, fi.tolist(), si.tolist(), fj.tolist(), sj.tolist(), weights.tolist())
+        write_rows(path, "kind,frame_i,sp_i,frame_j,sp_j,weight", "%s,%d,%d,%d,%d,%.17g\n", rows)
 
 
 def spatial_edges(sp: SuperpixelMap):

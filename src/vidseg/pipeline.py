@@ -33,13 +33,16 @@ from .video import (
     DataError,
     check_id,
     compute_superpixel_stats,
+    list_dir,
     load_flow,
     load_mask,
     load_superpixels,
     load_video,
+    write_rows,
 )
 
 _FRAME_INDEX_RE = re.compile(r"(\d+)\D*$")
+CONFIDENCE_HEADER = "frame,superpixel_id,class,value"
 
 
 class StageError(RuntimeError):
@@ -151,10 +154,6 @@ class LoadedInputs:
     graph: object
 
 
-def _listdir(path, suffix):
-    return sorted(n for n in os.listdir(path) if n.lower().endswith(suffix))
-
-
 def load_mask_dir(path, frame_count=None):
     """Masks of a directory of PGMs, keyed by the frame number ending each name.
 
@@ -164,7 +163,7 @@ def load_mask_dir(path, frame_count=None):
     if not os.path.isdir(path):
         raise DataError(f"missing directory: {path}")
     masks = {}
-    for name in _listdir(path, ".pgm"):
+    for name in list_dir(path, ".pgm"):
         match = _FRAME_INDEX_RE.search(os.path.splitext(name)[0])
         idx = int(match.group(1)) if match else None
         if idx is None or (frame_count is not None and idx >= frame_count):
@@ -183,7 +182,7 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
         sp = load_superpixels(cfg.superpixel_dir, video.frame_count)
         if video.frames.shape[:3] != sp.labels.shape:
             raise DataError("video and superpixel dimensions differ")
-        motion_names = _listdir(cfg.motion_dir, ".pgm")
+        motion_names = list_dir(cfg.motion_dir, ".pgm")
         if len(motion_names) != video.frame_count:
             raise DataError(
                 f"expected {video.frame_count} motion masks, found {len(motion_names)}"
@@ -194,7 +193,7 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
         gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count) if cfg.gt_dir else {}
         stats = graph = None
         if build:
-            flow_names = _listdir(cfg.flow_dir, ".flo")
+            flow_names = list_dir(cfg.flow_dir, ".flo")
             if len(flow_names) != video.frame_count - 1:
                 raise DataError(
                     f"expected {video.frame_count - 1} flow files, found {len(flow_names)}"
@@ -220,11 +219,13 @@ def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
             if p.mask.shape != (inputs.video.height, inputs.video.width):
                 raise DataError("proposal mask dimensions differ from frames")
         scored = score_proposals(proposals, inputs.motion_masks)
-        classes = cfg.classes or sorted(
-            {c for p in proposals for c in p.class_confidences}
-        )
+        offered = {c for p in proposals for c in p.class_confidences}
+        classes = cfg.classes or sorted(offered)
         if not classes:
             raise DataError("no classes found in proposals or config")
+        for cls in classes:
+            if cls not in offered:
+                raise DataError(f"class {cls!r} is in no proposal's confidences")
         pooled = {}
         for cls in classes:
             retained = filter_by_confidence(scored, cls, cfg.confidence_threshold)
@@ -298,7 +299,7 @@ def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, confidences):
             masks[cls], gmm_obj, gmm_bg = segment_class(cfg, inputs, fieldv)
             write_segmentation(cfg.out_dir, cls, inputs.video, masks[cls], gmm_obj, gmm_bg)
         return masks
-    except (OSError, DataError, ValueError) as exc:
+    except (ConvergenceError, OSError, DataError, ValueError) as exc:
         raise StageError("segment", exc) from exc
 
 
@@ -308,7 +309,6 @@ def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks):
         report = EvalReport()
         if inputs.gt_masks:
             report = score_masks(cfg.video_id, masks, inputs.gt_masks)
-        os.makedirs(cfg.out_dir, exist_ok=True)
         report.write_csv(os.path.join(cfg.out_dir, "report.csv"))
         return report
     except (OSError, DataError, ValueError) as exc:
@@ -317,12 +317,13 @@ def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks):
 
 def write_confidence_csv(path, confidence_fields):
     """Dump confidence fields as (frame, superpixel_id, class, value) rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame,superpixel_id,class,value\n")
-        for cls, fieldv in sorted(confidence_fields.items()):
-            for t, values in enumerate(fieldv.values):
-                for s, v in enumerate(values):
-                    fh.write(f"{t},{s},{cls},{v:.17g}\n")
+    rows = (
+        (t, s, cls, v)
+        for cls, fieldv in sorted(confidence_fields.items())
+        for t, values in enumerate(fieldv.values)
+        for s, v in enumerate(values.tolist())
+    )
+    write_rows(path, CONFIDENCE_HEADER, "%d,%d,%s,%.17g\n", rows)
 
 
 def read_confidence_csv(path):
@@ -330,7 +331,7 @@ def read_confidence_csv(path):
     per_class = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "frame,superpixel_id,class,value":
+        if header != CONFIDENCE_HEADER:
             raise DataError(f"unexpected confidence CSV header in {path}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -361,7 +362,6 @@ def read_confidence_csv(path):
 def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     """Execute all stages, writing every artifact under cfg.out_dir."""
     cfg.validate()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     inputs = load_inputs(cfg)
     pooled = pool_stage(cfg, inputs)
     if cfg.dump_graph:

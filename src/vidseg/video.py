@@ -7,6 +7,7 @@ rest of the pipeline can assume consistency.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -35,6 +36,19 @@ def check_id(kind, value):
     if text in ("", ".", "..") or any(ch in text for ch in "/\\"):
         raise DataError(f"{kind} {value!r} is not a single path component")
     return value
+
+
+def write_rows(path, header, template, rows):
+    """Write a CSV file, creating its directory: the header line, then template % row per row."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(template % row for row in rows)
+
+
+def list_dir(path, suffixes):
+    """Sorted names in directory path ending in suffixes (a str or a tuple), any case."""
+    return sorted(n for n in os.listdir(path) if n.lower().endswith(suffixes))
 
 
 @dataclass
@@ -115,8 +129,6 @@ def load_video(path) -> VideoVolume:
     A frames.txt manifest in the directory (one filename per line) overrides
     the lexicographic order.
     """
-    import os
-
     if not os.path.isdir(path):
         raise DataError(f"missing video directory: {path}")
     manifest = os.path.join(path, "frames.txt")
@@ -124,9 +136,7 @@ def load_video(path) -> VideoVolume:
         with open(manifest, "r", encoding="utf-8") as fh:
             names = [line.strip() for line in fh if line.strip()]
     else:
-        names = sorted(
-            n for n in os.listdir(path) if n.lower().endswith(FRAME_SUFFIXES)
-        )
+        names = list_dir(path, FRAME_SUFFIXES)
     if not names:
         raise DataError(f"no frames in {path}")
     frames = []
@@ -149,11 +159,9 @@ def load_video(path) -> VideoVolume:
 
 def load_superpixels(path, expected_frames) -> SuperpixelMap:
     """Load per-frame 16-bit PGM label images, remapping labels to 0..n-1."""
-    import os
-
     if not os.path.isdir(path):
         raise DataError(f"missing superpixel directory: {path}")
-    names = sorted(n for n in os.listdir(path) if n.lower().endswith(".pgm"))
+    names = list_dir(path, ".pgm")
     if len(names) != expected_frames:
         raise DataError(
             f"superpixel frame count mismatch: {len(names)} files, expected {expected_frames}"

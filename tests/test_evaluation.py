@@ -106,10 +106,13 @@ def test_render_overlay_blends_and_is_deterministic(tmp_path):
 
 def test_report_csv(tmp_path):
     report = EvalReport()
-    report.add("vid0", "cat", 0.75, 0.8, 12.5)
+    report.add("vid0", "cat", 0.1, 1 / 3, 12.5)
+    report.add("vid0", "dog", 1.0, 0.0, 3)
     path = tmp_path / "report.csv"
     report.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "video,class,iou_micro,iou_macro,mean_pixel_error"
-    assert lines[1].startswith("vid0,cat,0.75,")
-    assert lines[2].startswith("mean,,0.75,")
+    assert path.read_bytes() == (
+        b"video,class,iou_micro,iou_macro,mean_pixel_error\n"
+        b"vid0,cat,0.10000000000000001,0.33333333333333331,12.5\n"
+        b"vid0,dog,1,0,3\n"
+        b"mean,,0.55000000000000004,0.16666666666666666,7.75\n"
+    )

@@ -237,9 +237,30 @@ def test_build_graph_dump_csv(tmp_path):
     g = build_graph(video, sp, flows)
     path = tmp_path / "graph.csv"
     g.dump_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "kind,frame_i,sp_i,frame_j,sp_j,weight"
-    assert len(lines) == 1 + len(g.spatial_i) + len(g.temporal_i)
+    text = path.read_bytes().decode()
+    assert text.endswith("\n") and "\r" not in text
+    header, *rows = text[:-1].split("\n")
+    assert header == "kind,frame_i,sp_i,frame_j,sp_j,weight"
+    offsets = g.frame_offsets.tolist()
+
+    def local(node):
+        frame = max(t for t in range(len(offsets) - 1) if offsets[t] <= node)
+        return frame, node - offsets[frame]
+
+    expected = [
+        (kind, *local(i), *local(j), w)
+        for kind, ii, jj, ww in (
+            ("spatial", g.spatial_i, g.spatial_j, g.spatial_w),
+            ("temporal", g.temporal_i, g.temporal_j, g.temporal_w),
+        )
+        for i, j, w in zip(ii.tolist(), jj.tolist(), ww.tolist())
+    ]
+    parsed = []
+    for row in rows:
+        kind, fi, si, fj, sj, w = row.split(",")
+        parsed.append((kind, int(fi), int(si), int(fj), int(sj), float(w)))
+    assert len(g.temporal_i) and {r[1] for r in parsed} == {0, 1, 2}
+    assert parsed == expected
 
 
 def test_build_graph_operator_has_zero_diagonal():

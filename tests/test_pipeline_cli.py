@@ -17,8 +17,10 @@ from vidseg.pipeline import (
     read_confidence_csv,
     run_pipeline,
     segment_class,
+    write_confidence_csv,
 )
 from vidseg.pnm import write_pgm
+from vidseg.proposals import ConfidenceField
 from vidseg.synth import SynthConfig, generate, write_dataset
 from vidseg.video import DataError, load_mask
 
@@ -104,10 +106,12 @@ def test_missing_flow_names_ingest_stage(tmp_path, capsys):
     config_path = _dataset_config(root)
     flow_dir = os.path.join(root, "flow")
     os.remove(os.path.join(flow_dir, sorted(os.listdir(flow_dir))[0]))
+    before = _files_under(str(tmp_path), dirs=True)
     code = main(["pipeline", "--config", config_path])
     err = capsys.readouterr().err
     assert code == 2
     assert "ingest" in err
+    assert _files_under(str(tmp_path), dirs=True) == before  # not even an empty out_dir
 
 
 def test_usage_error_exit_code(capsys):
@@ -127,6 +131,20 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "non-convergence" in err
+
+
+def test_segment_nonconvergence_names_the_stage(dataset, tmp_path, capsys, monkeypatch):
+    import vidseg.mrf
+    from vidseg.propagation import ConvergenceError
+
+    def uncertified(problem):
+        raise ConvergenceError("no min-cut certificate", None, 1.0, 32)
+
+    monkeypatch.setattr(vidseg.mrf, "solve_binary", uncertified)
+    _, config_path = dataset
+    assert main(["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "non-convergence" in err and "segment: no min-cut certificate" in err
 
 
 def test_staged_equals_single_shot(tmp_path, dataset):
@@ -162,11 +180,33 @@ def test_adapt_resumption_round_trip(dataset, tmp_path):
     flat = fields["object"].flat()
     assert np.all((flat >= 0) & (flat <= 1))
     # writing what we read reproduces the bytes (full-precision round trip)
-    from vidseg.pipeline import write_confidence_csv
-
     clone = tmp_path / "clone.csv"
     write_confidence_csv(clone, fields)
     assert _digest(clone) == _digest(os.path.join(out, "adapted.csv"))
+
+
+def test_confidence_csv_golden_bytes(tmp_path):
+    fields = {
+        "car": ConfidenceField("car", [np.array([0.1, 1 / 3]), np.array([1e-300])]),
+        "bus": ConfidenceField("bus", [np.array([5e-324, 0.0]), np.array([1.0])]),
+    }
+    path = tmp_path / "conf.csv"
+    write_confidence_csv(path, fields)
+    assert path.read_bytes() == (
+        b"frame,superpixel_id,class,value\n"
+        b"0,0,bus,4.9406564584124654e-324\n"
+        b"0,1,bus,0\n"
+        b"1,0,bus,1\n"
+        b"0,0,car,0.10000000000000001\n"
+        b"0,1,car,0.33333333333333331\n"
+        b"1,0,car,1e-300\n"
+    )
+    back = read_confidence_csv(path)
+    assert set(back) == set(fields)
+    for cls, fieldv in fields.items():
+        assert len(back[cls].values) == len(fieldv.values)
+        for got, want in zip(back[cls].values, fieldv.values):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_eval_cli_gt_vs_gt(dataset, capsys):
@@ -181,9 +221,9 @@ def test_eval_cli_gt_vs_gt(dataset, capsys):
 def test_eval_cli_report_file(dataset, tmp_path, capsys):
     root, _ = dataset
     gt_dir = os.path.join(root, "gt")
-    report = tmp_path / "report.csv"
-    assert main(["eval", "--pred", gt_dir, "--gt", gt_dir, "--out", str(report)]) == 0
-    assert report.read_text().splitlines()[1].startswith("video,object,1,")
+    for report in (tmp_path / "report.csv", tmp_path / "new" / "dir" / "report.csv"):
+        assert main(["eval", "--pred", gt_dir, "--gt", gt_dir, "--out", str(report)]) == 0
+        assert report.read_text().splitlines()[1].startswith("video,object,1,")
 
 
 def test_synth_cli_deterministic(tmp_path, capsys):
@@ -288,11 +328,12 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
     assert models["background"] == json.loads(gmm_bg.to_json())
 
 
-def _files_under(root):
+def _files_under(root, dirs=False):
+    """Paths under root, relative to it: the files, and with dirs the directories too."""
     return sorted(
         os.path.relpath(os.path.join(dirpath, name), root)
-        for dirpath, _, names in os.walk(root)
-        for name in names
+        for dirpath, dirnames, names in os.walk(root)
+        for name in names + (dirnames if dirs else [])
     )
 
 
@@ -491,3 +532,20 @@ def test_readme_configuration_table_lists_every_key():
         if line.startswith("| `"):
             keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
     assert keys == {f.name for f in dataclasses.fields(PipelineConfig)}
+
+
+def test_unknown_class_rejected_before_writing(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
+                 "--height", "48", "--shape-size", "16", "16"]) == 0
+    config_path = os.path.join(data, "config.json")
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    cfg["classes"] = ["car"]
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    before = _files_under(str(tmp_path), dirs=True)
+    assert main(["pipeline", "--config", config_path]) == 2
+    assert "pool: class 'car'" in capsys.readouterr().err
+    assert _files_under(str(tmp_path), dirs=True) == before  # not even an empty out_dir
+
