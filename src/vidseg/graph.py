@@ -61,6 +61,14 @@ class SpaceTimeGraph:
         write_rows(path, "kind,frame_i,sp_i,frame_j,sp_j,weight", "%s,%d,%d,%d,%d,%.17g\n", rows)
 
 
+def _pair_counts(rows, cols, shape):
+    """Distinct (row, col) pairs in row-major order, with how often each occurs."""
+    counts = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+    counts.sum_duplicates()
+    row = np.repeat(np.arange(shape[0], dtype=np.int64), np.diff(counts.indptr))
+    return row, counts.indices.astype(np.int64), counts.data
+
+
 def spatial_edges(sp: SuperpixelMap):
     """Undirected same-frame adjacency under 4-connectivity.
 
@@ -70,19 +78,15 @@ def spatial_edges(sp: SuperpixelMap):
     out_i, out_j = [], []
     for t in range(sp.frame_count):
         labels = sp.labels[t]
-        a = np.concatenate(
-            [labels[:, :-1].ravel(), labels[:-1, :].ravel()]
-        ).astype(np.int64)
-        b = np.concatenate(
-            [labels[:, 1:].ravel(), labels[1:, :].ravel()]
-        ).astype(np.int64)
+        a = np.concatenate([labels[:, :-1].ravel(), labels[:-1, :].ravel()])
+        b = np.concatenate([labels[:, 1:].ravel(), labels[1:, :].ravel()])
         differ = a != b
         lo = np.minimum(a[differ], b[differ])
         hi = np.maximum(a[differ], b[differ])
         n = sp.counts[t]
-        keys = np.unique(lo * n + hi)
-        out_i.append(keys // n + offsets[t])
-        out_j.append(keys % n + offsets[t])
+        pi, pj, _ = _pair_counts(lo, hi, (n, n))
+        out_i.append(pi + offsets[t])
+        out_j.append(pj + offsets[t])
     if not out_i:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     return np.concatenate(out_i), np.concatenate(out_j)
@@ -111,18 +115,13 @@ def temporal_edges(sp: SuperpixelMap, flows):
             raise DataError(f"flow {t - 1} dimensions differ from frames")
         dest = warp_pixels(flow, grid_y, grid_x)
         valid = dest >= 0
-        src = sp.labels[t - 1].ravel()[valid].astype(np.int64)
-        dest = dest[valid]
-        # union semantics: collapse source pixels landing on one destination
-        pairs = np.unique(src * npix + dest)
-        src_u = pairs // npix
-        dest_u = pairs % npix
+        src = sp.labels[t - 1].ravel()[valid]
         n_prev, n_next = sp.counts[t - 1], sp.counts[t]
+        # union semantics: collapse source pixels landing on one destination
+        src_u, dest_u, _ = _pair_counts(src, dest[valid], (n_prev, npix))
         warp_size = np.bincount(src_u, minlength=n_prev)
         dst_label = sp.labels[t].ravel()[dest_u]
-        keys, counts = np.unique(src_u * n_next + dst_label, return_counts=True)
-        pi = keys // n_next
-        pj = keys % n_next
+        pi, pj, counts = _pair_counts(src_u, dst_label, (n_prev, n_next))
         out_i.append(pi + offsets[t - 1])
         out_j.append(pj + offsets[t])
         out_rho.append(counts / warp_size[pi])

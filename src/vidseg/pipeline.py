@@ -342,6 +342,8 @@ def read_confidence_csv(path):
                 frame, sp_id, value = int(frame_s), int(sp_s), float(value_s)
             except ValueError as exc:
                 raise DataError(f"malformed confidence row {lineno} in {path}") from exc
+            if frame < 0 or sp_id < 0:
+                raise DataError(f"negative id in confidence row {lineno} in {path}")
             row = per_class.setdefault(cls, {}).setdefault(frame, {})
             if sp_id in row:
                 raise DataError(f"duplicate confidence row {lineno} in {path}")

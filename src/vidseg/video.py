@@ -172,9 +172,10 @@ def load_superpixels(path, expected_frames) -> SuperpixelMap:
         raw = read_pnm(os.path.join(path, name))
         if raw.ndim != 2:
             raise DataError(f"superpixel map {name} is not a PGM label image")
-        uniq, remapped = np.unique(raw, return_inverse=True)
-        label_frames.append(remapped.reshape(raw.shape).astype(np.int32))
-        counts.append(int(uniq.size))
+        # the values present, numbered in sorted order: the np.unique remap without a sort
+        lookup = np.cumsum(np.bincount(raw.ravel()) > 0, dtype=np.int32) - 1
+        label_frames.append(lookup[raw])
+        counts.append(int(lookup[-1]) + 1)
     labels = np.stack(label_frames)
     return SuperpixelMap(labels, counts)
 

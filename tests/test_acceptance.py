@@ -331,6 +331,22 @@ def test_propagation_speed_at_scale():
     )
 
 
+def test_graph_build_speed_at_scale():
+    # a fresh build of the L clip's graph, superpixel stats included
+    from vidseg.graph import build_graph
+
+    _, ds, _, _ = _scale_l_clip()
+    start = time.monotonic()
+    graph = build_graph(ds.video, ds.superpixels, ds.flows)
+    elapsed = time.monotonic() - start
+    edges = len(graph.spatial_i) + len(graph.temporal_i)
+    _report(
+        "graph build speed at scale (102,400 nodes, 299,776 edges, < 1.5 s)",
+        graph.n_nodes == 102_400 and edges == 299_776 and elapsed < 1.5,
+        f"nodes={graph.n_nodes} edges={edges} time={elapsed:.2f}s",
+    )
+
+
 def test_gmm_fit_speed_at_scale():
     # both color models of the L clip, as segment_class fits them
     _, ds, graph, pooled = _scale_l_clip()

@@ -97,6 +97,65 @@ def test_temporal_rho_sums_to_at_most_one(rng):
         assert rho[i == node].sum() <= 1.0 + 1e-12
 
 
+def _edges_oracle(labels, counts, flows):
+    """Spatial and temporal edges by pixel loops over Python sets and dicts."""
+    offsets = [0]
+    for n in counts:
+        offsets.append(offsets[-1] + n)
+    frames, height, width = labels.shape
+    spatial = set()
+    for t in range(frames):
+        for y in range(height):
+            for x in range(width):
+                for ny, nx in ((y, x + 1), (y + 1, x)):
+                    if ny < height and nx < width and labels[t, y, x] != labels[t, ny, nx]:
+                        a, b = sorted((int(labels[t, y, x]), int(labels[t, ny, nx])))
+                        spatial.add((a + offsets[t], b + offsets[t]))
+    temporal, exits, collisions = [], 0, 0
+    for t in range(1, frames):
+        warped = {}
+        for y in range(height):
+            for x in range(width):
+                dx, dy = flows[t - 1][y, x]
+                ty, tx = math.floor(y + dy + 0.5), math.floor(x + dx + 0.5)
+                if not (0 <= ty < height and 0 <= tx < width):
+                    exits += 1
+                    continue
+                dest = warped.setdefault(int(labels[t - 1, y, x]), set())
+                collisions += (ty, tx) in dest
+                dest.add((ty, tx))
+        for src in sorted(warped):
+            overlap = {}
+            for ty, tx in warped[src]:
+                dst = int(labels[t, ty, tx])
+                overlap[dst] = overlap.get(dst, 0) + 1
+            for dst in sorted(overlap):
+                rho = overlap[dst] / len(warped[src])
+                temporal.append((src + offsets[t - 1], dst + offsets[t], rho))
+    i, j = (np.array(v, dtype=np.int64) for v in zip(*sorted(spatial)))
+    ti, tj, rho = zip(*temporal)
+    expected_t = (np.array(ti, np.int64), np.array(tj, np.int64), np.array(rho, np.float64))
+    return (i, j), expected_t, exits, collisions
+
+
+def test_edges_match_set_oracle():
+    rng = np.random.default_rng(8)
+    counts = [5, 11, 3]
+    frames = []
+    for n in counts:
+        f = rng.integers(0, n, size=(9, 13)).astype(np.int32)
+        f.ravel()[:n] = np.arange(n)
+        frames.append(f)
+    sp = SuperpixelMap(np.stack(frames), counts)
+    flows = [rng.normal(0.0, 2.5, size=(9, 13, 2)) for _ in range(2)]
+    expected_s, expected_t, exits, collisions = _edges_oracle(sp.labels, counts, flows)
+    assert exits > 0 and collisions > 0
+    got_all = (*spatial_edges(sp), *temporal_edges(sp, flows))
+    for got, want in zip(got_all, (*expected_s, *expected_t)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_color_distance_single_pair_self_normalizes():
     d = color_distance([0, 0, 0], [10, 0, 0], mean_sq=100.0)
     assert d == pytest.approx(0.5)

@@ -408,6 +408,50 @@ def test_read_confidence_csv_rejects_duplicate_rows(tmp_path):
         read_confidence_csv(str(path))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0,0,object"], "malformed confidence row 3"),
+        (["0,0,object,0.5,1"], "malformed confidence row 3"),
+        (["0,0,object,high"], "malformed confidence row 3"),
+        (["1.5,0,object,0.5"], "malformed confidence row 3"),
+        (["0,x,object,0.5"], "malformed confidence row 3"),
+        (["-1,0,object,0.5"], "negative id in confidence row 3"),
+        (["0,1,object,0.5", "-1,0,object,0.5"], "negative id in confidence row 4"),
+        (["0,-1,object,0.5"], "negative id in confidence row 3"),
+        (["0,2,object,0.5"], "non-contiguous superpixel ids for frame 0"),
+        (["1,1,object,0.5"], "non-contiguous superpixel ids for frame 1"),
+    ],
+    ids=["3-columns", "5-columns", "non-numeric-value", "fractional-frame", "non-numeric-id",
+         "negative-frame", "negative-frame-after-rows", "negative-superpixel", "gap-in-frame-0",
+         "gap-in-frame-1"],
+)
+def test_read_confidence_csv_errors_name_the_row_or_frame(tmp_path, rows, message):
+    path = tmp_path / "pooled.csv"
+    lines = ["frame,superpixel_id,class,value", "0,0,object,0.25", *rows]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=message):
+        read_confidence_csv(str(path))
+
+
+@pytest.mark.parametrize("command", ["adapt", "segment"])
+def test_negative_frame_in_confidence_csv_exits_2(dataset, tmp_path, capsys, command):
+    _, config_path = dataset
+    pooled = str(tmp_path / "pooled.csv")
+    assert main(["pool", "--config", config_path, "--out", pooled]) == 0
+    with open(pooled) as fh:
+        lineno = len(fh.read().splitlines()) + 1
+    with open(pooled, "a") as fh:
+        fh.write("-1,0,object,0.5\n")
+    out = str(tmp_path / "out")
+    argv = [command, "--config", config_path, "--confidence", pooled, "--out"]
+    argv.append(os.path.join(out, "adapted.csv") if command == "adapt" else out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"negative id in confidence row {lineno} " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_import_loads_no_sparse_solvers():
     import vidseg
 

@@ -92,6 +92,26 @@ def test_remap_preserves_partition(tmp_path):
             assert (raw[a] == raw[b]) == (sp.labels[0][a] == sp.labels[0][b])
 
 
+@pytest.mark.parametrize(
+    "raw, maxval",
+    [
+        (np.array([[7, 7, 200], [0, 255, 200], [31, 7, 0]], dtype=np.uint8), None),
+        (np.array([[65535, 3, 3], [40000, 65535, 9], [3, 1, 40000]], dtype=np.uint16), 65535),
+    ],
+)
+def test_load_superpixels_remap_matches_unique(tmp_path, raw, maxval):
+    d = tmp_path / "sp"
+    d.mkdir()
+    write_pgm(d / "f0.pgm", raw, maxval=maxval)
+    write_pgm(d / "f1.pgm", raw[::-1].copy(), maxval=maxval)
+    sp = load_superpixels(d, expected_frames=2)
+    assert sp.labels.dtype == np.int32
+    for t, frame in enumerate((raw, raw[::-1])):
+        uniq, inverse = np.unique(frame, return_inverse=True)
+        assert sp.counts[t] == uniq.size
+        assert np.array_equal(sp.labels[t], inverse.reshape(frame.shape))
+
+
 def _video_of(frame_arrays):
     return VideoVolume(np.stack(frame_arrays))
 
