@@ -7,8 +7,9 @@ reliability from flow-histogram entropy.
 
 import numpy as np
 
-from vidseg.graph import build_graph, motion_noncoherence, temporal_edges
+from vidseg.graph import MOTION_COHERENCE_WEIGHT, build_graph, motion_reliability, temporal_edges
 from vidseg.synth import SynthConfig, generate
+from vidseg.video import SuperpixelMap
 
 
 def main():
@@ -39,15 +40,14 @@ def main():
         print(f"\nnormalized operator spectrum: [{eigs.min():.4f}, {eigs.max():.4f}] "
               "(inside [-1, 1], so diffusion converges)")
 
-    # motion reliability: coherent flow vs. scrambled flow
-    coherent = np.ones((8, 8, 2))
+    # motion reliability of one 8x8 superpixel: coherent flow vs. scrambled flow
+    one = SuperpixelMap(np.zeros((2, 8, 8)), [1, 1])
     rng = np.random.default_rng(0)
-    scrambled = rng.normal(0, 3.0, size=(8, 8, 2))
-    mask = np.ones((8, 8), dtype=bool)
-    pi_c, m_c = motion_noncoherence(mask, coherent)
-    pi_s, m_s = motion_noncoherence(mask, scrambled)
-    print(f"\nmotion reliability: coherent flow entropy={pi_c:.3f} -> m={m_c:.3f}; "
-          f"scrambled entropy={pi_s:.3f} -> m={m_s:.3f}")
+    print("\nmotion reliability m = exp(-w_c * entropy):")
+    for name, flow in (("coherent", np.ones((8, 8, 2))),
+                       ("scrambled", rng.normal(0, 3.0, size=(8, 8, 2)))):
+        m = motion_reliability(one, [flow])[0]
+        print(f"  {name} flow: entropy={np.log(1 / m) / MOTION_COHERENCE_WEIGHT:.3f} -> m={m:.3f}")
     print("Unreliable flow weakens a superpixel's temporal links instead of "
           "propagating bad correspondences.")
 

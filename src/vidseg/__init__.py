@@ -5,13 +5,12 @@ confidence maps, refined by diffusion on a space-time superpixel graph,
 and turned into binary object masks by exact min-cut energy minimization.
 """
 
-from .evaluation import EvalReport, iou, iou_macro, pixel_error, render_overlay
+from .evaluation import EvalReport, mask_scores, render_overlay
 from .gmm import GaussianMixture, fit_gmm, sample_training_sets
 from .graph import (
     SpaceTimeGraph,
     assemble,
     build_graph,
-    motion_noncoherence,
     spatial_affinity,
     spatial_edges,
     temporal_affinity,

@@ -208,7 +208,7 @@ def main(argv=None):
             return EXIT_NUMERIC
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DataError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DataError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -49,33 +49,19 @@ def frame_counts(pred_masks, gt_masks, annotated=None):
     return np.array(counts, dtype=np.int64).reshape(-1, 3)
 
 
-def _scores(counts):
-    """Micro IoU, macro IoU and mean pixel error of frame_counts rows; (1, 1, 0) if none."""
-    inter, union, error = counts.T
+def mask_scores(pred_masks, gt_masks, annotated=None):
+    """(micro IoU, macro IoU, mean pixel error) of the masks over the annotated frames.
+
+    Micro IoU is sum |pred & gt| / sum |pred | gt|, macro IoU the mean
+    per-frame IoU, and the pixel error the mean count of wrong pixels per
+    frame. A frame empty in both counts as IoU 1; no frames give (1, 1, 0).
+    """
+    inter, union, error = frame_counts(pred_masks, gt_masks, annotated).T
     micro = 1.0 if union.sum() == 0 else float(inter.sum() / union.sum())
     per_frame = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-    macro = float(np.mean(per_frame)) if len(counts) else 1.0
-    mean_error = float(np.mean(error)) if len(counts) else 0.0
+    macro = float(np.mean(per_frame)) if len(union) else 1.0
+    mean_error = float(np.mean(error)) if len(union) else 0.0
     return micro, macro, mean_error
-
-
-def iou(pred_masks, gt_masks, annotated=None):
-    """Micro intersection-over-union over the annotated frames.
-
-    IoU = sum |pred & gt| / sum |pred | gt|; if every annotated frame is
-    empty in both, the ratio is defined as 1.
-    """
-    return _scores(frame_counts(pred_masks, gt_masks, annotated))[0]
-
-
-def iou_macro(pred_masks, gt_masks, annotated=None):
-    """Mean of per-frame IoU over the annotated frames (empty-empty frame = 1)."""
-    return _scores(frame_counts(pred_masks, gt_masks, annotated))[1]
-
-
-def pixel_error(pred_masks, gt_masks, annotated=None):
-    """Mean count of incorrect pixels per annotated frame."""
-    return _scores(frame_counts(pred_masks, gt_masks, annotated))[2]
 
 
 def score_masks(video_id, masks, gt_masks):
@@ -86,7 +72,7 @@ def score_masks(video_id, masks, gt_masks):
     report = EvalReport()
     annotated = sorted(gt_masks)
     for cls, pred in sorted(masks.items()):
-        report.add(video_id, cls, *_scores(frame_counts(pred, gt_masks, annotated)))
+        report.add(video_id, cls, *mask_scores(pred, gt_masks, annotated))
     return report
 
 

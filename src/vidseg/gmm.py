@@ -38,10 +38,8 @@ class GaussianMixture:
     covariances: np.ndarray  # (K, 3, 3)
 
     def log_likelihood(self, colors):
-        """log sum_k w_k N(color; ...), floored at log(1e-12). Scalar in, scalar out."""
-        colors = np.asarray(colors, dtype=np.float64)
-        ll = np.maximum(responsibilities(self, colors)[1], np.log(LIKELIHOOD_FLOOR))
-        return float(ll[0]) if colors.ndim == 1 else ll
+        """(n,) log sum_k w_k N(color; ...) of (n, 3) colors, floored at log(1e-12)."""
+        return np.maximum(responsibilities(self, colors)[1], np.log(LIKELIHOOD_FLOOR))
 
     def to_json(self):
         return json.dumps(

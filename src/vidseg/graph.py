@@ -181,17 +181,6 @@ def histogram_entropy(hist):
     return ent + 0.0  # avoid -0.0
 
 
-def motion_noncoherence(sp_mask, flow, w_c=MOTION_COHERENCE_WEIGHT):
-    """Flow-histogram entropy pi and reliability m = exp(-w_c * pi) for one superpixel."""
-    sp_mask = np.asarray(sp_mask, dtype=bool)
-    if not sp_mask.any():
-        raise DataError("empty superpixel")
-    idx = flow_bin_index(np.asarray(flow)[sp_mask])
-    hist = np.bincount(idx, minlength=N_FLOW_BINS)
-    pi = float(histogram_entropy(hist))
-    return pi, float(np.exp(-w_c * pi))
-
-
 def motion_reliability(sp: SuperpixelMap, flows, w_c=MOTION_COHERENCE_WEIGHT):
     """Per-node reliability m = exp(-w_c * entropy) over all global node ids.
 

@@ -85,8 +85,8 @@ def color_unary(gmm_object, gmm_background, colors):
     likelihood is normalized two-way before the negative log:
     U(obj) = p_obj / (p_obj + p_bg).
     """
-    lo = np.atleast_1d(gmm_object.log_likelihood(colors))
-    lb = np.atleast_1d(gmm_background.log_likelihood(colors))
+    lo = gmm_object.log_likelihood(colors)
+    lb = gmm_background.log_likelihood(colors)
     denom = np.logaddexp(lo, lb)
     return denom - lo, denom - lb
 

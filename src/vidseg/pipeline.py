@@ -154,11 +154,11 @@ class LoadedInputs:
     graph: object
 
 
-def load_mask_dir(path, frame_count=None):
+def load_mask_dir(path, frame_count=None, shape=None):
     """Masks of a directory of PGMs, keyed by the frame number ending each name.
 
-    A name without a frame number, or one at or past frame_count, is a
-    DataError.
+    A name without a frame number, one at or past frame_count, or a mask
+    not of (H, W) shape (if given) is a DataError.
     """
     if not os.path.isdir(path):
         raise DataError(f"missing directory: {path}")
@@ -168,7 +168,7 @@ def load_mask_dir(path, frame_count=None):
         idx = int(match.group(1)) if match else None
         if idx is None or (frame_count is not None and idx >= frame_count):
             raise DataError(f"cannot map mask file {name} in {path} to a frame")
-        masks[idx] = load_mask(os.path.join(path, name))
+        masks[idx] = load_mask(os.path.join(path, name), shape)
     return masks
 
 
@@ -187,10 +187,9 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
             raise DataError(
                 f"expected {video.frame_count} motion masks, found {len(motion_names)}"
             )
-        motion = np.stack(
-            [load_mask(os.path.join(cfg.motion_dir, n)) for n in motion_names]
-        )
-        gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count) if cfg.gt_dir else {}
+        shape = (video.height, video.width)
+        motion = np.stack([load_mask(os.path.join(cfg.motion_dir, n), shape) for n in motion_names])
+        gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape) if cfg.gt_dir else {}
         stats = graph = None
         if build:
             flow_names = list_dir(cfg.flow_dir, ".flo")
@@ -204,7 +203,7 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
                     raise DataError(f"flow {flow_names[k]} dimensions differ from frames")
             stats = compute_superpixel_stats(video, sp)
             graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
-    except (OSError, DataError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise StageError("ingest", exc) from exc
     return LoadedInputs(video, sp, motion, gt_masks, stats, graph)
 
@@ -231,7 +230,7 @@ def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
             retained = filter_by_confidence(scored, cls, cfg.confidence_threshold)
             pooled[cls] = pool_confidence(retained, cls, inputs.superpixels)
         return pooled
-    except (OSError, DataError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise StageError("pool", exc) from exc
 
 
@@ -243,7 +242,7 @@ def adapt_stage(cfg: PipelineConfig, inputs: LoadedInputs, pooled):
             cls: adapt_confidence(fieldv, inputs.graph, prop_cfg)
             for cls, fieldv in sorted(pooled.items())
         }
-    except (ConvergenceError, DataError, ValueError) as exc:
+    except (ConvergenceError, ValueError) as exc:
         raise StageError("adapt", exc) from exc
 
 
@@ -299,7 +298,7 @@ def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, confidences):
             masks[cls], gmm_obj, gmm_bg = segment_class(cfg, inputs, fieldv)
             write_segmentation(cfg.out_dir, cls, inputs.video, masks[cls], gmm_obj, gmm_bg)
         return masks
-    except (ConvergenceError, OSError, DataError, ValueError) as exc:
+    except (ConvergenceError, OSError, ValueError) as exc:
         raise StageError("segment", exc) from exc
 
 
@@ -311,7 +310,7 @@ def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks):
             report = score_masks(cfg.video_id, masks, inputs.gt_masks)
         report.write_csv(os.path.join(cfg.out_dir, "report.csv"))
         return report
-    except (OSError, DataError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise StageError("eval", exc) from exc
 
 

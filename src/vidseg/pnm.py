@@ -7,6 +7,7 @@ superpixel label maps). No other PNM variants.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -15,35 +16,10 @@ class PnmError(ValueError):
     pass
 
 
-def _read_header(data: bytes):
-    """Parse a PNM header, returning (magic, width, height, maxval, offset)."""
-    if len(data) < 2:
-        raise PnmError("truncated PNM header")
-    magic = data[:2].decode("ascii", errors="replace")
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise PnmError("truncated PNM header")
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval, then raster
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise PnmError("malformed PNM header") from None
-    if width <= 0 or height <= 0 or not 0 < maxval < 65536:
-        raise PnmError("bad PNM dimensions or maxval")
-    return magic, width, height, maxval, pos
+# magic, then width, height and maxval, each after whitespace or "#" comments, then
+# one whitespace byte before the raster; at most 9 digits keeps int() in range
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_HEADER = re.compile(rb"(P[56])" + (_SEP + rb"(\d{1,9})") * 3 + rb"\s")
 
 
 def read_pnm(path):
@@ -54,17 +30,21 @@ def read_pnm(path):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, width, height, maxval, offset = _read_header(data)
-    if magic not in ("P5", "P6"):
-        raise PnmError(f"unsupported PNM magic {magic!r} in {path}")
-    channels = 3 if magic == "P6" else 1
+    header = _HEADER.match(data)
+    if header is None:
+        raise PnmError(f"malformed PNM header in {path}")
+    magic, *numbers = header.groups()
+    width, height, maxval = map(int, numbers)
+    if width <= 0 or height <= 0 or not 0 < maxval < 65536:
+        raise PnmError("bad PNM dimensions or maxval")
+    channels = 3 if magic == b"P6" else 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height * channels
-    raster = np.frombuffer(data, dtype=dtype, count=-1, offset=offset)
+    raster = np.frombuffer(data, dtype=dtype, count=-1, offset=header.end())
     if raster.size < count:
         raise PnmError(f"truncated raster in {path}")
     raster = raster[:count]
-    if magic == "P6":
+    if magic == b"P6":
         if maxval > 255:
             raise PnmError("16-bit PPM not supported")
         return raster.reshape(height, width, 3).copy()

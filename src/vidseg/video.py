@@ -93,6 +93,9 @@ class SuperpixelMap:
             raise DataError("labels must have shape (T, H, W)")
         if len(self.counts) != self.labels.shape[0]:
             raise DataError("counts must have one entry per frame")
+        for t, frame in enumerate(self.labels):
+            if frame.min() < 0 or frame.max() >= self.counts[t]:
+                raise DataError(f"frame {t} has superpixel labels outside 0..{self.counts[t] - 1}")
 
     @property
     def frame_count(self):
@@ -212,11 +215,13 @@ def write_flow(path, flow):
         fh.write(flow.astype("<f4").tobytes())
 
 
-def load_mask(path) -> np.ndarray:
-    """Read an 8-bit PGM as a boolean mask (nonzero = set)."""
+def load_mask(path, shape=None) -> np.ndarray:
+    """Read an 8-bit PGM as a boolean mask (nonzero = set); shape: the (H, W) it must have."""
     img = read_pnm(path)
     if img.ndim != 2:
         raise DataError(f"mask {path} is not a PGM")
+    if shape is not None and img.shape != shape:
+        raise DataError(f"dimension mismatch: mask {path} is {img.shape}, expected {shape}")
     return img != 0
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,19 @@ def random_graph(rng, max_nodes=200):
         else:
             temporal.append((int(i), int(j), w))
     return graph_from_edges(n, spatial, temporal)
+
+
+def tree_digest(root):
+    """sha256 over the relative path and bytes of every file under root, in sorted order."""
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in sorted(os.walk(root)):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            digest.update(os.path.relpath(path, root).encode())
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
 
 
 @pytest.fixture

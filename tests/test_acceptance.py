@@ -3,16 +3,14 @@ PASS/FAIL line (run with -s to see them)."""
 
 import dataclasses
 import functools
-import hashlib
 import math
-import os
 import time
 
 import numpy as np
 
-from conftest import random_graph
+from conftest import random_graph, tree_digest
 from vidseg.gmm import fit_gmm, sample_training_sets
-from vidseg.graph import histogram_entropy, motion_noncoherence, spatial_affinity
+from vidseg.graph import histogram_entropy, motion_reliability, spatial_affinity
 from vidseg.mrf import MRFProblem, mrf_energy, solve_binary
 from vidseg.pipeline import PipelineConfig, run_pipeline
 from vidseg.proposals import ScoredProposal, pool_frame
@@ -30,7 +28,7 @@ from vidseg.synth import (
     generate,
     write_dataset,
 )
-from vidseg.video import compute_superpixel_stats
+from vidseg.video import SuperpixelMap, compute_superpixel_stats
 
 
 def _report(name, ok, detail=""):
@@ -180,13 +178,18 @@ def test_pooling_identities():
 
 
 def test_entropy_and_affinity_spot_values():
-    flow_uniform = np.ones((3, 3, 2))
-    pi_one, m_one = motion_noncoherence(np.ones((3, 3), dtype=bool), flow_uniform)
+    def pi_and_m(flow):
+        """Entropy pi (m = exp(-pi) at w_c = 1) and m of the one superpixel of frame 0 of two."""
+        sp = SuperpixelMap(np.zeros((2, *flow.shape[:2]), dtype=np.int32), [1, 1])
+        pi = -math.log(motion_reliability(sp, [flow], w_c=1.0)[0])
+        return pi, motion_reliability(sp, [flow])[0]
+
+    pi_one, m_one = pi_and_m(np.ones((3, 3, 2)))
 
     flow_two = np.zeros((2, 2, 2))
     flow_two[0, :, 0] = 1.0
     flow_two[1, :, 1] = 1.0
-    pi_two, m_two = motion_noncoherence(np.ones((2, 2), dtype=bool), flow_two)
+    pi_two, m_two = pi_and_m(flow_two)
 
     aff = spatial_affinity(0.5, 0.5)
     checks = {
@@ -267,25 +270,13 @@ def test_end_to_end_synthetic_and_ablation(tmp_path):
     )
 
 
-def _tree_digest(root):
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(path, root).encode())
-            with open(path, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
-
-
 def test_pipeline_determinism(tmp_path):
     cfg = _synthetic_pipeline_config(str(tmp_path / "data"), str(tmp_path / "run1"))
     run_pipeline(cfg)
     cfg2 = dataclasses.replace(cfg, out_dir=str(tmp_path / "run2"))
     run_pipeline(cfg2)
-    d1 = _tree_digest(str(tmp_path / "run1"))
-    d2 = _tree_digest(str(tmp_path / "run2"))
+    d1 = tree_digest(str(tmp_path / "run1"))
+    d2 = tree_digest(str(tmp_path / "run2"))
     _report(
         "determinism (byte-identical masks and reports)",
         d1 == d2,

@@ -4,9 +4,7 @@ import pytest
 from vidseg.evaluation import (
     EvalReport,
     frame_counts,
-    iou,
-    iou_macro,
-    pixel_error,
+    mask_scores,
     render_overlay,
 )
 from vidseg.pnm import read_pnm
@@ -21,66 +19,65 @@ def _mask1d(width, lo, hi):
 
 def test_iou_perfect():
     gt = [_mask1d(10, 2, 8)]
-    assert iou(gt, gt) == 1.0
+    assert mask_scores(gt, gt)[0] == 1.0
 
 
 def test_iou_disjoint():
-    assert iou([_mask1d(10, 0, 3)], [_mask1d(10, 5, 8)]) == 0.0
+    assert mask_scores([_mask1d(10, 0, 3)], [_mask1d(10, 5, 8)])[0] == 0.0
 
 
 def test_iou_one_third():
     pred = [_mask1d(200, 50, 150)]
     gt = [_mask1d(200, 0, 100)]
-    assert iou(pred, gt) == pytest.approx(1 / 3)
+    assert mask_scores(pred, gt)[0] == pytest.approx(1 / 3)
 
 
 def test_iou_both_empty_is_one():
     empty = [np.zeros((2, 2), dtype=bool)]
-    assert iou(empty, empty) == 1.0
-    assert iou_macro(empty, empty) == 1.0
+    assert mask_scores(empty, empty) == (1.0, 1.0, 0.0)
 
 
 def test_iou_annotated_subset():
     pred = [_mask1d(10, 0, 5), _mask1d(10, 0, 5)]
     gt = [_mask1d(10, 0, 5), _mask1d(10, 5, 10)]
-    assert iou(pred, gt, annotated=[0]) == 1.0
-    assert iou(pred, gt, annotated=[1]) == 0.0
+    assert mask_scores(pred, gt, annotated=[0])[0] == 1.0
+    assert mask_scores(pred, gt, annotated=[1])[0] == 0.0
 
 
 def test_iou_dimension_mismatch():
     with pytest.raises(DataError):
-        iou([_mask1d(10, 0, 5)], [_mask1d(8, 0, 5)])
+        mask_scores([_mask1d(10, 0, 5)], [_mask1d(8, 0, 5)])
 
 
 def test_pixel_error_values():
     gt = [_mask1d(20, 0, 10), _mask1d(20, 0, 10)]
-    assert pixel_error(gt, gt) == 0.0
+    assert mask_scores(gt, gt)[2] == 0.0
     pred = [_mask1d(20, 0, 16), _mask1d(20, 0, 14)]  # 6 + 4 wrong pixels
-    assert pixel_error(pred, gt) == 5.0
+    assert mask_scores(pred, gt)[2] == 5.0
     assert frame_counts(pred, gt)[:, 2].tolist() == [6, 4]
     inv = [~np.zeros((4, 4), dtype=bool)]
-    assert pixel_error(inv, [np.zeros((4, 4), dtype=bool)]) == 16.0
+    assert mask_scores(inv, [np.zeros((4, 4), dtype=bool)])[2] == 16.0
 
 
 def test_metrics_symmetric(rng):
     a = [rng.random((5, 5)) < 0.5]
     b = [rng.random((5, 5)) < 0.5]
-    assert iou(a, b) == iou(b, a)
-    assert pixel_error(a, b) == pixel_error(b, a)
+    assert mask_scores(a, b) == mask_scores(b, a)
 
 
 def test_iou_one_iff_zero_error(rng):
     for _ in range(10):
         a = [rng.random((4, 6)) < 0.5]
         b = [rng.random((4, 6)) < 0.5]
-        assert (iou(a, b) == 1.0) == (pixel_error(a, b) == 0.0)
+        micro, _, error = mask_scores(a, b)
+        assert (micro == 1.0) == (error == 0.0)
 
 
 def test_iou_monotone_in_correct_pixels():
     gt = [_mask1d(10, 0, 6)]
     worse = [_mask1d(10, 0, 4)]
     better = [_mask1d(10, 0, 5)]
-    assert iou(better, gt) > iou(worse, gt)
+    assert mask_scores(better, gt)[0] > mask_scores(worse, gt)[0]
 
 
 def test_render_overlay_empty_equals_source(tmp_path, rng):

@@ -95,7 +95,7 @@ def test_log_likelihood_at_mean_identity_covariance():
         means=np.array([[10.0, 20.0, 30.0]]),
         covariances=np.array([np.eye(3)]),
     )
-    assert gmm.log_likelihood([10.0, 20.0, 30.0]) == pytest.approx(
+    assert gmm.log_likelihood([[10.0, 20.0, 30.0]])[0] == pytest.approx(
         LOG_STANDARD_NORMAL_3D_PEAK, abs=1e-12
     )
 
@@ -106,7 +106,7 @@ def test_log_likelihood_floor():
         means=np.array([[0.0, 0.0, 0.0]]),
         covariances=np.array([np.eye(3)]),
     )
-    assert gmm.log_likelihood([255.0, 255.0, 255.0]) == pytest.approx(LOG_FLOOR)
+    assert gmm.log_likelihood([[255.0, 255.0, 255.0]])[0] == pytest.approx(LOG_FLOOR)
 
 
 def test_log_likelihood_duplicate_components_collapse():
@@ -120,7 +120,7 @@ def test_log_likelihood_duplicate_components_collapse():
         means=np.array([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0]]),
         covariances=np.array([np.eye(3) * 2, np.eye(3) * 2]),
     )
-    color = [6.0, 4.0, 5.0]
+    color = [[6.0, 4.0, 5.0]]
     assert one.log_likelihood(color) == pytest.approx(two.log_likelihood(color), abs=1e-12)
 
 
@@ -131,10 +131,8 @@ def test_log_likelihood_permutation_invariant(rng):
     gmm = GaussianMixture(weights, means, covs)
     perm = np.array([2, 0, 1])
     gmm_p = GaussianMixture(weights[perm], means[perm], covs[perm])
-    for color in rng.uniform(0, 255, size=(10, 3)):
-        assert gmm.log_likelihood(color) == pytest.approx(
-            gmm_p.log_likelihood(color), abs=1e-12
-        )
+    colors = rng.uniform(0, 255, size=(10, 3))
+    assert gmm.log_likelihood(colors) == pytest.approx(gmm_p.log_likelihood(colors), abs=1e-12)
 
 
 def test_em_loglik_monotone(rng):

@@ -8,7 +8,7 @@ from vidseg.graph import (
     build_graph,
     color_distance,
     histogram_entropy,
-    motion_noncoherence,
+    motion_reliability,
     spatial_affinity,
     spatial_edges,
     temporal_affinity,
@@ -185,25 +185,34 @@ def test_temporal_affinity_values():
     assert temporal_affinity(LN2, 0.25, 0.25) == pytest.approx(0.5)
 
 
+def _one_superpixel(size):
+    """Two frames of one superpixel each; only frame 0 is warped forward."""
+    return SuperpixelMap(np.zeros((2, size, size), dtype=np.int32), [1, 1])
+
+
 def test_motion_noncoherence_uniform_flow():
     flow = np.ones((4, 4, 2))
-    pi, m = motion_noncoherence(np.ones((4, 4), dtype=bool), flow)
+    pi = -math.log(motion_reliability(_one_superpixel(4), [flow], w_c=1.0)[0])
+    m = motion_reliability(_one_superpixel(4), [flow])
     assert pi == 0.0
-    assert m == 1.0
+    assert m.tolist() == [1.0, 1.0]
 
 
 def test_motion_noncoherence_two_bins():
     flow = np.zeros((2, 2, 2))
     flow[0, :, 0] = 1.0  # orientation 0, magnitude bin 1
     flow[1, :, 1] = 1.0  # orientation pi/2, same magnitude bin
-    pi, m = motion_noncoherence(np.ones((2, 2), dtype=bool), flow)
+    pi = -math.log(motion_reliability(_one_superpixel(2), [flow], w_c=1.0)[0])
+    m = motion_reliability(_one_superpixel(2), [flow])
     assert pi == pytest.approx(LN2, abs=1e-12)
-    assert m == pytest.approx(0.25, abs=1e-12)
+    assert m[0] == pytest.approx(0.25, abs=1e-12)
+    assert m[1] == 1.0  # the last frame is never warped forward
 
 
 def test_motion_noncoherence_empty_superpixel():
-    with pytest.raises(DataError, match="empty superpixel"):
-        motion_noncoherence(np.zeros((2, 2), dtype=bool), np.zeros((2, 2, 2)))
+    sp = SuperpixelMap(np.zeros((2, 2, 2), dtype=np.int32), [2, 1])  # label 1 of frame 0 unused
+    with pytest.raises(DataError, match="empty histogram"):
+        motion_reliability(sp, [np.zeros((2, 2, 2))])
 
 
 def test_entropy_uniform_32_bins():

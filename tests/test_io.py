@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -49,6 +50,39 @@ def test_pnm_bad_magic(tmp_path):
     path = tmp_path / "b.pgm"
     path.write_bytes(b"P3\n1 1\n255\n0")
     with pytest.raises(PnmError):
+        read_pnm(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P3\n1 1\n255\n",  # ASCII PNM
+        b"P5\n1 1\n",  # maxval missing
+        b"P5\n1 1\n# unterminated comment",
+        b"P5\n+2 1\n255\n",
+        b"P5\n1_0 1\n255\n",
+        b"P5\n2 1\n2550000000\n",  # more than 9 digits
+    ],
+)
+def test_pnm_malformed_header_names_the_path(tmp_path, header):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + b"\x00" * 4)
+    with pytest.raises(PnmError, match=f"malformed PNM header in {re.escape(str(path))}$"):
+        read_pnm(path)
+
+
+@pytest.mark.parametrize("sep", [b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\n#c 9\n", b"#c\n"])
+def test_pnm_header_separators(tmp_path, sep):
+    path = tmp_path / "s.pgm"
+    path.write_bytes(b"P5" + sep + b"2" + sep + b"01" + sep + b"255\n\x07\x09")
+    assert np.array_equal(read_pnm(path), [[7, 9]])
+
+
+@pytest.mark.parametrize("header", [b"P5\n0 1\n255\n", b"P5\n1 1\n0\n", b"P5\n1 1\n70000\n"])
+def test_pnm_bad_dimensions_or_maxval(tmp_path, header):
+    path = tmp_path / "d.pgm"
+    path.write_bytes(header + b"\x00" * 4)
+    with pytest.raises(PnmError, match="bad PNM dimensions or maxval"):
         read_pnm(path)
 
 

@@ -566,6 +566,21 @@ def test_pool_rejects_superpixels_of_another_size(tmp_path, capsys):
     assert not os.path.exists(pooled)
 
 
+@pytest.mark.parametrize("mask_dir", ["motion", "gt"])
+def test_wrong_size_mask_rejected_before_writing(tmp_path, capsys, mask_dir):
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
+                 "--height", "48", "--shape-size", "16", "16"]) == 0
+    capsys.readouterr()
+    bad = os.path.join(data, mask_dir, sorted(os.listdir(os.path.join(data, mask_dir)))[-1])
+    write_pgm(bad, np.zeros((10, 10), dtype=np.uint8))
+    before = _files_under(str(tmp_path), dirs=True)
+    assert main(["pipeline", "--config", os.path.join(data, "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert "ingest: dimension mismatch" in err and bad in err
+    assert _files_under(str(tmp_path), dirs=True) == before
+
+
 def test_readme_configuration_table_lists_every_key():
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
     with open(readme, encoding="utf-8") as fh:

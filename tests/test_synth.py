@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, tree_digest
 from vidseg.cli import main
 from vidseg.mrf import MRFProblem, mrf_energy, solve_binary
 from vidseg.synth import (
@@ -109,22 +109,10 @@ def test_generation_deterministic():
     )
 
 
-def _tree_digest(root):
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(path, root).encode())
-            with open(path, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
-
-
 def test_written_tree_deterministic(tmp_path):
     write_dataset(generate(_small_cfg()), tmp_path / "a")
     write_dataset(generate(_small_cfg()), tmp_path / "b")
-    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+    assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
 def _file_digests(root):

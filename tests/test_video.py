@@ -166,6 +166,18 @@ def test_stats_name_the_frame_with_an_empty_label():
         compute_superpixel_stats(_video_of([np.zeros((2, 2, 3), np.uint8)] * 2), sp)
 
 
+@pytest.mark.parametrize(
+    "labels, counts, frame",
+    [
+        ([[[0, 1], [2, 3]]], [3], 0),  # label 3 of a 3-superpixel frame
+        ([[[0, 0], [0, 0]], [[0, -1], [0, 0]]], [1, 1], 1),
+    ],
+)
+def test_superpixel_map_rejects_labels_outside_its_counts(labels, counts, frame):
+    with pytest.raises(DataError, match=f"frame {frame} has superpixel labels outside"):
+        SuperpixelMap(labels, counts)
+
+
 def test_warp_translation():
     mask = np.zeros((4, 4), dtype=bool)
     mask[1, 1] = True
