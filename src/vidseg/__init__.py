@@ -64,7 +64,6 @@ from .video import (
     load_mask,
     load_superpixels,
     load_video,
-    warp_mask,
     write_flow,
 )
 

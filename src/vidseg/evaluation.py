@@ -76,21 +76,17 @@ def score_masks(video_id, masks, gt_masks):
     return report
 
 
-def render_overlay(video, masks, out_dir, color=OVERLAY_COLOR):
-    """Write per-frame PPM overlays with object pixels 50% blended in `color`.
+def render_overlay(video, masks, out_dir):
+    """Write per-frame PPM overlays with object pixels 50% blended in OVERLAY_COLOR.
 
     Integer blending ((frame + color) // 2) keeps the output bytes
     deterministic.
     """
     os.makedirs(out_dir, exist_ok=True)
-    color_arr = np.asarray(color, dtype=np.uint16)
-    paths = []
+    color = np.asarray(OVERLAY_COLOR, dtype=np.uint16)
     for t in range(video.frame_count):
         frame = video.frames[t].astype(np.uint16)
         mask = np.asarray(masks[t], dtype=bool)
         blended = frame.copy()
-        blended[mask] = (frame[mask] + color_arr) // 2
-        path = os.path.join(out_dir, f"frame_{t:04d}.ppm")
-        write_ppm(path, blended.astype(np.uint8))
-        paths.append(path)
-    return paths
+        blended[mask] = (frame[mask] + color) // 2
+        write_ppm(os.path.join(out_dir, f"frame_{t:04d}.ppm"), blended.astype(np.uint8))

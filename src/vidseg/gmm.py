@@ -16,7 +16,6 @@ posteriors with one in-place max-shift log-sum-exp.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,24 +39,6 @@ class GaussianMixture:
     def log_likelihood(self, colors):
         """(n,) log sum_k w_k N(color; ...) of (n, 3) colors, floored at log(1e-12)."""
         return np.maximum(responsibilities(self, colors)[1], np.log(LIKELIHOOD_FLOOR))
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "weights": self.weights.tolist(),
-                "means": self.means.tolist(),
-                "covariances": self.covariances.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(text):
-        rec = json.loads(text)
-        return GaussianMixture(
-            np.asarray(rec["weights"], dtype=np.float64),
-            np.asarray(rec["means"], dtype=np.float64),
-            np.asarray(rec["covariances"], dtype=np.float64),
-        )
 
 
 def _log_density(gmm: GaussianMixture, colors_t):

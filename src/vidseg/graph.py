@@ -193,6 +193,8 @@ def motion_reliability(sp: SuperpixelMap, flows, w_c=MOTION_COHERENCE_WEIGHT):
         idx = flow_bin_index(flows[t])
         key = sp.labels[t].ravel().astype(np.int64) * N_FLOW_BINS + idx.ravel()
         hist = np.bincount(key, minlength=n * N_FLOW_BINS).reshape(n, N_FLOW_BINS)
+        if not hist.any(axis=1).all():
+            raise DataError(f"frame {t} has empty superpixel labels")
         m[offsets[t] : offsets[t + 1]] = np.exp(-w_c * histogram_entropy(hist))
     return m
 

@@ -50,7 +50,6 @@ class StageError(RuntimeError):
 
     def __init__(self, stage, cause):
         super().__init__(f"{stage}: {cause}")
-        self.stage = stage
         self.cause = cause
 
 
@@ -211,12 +210,10 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
 def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
     """Score, filter, and pool proposals into per-class confidence fields."""
     try:
-        proposals = load_proposal_manifest(cfg.proposal_manifest)
-        for p in proposals:
-            if not 0 <= p.frame < inputs.video.frame_count:
-                raise DataError(f"proposal frame {p.frame} out of range")
-            if p.mask.shape != (inputs.video.height, inputs.video.width):
-                raise DataError("proposal mask dimensions differ from frames")
+        video = inputs.video
+        proposals = load_proposal_manifest(
+            cfg.proposal_manifest, video.frame_count, (video.height, video.width)
+        )
         scored = score_proposals(proposals, inputs.motion_masks)
         offered = {c for p in proposals for c in p.class_confidences}
         classes = cfg.classes or sorted(offered)
@@ -283,8 +280,8 @@ def write_segmentation(out_dir, cls, video, masks, gmm_obj, gmm_bg):
         )
     render_overlay(video, masks, os.path.join(out_dir, "overlays", cls))
     models = {
-        "object": json.loads(gmm_obj.to_json()),
-        "background": json.loads(gmm_bg.to_json()),
+        name: {f.name: getattr(model, f.name).tolist() for f in fields(model)}
+        for name, model in (("object", gmm_obj), ("background", gmm_bg))
     }
     with open(os.path.join(out_dir, f"gmm_{cls}.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(models, sort_keys=True))

@@ -154,11 +154,12 @@ def pool_confidence(proposals, class_id, sp: SuperpixelMap) -> ConfidenceField:
     return ConfidenceField(class_id, values)
 
 
-def load_proposal_manifest(path):
+def load_proposal_manifest(path, frame_count, shape):
     """Load a JSON-lines proposal manifest; mask paths resolve against it.
 
     Each line: {"frame": int, "mask": "rel/path.pgm", "appearance": float,
-    "confidences": {"class": float}}.
+    "confidences": {"class": float}}. The frame must lie in 0..frame_count-1
+    and the mask must be of (H, W) shape.
     """
     base = os.path.dirname(os.path.abspath(path))
     proposals = []
@@ -177,6 +178,8 @@ def load_proposal_manifest(path):
                 }
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
+            if not 0 <= frame < frame_count:
+                raise DataError(f"proposal frame {frame} out of range on manifest line {lineno}")
             for cls, conf in confidences.items():
                 if not 0.0 <= conf <= 1.0:
                     raise DataError(
@@ -188,7 +191,7 @@ def load_proposal_manifest(path):
             proposals.append(
                 ScoredProposal(
                     frame=frame,
-                    mask=load_mask(mask_path),
+                    mask=load_mask(mask_path, shape),
                     appearance_score=appearance,
                     class_confidences=confidences,
                 )

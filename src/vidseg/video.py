@@ -257,18 +257,3 @@ def warp_pixels(flow, ys, xs):
     inside = (dest_x >= 0) & (dest_x < width) & (dest_y >= 0) & (dest_y < height)
     return np.where(inside, dest_y * width + dest_x, -1)
 
-
-def warp_mask(mask, flow) -> np.ndarray:
-    """Push a boolean mask forward along a flow field.
-
-    Each set pixel (x, y) lands on (round(x+dx), round(y+dy)); destinations
-    outside the frame are dropped and collisions union.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    flow = np.asarray(flow)
-    if mask.shape != flow.shape[:2]:
-        raise DataError("mask and flow dimensions differ")
-    dest = warp_pixels(flow, *np.nonzero(mask))
-    out = np.zeros(mask.size, dtype=bool)
-    out[dest[dest >= 0]] = True
-    return out.reshape(mask.shape)

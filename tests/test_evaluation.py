@@ -84,17 +84,18 @@ def test_render_overlay_empty_equals_source(tmp_path, rng):
     frames = rng.integers(0, 255, size=(2, 4, 4, 3)).astype(np.uint8)
     video = VideoVolume(frames)
     masks = np.zeros((2, 4, 4), dtype=bool)
-    paths = render_overlay(video, masks, tmp_path / "ov")
-    for t, p in enumerate(paths):
-        assert np.array_equal(read_pnm(p), frames[t])
+    render_overlay(video, masks, tmp_path / "ov")
+    for t in range(2):
+        assert np.array_equal(read_pnm(tmp_path / "ov" / f"frame_{t:04d}.ppm"), frames[t])
 
 
 def test_render_overlay_blends_and_is_deterministic(tmp_path):
     frames = np.full((1, 2, 2, 3), 100, dtype=np.uint8)
     video = VideoVolume(frames)
     masks = np.ones((1, 2, 2), dtype=bool)
-    p1 = render_overlay(video, masks, tmp_path / "a", color=(255, 64, 64))[0]
-    p2 = render_overlay(video, masks, tmp_path / "b", color=(255, 64, 64))[0]
+    render_overlay(video, masks, tmp_path / "a")
+    render_overlay(video, masks, tmp_path / "b")
+    p1, p2 = tmp_path / "a" / "frame_0000.ppm", tmp_path / "b" / "frame_0000.ppm"
     img = read_pnm(p1)
     assert np.all(img == [(100 + 255) // 2, (100 + 64) // 2, (100 + 64) // 2])
     with open(p1, "rb") as f1, open(p2, "rb") as f2:

@@ -165,15 +165,6 @@ def test_responsibilities_sum_to_one(rng):
     assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_json_round_trip(rng):
-    a, b = _two_cluster_data(rng, n=30)
-    gmm = fit_gmm(np.concatenate([a, b]), np.ones(60), n_components=2, seed=7)
-    clone = GaussianMixture.from_json(gmm.to_json())
-    assert np.array_equal(clone.weights, gmm.weights)
-    assert np.array_equal(clone.means, gmm.means)
-    assert np.array_equal(clone.covariances, gmm.covariances)
-
-
 def test_fit_rejects_bad_weights():
     with pytest.raises(ValueError):
         fit_gmm(np.zeros((3, 3)), np.array([1.0, 0.0, 1.0]))

@@ -211,7 +211,7 @@ def test_motion_noncoherence_two_bins():
 
 def test_motion_noncoherence_empty_superpixel():
     sp = SuperpixelMap(np.zeros((2, 2, 2), dtype=np.int32), [2, 1])  # label 1 of frame 0 unused
-    with pytest.raises(DataError, match="empty histogram"):
+    with pytest.raises(DataError, match="frame 0 has empty superpixel labels"):
         motion_reliability(sp, [np.zeros((2, 2, 2))])
 
 

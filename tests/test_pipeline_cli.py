@@ -324,8 +324,10 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
         assert np.array_equal(masks[t], written)
     with open(os.path.join(out, "gmm_object.json")) as fh:
         models = json.load(fh)
-    assert models["object"] == json.loads(gmm_obj.to_json())
-    assert models["background"] == json.loads(gmm_bg.to_json())
+    for name, model in (("object", gmm_obj), ("background", gmm_bg)):
+        assert sorted(models[name]) == ["covariances", "means", "weights"]
+        for key, value in models[name].items():
+            assert np.array_equal(value, getattr(model, key))
 
 
 def _files_under(root, dirs=False):
@@ -578,6 +580,30 @@ def test_wrong_size_mask_rejected_before_writing(tmp_path, capsys, mask_dir):
     assert main(["pipeline", "--config", os.path.join(data, "config.json")]) == 2
     err = capsys.readouterr().err
     assert "ingest: dimension mismatch" in err and bad in err
+    assert _files_under(str(tmp_path), dirs=True) == before
+
+
+@pytest.mark.parametrize("fault", ["mask size", "frame"])
+def test_bad_proposal_rejected_where_manifest_is_read(tmp_path, capsys, fault):
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
+                 "--height", "48", "--shape-size", "16", "16"]) == 0
+    capsys.readouterr()
+    if fault == "mask size":
+        named = os.path.join(data, "proposals", "mask_00002.pgm")
+        write_pgm(named, np.zeros((10, 10), dtype=np.uint8))
+    else:
+        manifest = os.path.join(data, "proposals", "manifest.jsonl")
+        with open(manifest) as fh:
+            lines = [json.loads(line) for line in fh]
+        lines[2]["frame"] = 4
+        with open(manifest, "w") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in lines)
+        named = "manifest line 3"
+    before = _files_under(str(tmp_path), dirs=True)
+    assert main(["pipeline", "--config", os.path.join(data, "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert "pool: " in err and named in err
     assert _files_under(str(tmp_path), dirs=True) == before
 
 

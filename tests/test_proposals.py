@@ -172,7 +172,7 @@ def test_manifest_round_trip(tmp_path):
     line = json.dumps(
         {"frame": 0, "mask": "m0.pgm", "appearance": 0.7, "confidences": {"cat": 0.3}}
     )
-    props = load_proposal_manifest(_write_manifest(tmp_path, [line]))
+    props = load_proposal_manifest(_write_manifest(tmp_path, [line]), 1, (2, 2))
     assert len(props) == 1
     assert props[0].appearance_score == 0.7
     assert props[0].class_confidences == {"cat": 0.3}
@@ -184,7 +184,7 @@ def test_manifest_confidence_out_of_range(tmp_path):
         {"frame": 0, "mask": "m0.pgm", "appearance": 0.7, "confidences": {"cat": 1.5}}
     )
     with pytest.raises(DataError, match="confidence out of range"):
-        load_proposal_manifest(_write_manifest(tmp_path, [line]))
+        load_proposal_manifest(_write_manifest(tmp_path, [line]), 1, (2, 2))
 
 
 def test_manifest_missing_mask(tmp_path):
@@ -192,9 +192,19 @@ def test_manifest_missing_mask(tmp_path):
         {"frame": 0, "mask": "gone.pgm", "appearance": 0.7, "confidences": {"cat": 0.3}}
     )
     with pytest.raises(DataError, match="gone.pgm"):
-        load_proposal_manifest(_write_manifest(tmp_path, [line]))
+        load_proposal_manifest(_write_manifest(tmp_path, [line]), 1, (2, 2))
 
 
 def test_manifest_malformed_line(tmp_path):
     with pytest.raises(DataError, match="line 1"):
-        load_proposal_manifest(_write_manifest(tmp_path, ['{"frame": 0}']))
+        load_proposal_manifest(_write_manifest(tmp_path, ['{"frame": 0}']), 1, (2, 2))
+
+
+@pytest.mark.parametrize("frame", [-1, 2])
+def test_manifest_rejects_frame_out_of_range(tmp_path, frame):
+    ok = json.dumps({"frame": 0, "mask": "m0.pgm", "appearance": 0.7, "confidences": {"c": 0.3}})
+    bad = json.dumps(
+        {"frame": frame, "mask": "m0.pgm", "appearance": 0.7, "confidences": {"c": 0.3}}
+    )
+    with pytest.raises(DataError, match=f"frame {frame} out of range on manifest line 2"):
+        load_proposal_manifest(_write_manifest(tmp_path, [ok, bad]), 2, (2, 2))

@@ -14,7 +14,7 @@ from vidseg.synth import (
     generate,
     write_dataset,
 )
-from vidseg.video import warp_mask
+from vidseg.video import warp_pixels
 
 
 def _small_cfg(**kw):
@@ -55,8 +55,8 @@ def test_zero_velocity_static():
 def test_flow_warps_gt_exactly():
     ds = generate(_small_cfg())
     for t in range(1, ds.config.frame_count):
-        warped = warp_mask(ds.gt_masks[t - 1], ds.flows[t - 1])
-        assert np.array_equal(warped, ds.gt_masks[t])
+        dest = warp_pixels(ds.flows[t - 1], *np.nonzero(ds.gt_masks[t - 1]))
+        assert np.array_equal(np.sort(dest), np.flatnonzero(ds.gt_masks[t]))
 
 
 def test_superpixels_respect_boundary():

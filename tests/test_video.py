@@ -9,7 +9,7 @@ from vidseg.video import (
     compute_superpixel_stats,
     load_superpixels,
     load_video,
-    warp_mask,
+    warp_pixels,
 )
 
 
@@ -179,41 +179,23 @@ def test_superpixel_map_rejects_labels_outside_its_counts(labels, counts, frame)
 
 
 def test_warp_translation():
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[1, 1] = True
     flow = np.zeros((4, 4, 2))
     flow[..., 0] = 1.0
-    out = warp_mask(mask, flow)
-    expected = np.zeros((4, 4), dtype=bool)
-    expected[1, 2] = True
-    assert np.array_equal(out, expected)
+    assert warp_pixels(flow, np.array([1]), np.array([1])).tolist() == [1 * 4 + 2]
 
 
 def test_warp_clips_out_of_frame():
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[3, 3] = True
     flow = np.zeros((4, 4, 2))
     flow[..., 0] = 1.0
-    assert not warp_mask(mask, flow).any()
+    assert warp_pixels(flow, np.array([3]), np.array([3])).tolist() == [-1]
 
 
 def test_warp_union_semantics():
-    mask = np.zeros((1, 3), dtype=bool)
-    mask[0, 0] = mask[0, 1] = True
     flow = np.zeros((1, 3, 2))
     flow[0, 0, 0] = 1.0  # both land on x=1
-    out = warp_mask(mask, flow)
-    assert out.sum() == 1 and out[0, 1]
+    assert warp_pixels(flow, np.array([0, 0]), np.array([0, 1])).tolist() == [1, 1]
 
 
 def test_warp_zero_flow_identity(rng):
-    mask = rng.random((6, 5)) < 0.4
-    out = warp_mask(mask, np.zeros((6, 5, 2)))
-    assert np.array_equal(out, mask)
-
-
-def test_warp_cardinality_never_grows(rng):
-    for _ in range(20):
-        mask = rng.random((7, 7)) < 0.5
-        flow = rng.normal(0, 2.0, size=(7, 7, 2))
-        assert warp_mask(mask, flow).sum() <= mask.sum()
+    ys, xs = np.nonzero(rng.random((6, 5)) < 0.4)
+    assert np.array_equal(warp_pixels(np.zeros((6, 5, 2)), ys, xs), ys * 5 + xs)
