@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
+from .gmm import log_likelihoods
 from .propagation import ConvergenceError
 
 LAMBDA_OBJECT = 10.0
@@ -85,8 +86,7 @@ def color_unary(gmm_object, gmm_background, colors):
     likelihood is normalized two-way before the negative log:
     U(obj) = p_obj / (p_obj + p_bg).
     """
-    lo = gmm_object.log_likelihood(colors)
-    lb = gmm_background.log_likelihood(colors)
+    lo, lb = log_likelihoods([gmm_object, gmm_background], colors)
     denom = np.logaddexp(lo, lb)
     return denom - lo, denom - lb
 

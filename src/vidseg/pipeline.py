@@ -9,6 +9,7 @@ file-mediated staging lossless.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field, fields
@@ -340,6 +341,8 @@ def read_confidence_csv(path):
                 raise DataError(f"malformed confidence row {lineno} in {path}") from exc
             if frame < 0 or sp_id < 0:
                 raise DataError(f"negative id in confidence row {lineno} in {path}")
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value in confidence row {lineno} in {path}")
             row = per_class.setdefault(cls, {}).setdefault(frame, {})
             if sp_id in row:
                 raise DataError(f"duplicate confidence row {lineno} in {path}")

@@ -5,7 +5,9 @@ from vidseg.gmm import (
     COVARIANCE_FLOOR,
     GaussianMixture,
     _count_distinct,
-    _log_density,
+    _coefficients,
+    _features,
+    _m_step,
     fit_gmm,
     responsibilities,
     sample_training_sets,
@@ -166,8 +168,55 @@ def test_responsibilities_sum_to_one(rng):
 
 
 def test_fit_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        fit_gmm(np.zeros((3, 3)), np.array([1.0, 0.0, 1.0]))
+    colors = np.zeros((3, 3))
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            fit_gmm(colors, np.array([1.0, bad, 1.0]))
+    colors[1, 2] = np.nan
+    with pytest.raises(ValueError, match="colors must be finite"):
+        fit_gmm(colors, np.ones(3))
+
+
+def _reference_m_step(gmm, post, colors, weights):
+    """The M-step written directly: a weighted mean and covariance per live component."""
+    wr = post * weights
+    nk = wr.sum(axis=1)
+    total_w = weights.sum()
+    alive = nk > 1e-12 * total_w
+    mix = np.where(alive, nk / total_w, 0.0)
+    means, covariances = gmm.means.copy(), gmm.covariances.copy()
+    for idx in np.flatnonzero(alive):
+        means[idx] = colors.T @ wr[idx] / nk[idx]
+        diff = colors.T - means[idx][:, None]
+        vals, vecs = np.linalg.eigh((wr[idx] * diff) @ diff.T / nk[idx])
+        covariances[idx] = (vecs * np.maximum(vals, COVARIANCE_FLOOR)) @ vecs.T
+    return mix / mix.sum(), means, covariances
+
+
+@pytest.mark.parametrize("center, spread", [(240.0, 0.5), (128.0, 50.0)])
+def test_em_step_matches_per_component_loop(rng, center, spread):
+    # at spread 0.5 around 240 every eigenvalue is floored, and raw moments
+    # about the origin would cancel to nothing; at spread 50 none is floored
+    colors = rng.normal(center, spread, size=(300, 3))
+    weights = rng.uniform(0.05, 1.0, size=300)
+    # the fourth component is so far from every sample that its posterior
+    # mass is zero, so it is dead and keeps its parameters
+    means = np.vstack([colors[rng.choice(300, 3, replace=False)], np.full(3, -1e4)])
+    covariances = np.array([np.eye(3) * spread**2] * 3 + [np.eye(3)])
+    gmm = GaussianMixture(np.full(4, 0.25), means, covariances)
+    post = responsibilities(gmm, colors)[0].T
+    feats, feature_center = _features(colors.T, weights)
+    step = _m_step(gmm, post, (feats * weights).T, feature_center, weights.sum())
+    mix, ref_means, ref_covariances = _reference_m_step(gmm, post, colors, weights)
+    np.testing.assert_allclose(step.weights, mix, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(step.means, ref_means, rtol=1e-12, atol=0)
+    # off-diagonals of floored covariances are zero up to round-off on both
+    # sides, so they are compared relative to the largest entry
+    atol = 1e-12 * np.abs(ref_covariances).max()
+    np.testing.assert_allclose(step.covariances, ref_covariances, rtol=1e-12, atol=atol)
+    assert step.weights[3] == 0.0
+    assert np.array_equal(step.means[3], means[3])
+    assert np.array_equal(step.covariances[3], covariances[3])
 
 
 def _random_spd(rng, d=3):
@@ -183,7 +232,8 @@ def test_log_density_matches_scipy_oracle(rng):
     covs = np.array([_random_spd(rng) for _ in range(k)])
     weights = rng.dirichlet(np.ones(k))
     colors = rng.uniform(-50, 300, size=(200, 3))
-    log_joint = _log_density(GaussianMixture(weights, means, covs), colors.T)
+    feats, center = _features(colors.T)
+    log_joint = _coefficients(GaussianMixture(weights, means, covs), center) @ feats
     for idx in range(k):
         oracle = multivariate_normal(means[idx], covs[idx]).logpdf(colors)
         # relative: far samples have log-densities near -1e4, where both

@@ -63,6 +63,21 @@ def test_color_unary_both_floored():
     assert cost_bg[0] == pytest.approx(LOG_HALF, abs=1e-12)
 
 
+def test_color_unary_matches_separate_log_likelihoods(rng):
+    def random_gmm(k):
+        q = np.linalg.qr(rng.normal(size=(k, 3, 3)))[0]
+        covs = (q * rng.uniform(1.0, 2500.0, size=(k, 1, 3))) @ np.swapaxes(q, 1, 2)
+        return GaussianMixture(rng.dirichlet(np.ones(k)), rng.uniform(0, 255, (k, 3)), covs)
+
+    obj, bg = random_gmm(3), random_gmm(5)
+    colors = rng.uniform(-50, 305, size=(500, 3))  # 25 of them floored by both models
+    lo, lb = obj.log_likelihood(colors), bg.log_likelihood(colors)
+    denom = np.logaddexp(lo, lb)
+    cost_obj, cost_bg = color_unary(obj, bg, colors)
+    np.testing.assert_allclose(cost_obj, denom - lo, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(cost_bg, denom - lb, rtol=1e-12, atol=1e-12)
+
+
 def test_pairwise_weights_reuse_affinities():
     g = graph_from_edges(3, spatial=[(0, 1, 1.2130613194252668)],
                          temporal=[(1, 2, 0.4)])

@@ -209,6 +209,36 @@ def test_confidence_csv_golden_bytes(tmp_path):
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
+# The `vidseg synth` arguments of the clips whose outputs
+# tests/pinned_outputs.sha256 pins: the default clip at seed 7 (S) and a
+# moving 20-frame clip with 4-pixel cells at seed 4 (M). Both are fixed;
+# a change to the manifest names each changed file and why.
+PINNED_CLIPS = {
+    "S-seed7": ["--seed", "7"],
+    "M-seed4": ["--seed", "4", "--frames", "20", "--cell-size", "4"],
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path, capsys):
+    # masks come from an exact min-cut and pooled.csv from bincount sums, so
+    # their bytes depend on no BLAS or SIMD rounding; report.csv follows the masks
+    manifest = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_outputs.sha256")
+    with open(manifest) as fh:
+        expected = {name: digest for digest, name in (line.split() for line in fh)}
+    actual = {}
+    for clip, args in PINNED_CLIPS.items():
+        data = str(tmp_path / clip)
+        out = os.path.join(data, "out")
+        assert main(["synth", "--out", data, *args]) == 0
+        assert main(["pipeline", "--config", os.path.join(data, "config.json"), "--out", out]) == 0
+        for rel, digest in _mask_digests(os.path.join(out, "masks")).items():
+            actual[f"{clip}/masks/{rel}"] = digest
+        for name in ("pooled.csv", "report.csv"):
+            actual[f"{clip}/{name}"] = _digest(os.path.join(out, name))
+    capsys.readouterr()
+    assert actual == expected
+
+
 def test_eval_cli_gt_vs_gt(dataset, capsys):
     root, _ = dataset
     gt_dir = os.path.join(root, "gt")
@@ -423,10 +453,13 @@ def test_read_confidence_csv_rejects_duplicate_rows(tmp_path):
         (["0,-1,object,0.5"], "negative id in confidence row 3"),
         (["0,2,object,0.5"], "non-contiguous superpixel ids for frame 0"),
         (["1,1,object,0.5"], "non-contiguous superpixel ids for frame 1"),
+        (["0,1,object,nan"], "non-finite value in confidence row 3"),
+        (["0,1,object,0.5", "1,0,object,inf"], "non-finite value in confidence row 4"),
+        (["0,1,object,-inf"], "non-finite value in confidence row 3"),
     ],
     ids=["3-columns", "5-columns", "non-numeric-value", "fractional-frame", "non-numeric-id",
          "negative-frame", "negative-frame-after-rows", "negative-superpixel", "gap-in-frame-0",
-         "gap-in-frame-1"],
+         "gap-in-frame-1", "nan", "inf-after-rows", "minus-inf"],
 )
 def test_read_confidence_csv_errors_name_the_row_or_frame(tmp_path, rows, message):
     path = tmp_path / "pooled.csv"
@@ -436,21 +469,48 @@ def test_read_confidence_csv_errors_name_the_row_or_frame(tmp_path, rows, messag
         read_confidence_csv(str(path))
 
 
-@pytest.mark.parametrize("command", ["adapt", "segment"])
-def test_negative_frame_in_confidence_csv_exits_2(dataset, tmp_path, capsys, command):
+def _run_on_edited_pooled(dataset, tmp_path, capsys, command, edit):
+    """Pool the dataset, rewrite pooled.csv's lines with edit, then run command on it.
+
+    Returns the exit code, stderr, the output path (which a rejected run
+    must not create) and the file line number of the last row.
+    """
     _, config_path = dataset
     pooled = str(tmp_path / "pooled.csv")
     assert main(["pool", "--config", config_path, "--out", pooled]) == 0
     with open(pooled) as fh:
-        lineno = len(fh.read().splitlines()) + 1
-    with open(pooled, "a") as fh:
-        fh.write("-1,0,object,0.5\n")
+        lines = edit(fh.read().splitlines())
+    with open(pooled, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     out = str(tmp_path / "out")
     argv = [command, "--config", config_path, "--confidence", pooled, "--out"]
     argv.append(os.path.join(out, "adapted.csv") if command == "adapt" else out)
     capsys.readouterr()
-    assert main(argv) == 2
-    assert f"negative id in confidence row {lineno} " in capsys.readouterr().err
+    return main(argv), capsys.readouterr().err, out, len(lines)
+
+
+@pytest.mark.parametrize("command", ["adapt", "segment"])
+def test_negative_frame_in_confidence_csv_exits_2(dataset, tmp_path, capsys, command):
+    code, err, out, lineno = _run_on_edited_pooled(
+        dataset, tmp_path, capsys, command, lambda lines: [*lines, "-1,0,object,0.5"]
+    )
+    assert code == 2
+    assert f"negative id in confidence row {lineno} " in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["adapt", "segment"])
+def test_non_finite_confidence_exits_2(dataset, tmp_path, capsys, command, value):
+    # adapt would diffuse a nan until CG gives up, and segment would fail
+    # deep in the MRF; both must stop at the row instead
+    def edit(lines):
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + value
+        return lines
+
+    code, err, out, lineno = _run_on_edited_pooled(dataset, tmp_path, capsys, command, edit)
+    assert code == 2
+    assert f"non-finite value in confidence row {lineno} " in err
     assert not os.path.exists(out)
 
 
