@@ -135,7 +135,7 @@ def color_distance(color_i, color_j, mean_sq=None):
     """Squared RGB distance over twice mean_sq (by default the pairs' own mean)."""
     sq = np.sum((np.asarray(color_i, float) - np.asarray(color_j, float)) ** 2, axis=-1)
     if mean_sq is None:
-        mean_sq = float(sq.mean())
+        mean_sq = float(sq.sum() / max(sq.size, 1))
     if mean_sq <= 0:
         return np.zeros_like(sq)
     return sq / (2.0 * mean_sq)
@@ -199,40 +199,30 @@ def motion_reliability(sp: SuperpixelMap, flows, w_c=MOTION_COHERENCE_WEIGHT):
     return m
 
 
-def _dedupe_max(i, j, w, n_nodes):
-    """Canonicalize undirected pairs, keeping the max weight of duplicates."""
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    keys = lo.astype(np.int64) * n_nodes + hi
-    order = np.argsort(keys, kind="stable")
-    keys, w = keys[order], w[order]
-    uniq, start = np.unique(keys, return_index=True)
-    wmax = np.maximum.reduceat(w, start) if len(w) else w
-    return uniq // n_nodes, uniq % n_nodes, wmax
-
-
 def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
     """Build the degrees of A and S from weighted spatial/temporal edge lists.
 
-    spatial and temporal: (i, j, w) arrays. Duplicate undirected pairs are
-    merged by max weight; self-loops are rejected, so diag(S) = 0. Isolated
-    nodes get zero rows in S.
+    spatial and temporal: (i, j, w) arrays, kept as given. A_ij = A_ji is the
+    sum of the weights of every listed (i, j) and (j, i), the rule the MRF
+    applies to a repeated pair too; self-loops are rejected, so diag(S) = 0.
+    Isolated nodes get zero rows in S.
     """
     frame_offsets = np.asarray(frame_offsets, dtype=np.int64)
     n = int(frame_offsets[-1])
     pools = []
     for i, j, w in (spatial, temporal):
         i, j, w = np.asarray(i, np.int64), np.asarray(j, np.int64), np.asarray(w, np.float64)
-        if len(w) and (not np.all(np.isfinite(w)) or np.any(w < 0)):
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise DataError("edge weights must be finite and non-negative")
         if np.any(i == j):
             raise DataError("self-loop edges are not allowed")
-        pools.append(_dedupe_max(i, j, w, n))
+        pools.append((i, j, w))
     (si, sj, sw), (ti, tj, tw) = pools
-    rows = np.concatenate([si, ti, sj, tj])
-    cols = np.concatenate([sj, tj, si, ti])
-    data = np.concatenate([sw, tw, sw, tw])
-    operator = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    upper = sparse.csr_matrix(
+        (np.concatenate([sw, tw]), (np.concatenate([si, ti]), np.concatenate([sj, tj]))),
+        shape=(n, n),
+    )
+    operator = upper + upper.T
     degrees = np.asarray(operator.sum(axis=1)).ravel()
     dinv = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
     # A becomes S in place; entry-wise A_ij * (dinv_i * dinv_j) keeps S exactly symmetric
@@ -271,20 +261,14 @@ def build_graph(
     si, sj = spatial_edges(sp)
     ti, tj, rho = temporal_edges(sp, flows)
 
-    if len(si):
-        d_c_s = color_distance(colors[si], colors[sj])
-        cent_d = np.linalg.norm(centroids[si] - centroids[sj], axis=1)
-        mean_cent = float(cent_d.mean())
-        d_s = cent_d / mean_cent if mean_cent > 0 else np.zeros_like(cent_d)
-        sw = spatial_affinity(d_c_s, d_s)
-    else:
-        sw = np.empty(0, np.float64)
+    d_c_s = color_distance(colors[si], colors[sj])
+    cent_d = np.linalg.norm(centroids[si] - centroids[sj], axis=1)
+    mean_cent = cent_d.sum() / max(len(cent_d), 1)
+    d_s = cent_d / mean_cent if mean_cent > 0 else np.zeros_like(cent_d)
+    sw = spatial_affinity(d_c_s, d_s)
 
-    if len(ti):
-        d_c_t = color_distance(colors[ti], colors[tj])
-        m = motion_reliability(sp, flows, w_c)
-        tw = temporal_affinity(d_c_t, rho, m[ti])
-    else:
-        tw = np.empty(0, np.float64)
+    d_c_t = color_distance(colors[ti], colors[tj])
+    m = motion_reliability(sp, flows, w_c)
+    tw = temporal_affinity(d_c_t, rho, m[ti])
 
     return assemble(offsets, (si, sj, sw), (ti, tj, tw))

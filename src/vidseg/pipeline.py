@@ -157,19 +157,21 @@ class LoadedInputs:
 def load_mask_dir(path, frame_count=None, shape=None):
     """Masks of a directory of PGMs, keyed by the frame number ending each name.
 
-    A name without a frame number, one at or past frame_count, or a mask
-    not of (H, W) shape (if given) is a DataError.
+    A name without a frame number, one at or past frame_count, two names of
+    one frame, or a mask not of (H, W) shape (if given) is a DataError.
     """
     if not os.path.isdir(path):
         raise DataError(f"missing directory: {path}")
-    masks = {}
+    names = {}
     for name in list_dir(path, ".pgm"):
         match = _FRAME_INDEX_RE.search(os.path.splitext(name)[0])
         idx = int(match.group(1)) if match else None
         if idx is None or (frame_count is not None and idx >= frame_count):
             raise DataError(f"cannot map mask file {name} in {path} to a frame")
-        masks[idx] = load_mask(os.path.join(path, name), shape)
-    return masks
+        if idx in names:
+            raise DataError(f"mask files {names[idx]} and {name} in {path} both map to frame {idx}")
+        names[idx] = name
+    return {idx: load_mask(os.path.join(path, name), shape) for idx, name in names.items()}
 
 
 def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:

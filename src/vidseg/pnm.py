@@ -53,17 +53,15 @@ def read_pnm(path):
     return raster.reshape(height, width).copy()
 
 
-def write_pgm(path, image, maxval=None):
-    """Write an (H, W) array as binary PGM; uint16 data is stored big-endian."""
+def write_pgm(path, image):
+    """Write an (H, W) array as binary PGM; wider than 8-bit data is stored big-endian 16-bit."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise PnmError("PGM image must be 2-D")
-    if maxval is None:
-        maxval = 65535 if image.dtype.itemsize > 1 else 255
-    if maxval > 255:
-        raster = image.astype(">u2")
+    if image.dtype.itemsize > 1:
+        maxval, raster = 65535, image.astype(">u2")
     else:
-        raster = image.astype("u1")
+        maxval, raster = 255, image.astype("u1")
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii")
     _atomic_write(path, header + raster.tobytes())
 

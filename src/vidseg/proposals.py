@@ -8,6 +8,7 @@ pools the survivors into per-superpixel confidence fields.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -158,8 +159,9 @@ def load_proposal_manifest(path, frame_count, shape):
     """Load a JSON-lines proposal manifest; mask paths resolve against it.
 
     Each line: {"frame": int, "mask": "rel/path.pgm", "appearance": float,
-    "confidences": {"class": float}}. The frame must lie in 0..frame_count-1
-    and the mask must be of (H, W) shape.
+    "confidences": {"class": float}}. The frame must be a JSON integer in
+    0..frame_count-1, the appearance score finite and >= 0, and the mask of
+    (H, W) shape.
     """
     base = os.path.dirname(os.path.abspath(path))
     proposals = []
@@ -170,7 +172,7 @@ def load_proposal_manifest(path, frame_count, shape):
                 continue
             try:
                 rec = json.loads(line)
-                frame = int(rec["frame"])
+                frame = rec["frame"]
                 mask_rel = rec["mask"]
                 appearance = float(rec["appearance"])
                 confidences = {
@@ -178,8 +180,10 @@ def load_proposal_manifest(path, frame_count, shape):
                 }
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
-            if not 0 <= frame < frame_count:
-                raise DataError(f"proposal frame {frame} out of range on manifest line {lineno}")
+            if type(frame) is not int or not 0 <= frame < frame_count:  # not 1.9, not true
+                raise DataError(f"proposal frame {frame!r} out of range on manifest line {lineno}")
+            if not 0.0 <= appearance < math.inf:
+                raise DataError(f"appearance {appearance} out of range on manifest line {lineno}")
             for cls, conf in confidences.items():
                 if not 0.0 <= conf <= 1.0:
                     raise DataError(

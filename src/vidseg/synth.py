@@ -186,7 +186,6 @@ def write_dataset(ds: SynthDataset, out_dir):
         write_pgm(
             os.path.join(paths["superpixel_dir"], f"frame_{t:04d}.pgm"),
             ds.superpixels.labels[t].astype(np.uint16),
-            maxval=65535,
         )
         write_pgm(
             os.path.join(paths["motion_dir"], f"frame_{t:04d}.pgm"),

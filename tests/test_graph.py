@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,16 @@ def test_assemble_rejects_bad_weights():
         graph_from_edges(2, spatial=[(0, 1, float("inf"))])
 
 
+def test_assemble_sums_duplicate_pairs():
+    # pair (0, 1) is listed three times, once reversed and once in the other pool
+    g = graph_from_edges(3, spatial=[(0, 1, 1.0), (1, 0, 2.0), (1, 2, 0.25)],
+                         temporal=[(0, 1, 0.5)])
+    assert g.degrees.tolist() == [3.5, 3.75, 0.25]
+    s = g.operator.toarray()
+    assert np.array_equal(s, s.T)
+    assert s[0, 1] == pytest.approx(3.5 / math.sqrt(3.5 * 3.75), rel=1e-15)
+
+
 def test_operator_exactly_symmetric(rng):
     for _ in range(10):
         g = random_graph(rng, max_nodes=40)
@@ -335,3 +346,22 @@ def test_build_graph_operator_has_zero_diagonal():
     video, sp, flows = _tiny_scene()
     g = build_graph(video, sp, flows)
     assert len(g.temporal_i) and np.all(g.operator.diagonal() == 0.0)
+
+
+@pytest.mark.parametrize("clip", ["one frame", "one superpixel per frame"])
+def test_build_graph_with_an_empty_pool(clip):
+    video, sp, flows = _tiny_scene()
+    if clip == "one frame":
+        video, sp, flows = VideoVolume(video.frames[:1]), _sp(sp.labels[:1]), []
+        empty, full = "temporal", "spatial"
+    else:
+        sp = _sp(np.zeros_like(sp.labels))
+        empty, full = "spatial", "temporal"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_graph(video, sp, flows)
+    for suffix, dtype in (("_i", np.int64), ("_j", np.int64), ("_w", np.float64)):
+        arr = getattr(g, empty + suffix)
+        assert arr.shape == (0,) and arr.dtype == dtype
+        assert len(getattr(g, full + suffix)) > 0
+    assert np.all(g.degrees > 0) and g.operator.shape == (g.n_nodes, g.n_nodes)

@@ -18,7 +18,7 @@ def test_pgm8_round_trip(tmp_path):
 def test_pgm16_round_trip_and_byte_order(tmp_path):
     img = np.array([[258, 0], [65535, 7]], dtype=np.uint16)
     path = tmp_path / "a.pgm"
-    write_pgm(path, img, maxval=65535)
+    write_pgm(path, img)
     data = path.read_bytes()
     assert data.startswith(b"P5\n2 2\n65535\n")
     # big-endian sample order: 258 = 0x0102

@@ -210,33 +210,93 @@ def test_confidence_csv_golden_bytes(tmp_path):
 
 
 # The `vidseg synth` arguments of the clips whose outputs
-# tests/pinned_outputs.sha256 pins: the default clip at seed 7 (S) and a
-# moving 20-frame clip with 4-pixel cells at seed 4 (M). Both are fixed;
-# a change to the manifest names each changed file and why.
+# tests/pinned_outputs.sha256 and tests/pinned_values.json pin: the default
+# clip at seed 7 (S) and a moving 20-frame clip with 4-pixel cells at seed 4
+# (M). Both are fixed; a change to either manifest names each changed file
+# and why.
 PINNED_CLIPS = {
     "S-seed7": ["--seed", "7"],
     "M-seed4": ["--seed", "4", "--frames", "20", "--cell-size", "4"],
 }
+# Relative tolerance of the by-value checks. CG dot products, exp and log may
+# round differently on another BLAS or numpy, so floats are not pinned by bytes.
+PINNED_RTOL = 1e-12
 
 
-def test_outputs_match_pinned_digests(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """Output dirs of PINNED_CLIPS run through `vidseg synth` and `vidseg pipeline --dump-graph`."""
+    runs = {}
+    for clip, args in PINNED_CLIPS.items():
+        data = str(tmp_path_factory.mktemp(clip))
+        runs[clip] = os.path.join(data, "out")
+        assert main(["synth", "--out", data, *args]) == 0
+        assert main(["pipeline", "--config", os.path.join(data, "config.json"),
+                     "--out", runs[clip], "--dump-graph"]) == 0
+    return runs
+
+
+def test_outputs_match_pinned_digests(pinned_runs):
     # masks come from an exact min-cut and pooled.csv from bincount sums, so
     # their bytes depend on no BLAS or SIMD rounding; report.csv follows the masks
     manifest = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_outputs.sha256")
     with open(manifest) as fh:
         expected = {name: digest for digest, name in (line.split() for line in fh)}
     actual = {}
-    for clip, args in PINNED_CLIPS.items():
-        data = str(tmp_path / clip)
-        out = os.path.join(data, "out")
-        assert main(["synth", "--out", data, *args]) == 0
-        assert main(["pipeline", "--config", os.path.join(data, "config.json"), "--out", out]) == 0
+    for clip, out in pinned_runs.items():
         for rel, digest in _mask_digests(os.path.join(out, "masks")).items():
             actual[f"{clip}/masks/{rel}"] = digest
         for name in ("pooled.csv", "report.csv"):
             actual[f"{clip}/{name}"] = _digest(os.path.join(out, name))
-    capsys.readouterr()
     assert actual == expected
+
+
+def _float_summary(values):
+    """Sum, seeded +-1 projection and sum of magnitudes of some floats. When every
+    float moves by at most rtol relative, the first two move by at most rtol times
+    the third."""
+    values = np.ravel(np.asarray(values, dtype=np.float64))
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], size=values.size)
+    return [float(values.sum()), float(signs @ values), float(np.abs(values).sum())]
+
+
+def _value_summary(clip, out):
+    """Per checked item of one run: its ids (CSV) or shape (JSON) exactly, its floats summed."""
+    summary = {}
+    for name in ("graph.csv", "adapted.csv"):  # the float is each row's last column
+        with open(os.path.join(out, name)) as fh:
+            ids, floats = zip(*(line.rsplit(",", 1) for line in fh))
+        summary[f"{clip}/{name}"] = {
+            "ids": hashlib.sha256("\n".join(ids).encode()).hexdigest(),
+            "floats": _float_summary([float(v) for v in floats[1:]]),
+        }
+    for name in sorted(n for n in os.listdir(out) if n.startswith("gmm_")):
+        with open(os.path.join(out, name)) as fh:
+            models = json.load(fh)
+        for model, params in models.items():
+            for key, value in params.items():
+                summary[f"{clip}/{name}:{model}.{key}"] = {
+                    "shape": list(np.shape(value)),
+                    "floats": _float_summary(value),
+                }
+    return summary
+
+
+def test_outputs_match_pinned_values(pinned_runs):
+    # graph.csv, adapted.csv and gmm_<cls>.json: ids and shapes exactly,
+    # floats within PINNED_RTOL of the pinned values (see _float_summary)
+    manifest = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned_values.json")
+    with open(manifest) as fh:
+        expected = json.load(fh)
+    actual = {}
+    for clip, out in pinned_runs.items():
+        actual.update(_value_summary(clip, out))
+    assert actual.keys() == expected.keys()
+    for item, want in expected.items():
+        got = actual[item]
+        assert {**got, "floats": None} == {**want, "floats": None}, item
+        gap = np.abs(np.subtract(got["floats"], want["floats"]))
+        assert np.all(gap <= PINNED_RTOL * want["floats"][2]), item
 
 
 def test_eval_cli_gt_vs_gt(dataset, capsys):
@@ -326,17 +386,27 @@ def test_config_rejects_unknown_solver_before_writing(tmp_path, capsys):
     assert not os.path.exists(os.path.join(root, "out", "pooled.csv"))
 
 
-@pytest.mark.parametrize("side", ["--gt", "--pred"])
-def test_eval_cli_rejects_unmappable_mask_names(dataset, tmp_path, capsys, side):
+def _eval_with_extra_mask(dataset, tmp_path, capsys, side, extra):
+    """Run vidseg eval with a copy of frame 1's ground truth added as `extra` on one side."""
     root, _ = dataset
     gt_dir = os.path.join(root, "gt")
     odd_dir = str(tmp_path / "masks")
     shutil.copytree(gt_dir, odd_dir)
-    shutil.copy(os.path.join(odd_dir, sorted(os.listdir(odd_dir))[0]),
-                os.path.join(odd_dir, "notes.pgm"))
+    shutil.copy(os.path.join(odd_dir, "frame_0001.pgm"), os.path.join(odd_dir, extra))
     dirs = {"--gt": gt_dir, "--pred": gt_dir, side: odd_dir}
     assert main(["eval", "--pred", dirs["--pred"], "--gt", dirs["--gt"]]) == 2
-    assert "notes.pgm" in capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["--gt", "--pred"])
+def test_eval_cli_rejects_unmappable_mask_names(dataset, tmp_path, capsys, side):
+    assert "notes.pgm" in _eval_with_extra_mask(dataset, tmp_path, capsys, side, "notes.pgm")
+
+
+@pytest.mark.parametrize("side", ["--gt", "--pred"])
+def test_eval_cli_rejects_two_masks_of_one_frame(dataset, tmp_path, capsys, side):
+    err = _eval_with_extra_mask(dataset, tmp_path, capsys, side, "other_0001.pgm")
+    assert "frame_0001.pgm and other_0001.pgm" in err and "frame 1" in err
 
 
 def test_segment_class_writes_nothing(dataset, tmp_path):
@@ -621,7 +691,7 @@ def test_pool_rejects_superpixels_of_another_size(tmp_path, capsys):
     config_path = _dataset_config(root)
     sp_dir = os.path.join(root, "superpixels")
     for name in os.listdir(sp_dir):
-        write_pgm(os.path.join(sp_dir, name), np.zeros((32, 64), dtype=np.uint16), maxval=65535)
+        write_pgm(os.path.join(sp_dir, name), np.zeros((32, 64), dtype=np.uint16))
     pooled = str(tmp_path / "pooled.csv")
     assert main(["pool", "--config", config_path, "--out", pooled]) == 2
     assert "ingest" in capsys.readouterr().err
@@ -643,7 +713,18 @@ def test_wrong_size_mask_rejected_before_writing(tmp_path, capsys, mask_dir):
     assert _files_under(str(tmp_path), dirs=True) == before
 
 
-@pytest.mark.parametrize("fault", ["mask size", "frame"])
+# manifest faults: (key, bad value) written into manifest line 3 of a 4-frame clip
+MANIFEST_FAULTS = {
+    "frame": ("frame", 4),
+    "frame 1.9": ("frame", 1.9),
+    "frame true": ("frame", True),
+    "appearance inf": ("appearance", float("inf")),
+    "appearance nan": ("appearance", float("nan")),
+    "appearance -5": ("appearance", -5.0),
+}
+
+
+@pytest.mark.parametrize("fault", ["mask size", *MANIFEST_FAULTS])
 def test_bad_proposal_rejected_where_manifest_is_read(tmp_path, capsys, fault):
     data = str(tmp_path / "data")
     assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
@@ -656,7 +737,8 @@ def test_bad_proposal_rejected_where_manifest_is_read(tmp_path, capsys, fault):
         manifest = os.path.join(data, "proposals", "manifest.jsonl")
         with open(manifest) as fh:
             lines = [json.loads(line) for line in fh]
-        lines[2]["frame"] = 4
+        key, value = MANIFEST_FAULTS[fault]
+        lines[2][key] = value
         with open(manifest, "w") as fh:
             fh.writelines(json.dumps(rec) + "\n" for rec in lines)
         named = "manifest line 3"

@@ -65,7 +65,7 @@ def test_load_video_dimension_mismatch(tmp_path):
 def test_load_superpixels_remaps_labels(tmp_path):
     d = tmp_path / "sp"
     d.mkdir()
-    write_pgm(d / "f0.pgm", np.array([[5, 5], [9, 9]], dtype=np.uint16), maxval=65535)
+    write_pgm(d / "f0.pgm", np.array([[5, 5], [9, 9]], dtype=np.uint16))
     sp = load_superpixels(d, expected_frames=1)
     assert sp.counts == [2]
     assert np.array_equal(sp.labels[0], [[0, 0], [1, 1]])
@@ -75,7 +75,7 @@ def test_load_superpixels_count_mismatch(tmp_path):
     d = tmp_path / "sp"
     d.mkdir()
     for t in range(2):
-        write_pgm(d / f"f{t}.pgm", np.zeros((2, 2), dtype=np.uint16), maxval=65535)
+        write_pgm(d / f"f{t}.pgm", np.zeros((2, 2), dtype=np.uint16))
     with pytest.raises(DataError, match="mismatch"):
         load_superpixels(d, expected_frames=3)
 
@@ -84,7 +84,7 @@ def test_remap_preserves_partition(tmp_path):
     d = tmp_path / "sp"
     d.mkdir()
     raw = np.array([[3, 3, 11], [11, 7, 7]], dtype=np.uint16)
-    write_pgm(d / "f0.pgm", raw, maxval=65535)
+    write_pgm(d / "f0.pgm", raw)
     sp = load_superpixels(d, expected_frames=1)
     # two pixels share a label before iff after
     for a in np.ndindex(raw.shape):
@@ -93,17 +93,17 @@ def test_remap_preserves_partition(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "raw, maxval",
+    "raw",
     [
-        (np.array([[7, 7, 200], [0, 255, 200], [31, 7, 0]], dtype=np.uint8), None),
-        (np.array([[65535, 3, 3], [40000, 65535, 9], [3, 1, 40000]], dtype=np.uint16), 65535),
+        np.array([[7, 7, 200], [0, 255, 200], [31, 7, 0]], dtype=np.uint8),
+        np.array([[65535, 3, 3], [40000, 65535, 9], [3, 1, 40000]], dtype=np.uint16),
     ],
 )
-def test_load_superpixels_remap_matches_unique(tmp_path, raw, maxval):
+def test_load_superpixels_remap_matches_unique(tmp_path, raw):
     d = tmp_path / "sp"
     d.mkdir()
-    write_pgm(d / "f0.pgm", raw, maxval=maxval)
-    write_pgm(d / "f1.pgm", raw[::-1].copy(), maxval=maxval)
+    write_pgm(d / "f0.pgm", raw)
+    write_pgm(d / "f1.pgm", raw[::-1].copy())
     sp = load_superpixels(d, expected_frames=2)
     assert sp.labels.dtype == np.int32
     for t, frame in enumerate((raw, raw[::-1])):
