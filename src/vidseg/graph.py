@@ -77,14 +77,11 @@ def spatial_edges(sp: SuperpixelMap):
     offsets = sp.frame_offsets()
     out_i, out_j = [], []
     for t in range(sp.frame_count):
-        labels = sp.labels[t]
-        a = np.concatenate([labels[:, :-1].ravel(), labels[:-1, :].ravel()])
-        b = np.concatenate([labels[:, 1:].ravel(), labels[1:, :].ravel()])
-        differ = a != b
-        lo = np.minimum(a[differ], b[differ])
-        hi = np.maximum(a[differ], b[differ])
-        n = sp.counts[t]
-        pi, pj, _ = _pair_counts(lo, hi, (n, n))
+        labels, n = sp.labels[t], sp.counts[t]
+        right, down = labels[:, :-1] != labels[:, 1:], labels[:-1] != labels[1:]
+        a = np.concatenate([labels[:, :-1][right], labels[:-1][down]])
+        b = np.concatenate([labels[:, 1:][right], labels[1:][down]])
+        pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), (n, n))
         out_i.append(pi + offsets[t])
         out_j.append(pj + offsets[t])
     if not out_i:
@@ -107,21 +104,23 @@ def temporal_edges(sp: SuperpixelMap, flows):
     offsets = sp.frame_offsets()
     height, width = sp.labels.shape[1:]
     npix = height * width
-    grid_y, grid_x = np.indices((height, width)).reshape(2, -1)
     out_i, out_j, out_rho = [], [], []
     for t in range(1, sp.frame_count):
         flow = np.asarray(flows[t - 1])
         if flow.shape[:2] != (height, width):
             raise DataError(f"flow {t - 1} dimensions differ from frames")
-        dest = warp_pixels(flow, grid_y, grid_x)
+        dest = warp_pixels(flow).ravel()
         valid = dest >= 0
-        src = sp.labels[t - 1].ravel()[valid]
+        src, dest = sp.labels[t - 1].ravel()[valid], dest[valid]
         n_prev, n_next = sp.counts[t - 1], sp.counts[t]
-        # union semantics: collapse source pixels landing on one destination
-        src_u, dest_u, _ = _pair_counts(src, dest[valid], (n_prev, npix))
-        warp_size = np.bincount(src_u, minlength=n_prev)
-        dst_label = sp.labels[t].ravel()[dest_u]
-        pi, pj, counts = _pair_counts(src_u, dst_label, (n_prev, n_next))
+        # union semantics: only pixels sharing a destination can repeat a (source, dest) pair
+        shared = np.bincount(dest, minlength=npix)[dest] > 1
+        if shared.any():
+            src_u, dest_u, _ = _pair_counts(src[shared], dest[shared], (n_prev, npix))
+            src = np.concatenate([src[~shared], src_u])
+            dest = np.concatenate([dest[~shared], dest_u])
+        warp_size = np.bincount(src, minlength=n_prev)
+        pi, pj, counts = _pair_counts(src, sp.labels[t].ravel()[dest], (n_prev, n_next))
         out_i.append(pi + offsets[t - 1])
         out_j.append(pj + offsets[t])
         out_rho.append(counts / warp_size[pi])
@@ -159,15 +158,19 @@ def flow_bin_index(flow_vectors):
     [2, 8), and [8, inf).
     """
     v = np.asarray(flow_vectors, dtype=np.float64)
-    dx, dy = v[..., 0], v[..., 1]
-    mag = np.hypot(dx, dy)
-    mag_bin = np.digitize(mag, MAGNITUDE_EDGES)
-    angle = np.arctan2(dy, dx)
-    orient = np.floor((angle + np.pi) / (2.0 * np.pi / ORIENTATION_BINS)).astype(
-        np.int64
-    ) % ORIENTATION_BINS
-    idx = mag_bin * ORIENTATION_BINS + orient
-    return np.where(mag_bin == 0, 0, idx)
+    idx = np.zeros(v.shape[:-1], np.int64)
+    # |dx|, |dy| < 0.25 keeps the magnitude below 0.36, in bin 0, without a hypot
+    big = np.abs(v) >= MAGNITUDE_EDGES[0] / 2
+    near = np.flatnonzero(big[..., 0] | big[..., 1])
+    v = v.reshape(-1, 2)[near]
+    mag = np.hypot(v[:, 0], v[:, 1])
+    mag_bin = sum(mag >= edge for edge in MAGNITUDE_EDGES)  # np.digitize for finite mag
+    moving = mag_bin > 0
+    v = v[moving]
+    angle = np.arctan2(v[:, 1], v[:, 0])
+    orient = np.floor((angle + np.pi) / (2.0 * np.pi / ORIENTATION_BINS)).astype(np.int64)
+    idx.flat[near[moving]] = mag_bin[moving] * ORIENTATION_BINS + orient % ORIENTATION_BINS
+    return idx
 
 
 def histogram_entropy(hist):
@@ -193,9 +196,11 @@ def motion_reliability(sp: SuperpixelMap, flows, w_c=MOTION_COHERENCE_WEIGHT):
         idx = flow_bin_index(flows[t])
         key = sp.labels[t].ravel().astype(np.int64) * N_FLOW_BINS + idx.ravel()
         hist = np.bincount(key, minlength=n * N_FLOW_BINS).reshape(n, N_FLOW_BINS)
-        if not hist.any(axis=1).all():
+        occupied = np.count_nonzero(hist, axis=1)
+        if not occupied.all():
             raise DataError(f"frame {t} has empty superpixel labels")
-        m[offsets[t] : offsets[t + 1]] = np.exp(-w_c * histogram_entropy(hist))
+        mixed = np.flatnonzero(occupied > 1)  # one occupied bin: entropy 0, m = 1
+        m[offsets[t] + mixed] = np.exp(-w_c * histogram_entropy(hist[mixed]))
     return m
 
 

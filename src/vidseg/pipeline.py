@@ -106,8 +106,8 @@ class PipelineConfig:
             "lambda_temporal",
             "gmm_components",
         ):
-            if not getattr(self, name) > 0:
-                raise DataError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be positive and finite")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise DataError("confidence_threshold must lie in [0, 1]")
         if self.gmm_seed < 0:

@@ -160,8 +160,9 @@ def load_proposal_manifest(path, frame_count, shape):
 
     Each line: {"frame": int, "mask": "rel/path.pgm", "appearance": float,
     "confidences": {"class": float}}. The frame must be a JSON integer in
-    0..frame_count-1, the appearance score finite and >= 0, and the mask of
-    (H, W) shape.
+    0..frame_count-1, the mask path a string, the appearance score and every
+    confidence JSON numbers (not true, not "0.9"), the appearance finite and
+    >= 0, and the mask of (H, W) shape.
     """
     base = os.path.dirname(os.path.abspath(path))
     proposals = []
@@ -172,13 +173,17 @@ def load_proposal_manifest(path, frame_count, shape):
                 continue
             try:
                 rec = json.loads(line)
-                frame = rec["frame"]
-                mask_rel = rec["mask"]
+                frame, mask_rel = rec["frame"], rec["mask"]
+                if type(mask_rel) is not str:
+                    raise TypeError(f"mask {mask_rel!r} is not a string")
+                for value in [rec["appearance"], *rec["confidences"].values()]:
+                    if type(value) not in (int, float):  # a JSON number: not true, not "0.9"
+                        raise TypeError(f"{value!r} is not a JSON number")
                 appearance = float(rec["appearance"])
                 confidences = {
                     check_id("class", str(k)): float(v) for k, v in rec["confidences"].items()
                 }
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"malformed manifest line {lineno}: {exc}") from exc
             if type(frame) is not int or not 0 <= frame < frame_count:  # not 1.9, not true
                 raise DataError(f"proposal frame {frame!r} out of range on manifest line {lineno}")
@@ -187,7 +192,7 @@ def load_proposal_manifest(path, frame_count, shape):
             for cls, conf in confidences.items():
                 if not 0.0 <= conf <= 1.0:
                     raise DataError(
-                        f"confidence out of range on line {lineno}: {cls}={conf}"
+                        f"confidence out of range on manifest line {lineno}: {cls}={conf}"
                     )
             mask_path = os.path.join(base, mask_rel)
             if not os.path.exists(mask_path):

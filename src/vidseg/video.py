@@ -245,15 +245,14 @@ def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> Superpixe
     return SuperpixelStats(mean_color=means[:, :3], centroid=means[:, 3:])
 
 
-def warp_pixels(flow, ys, xs):
-    """Flat index of the pixel each (ys, xs) lands on when pushed along flow.
+def warp_pixels(flow):
+    """(H, W) flat index of the pixel each pixel lands on when pushed along flow.
 
     A pixel moves to (floor(x + dx + 0.5), floor(y + dy + 0.5)); one that
     leaves the frame gets -1.
     """
     height, width = flow.shape[:2]
-    dest_x = np.floor(xs + flow[ys, xs, 0] + 0.5).astype(np.int64)
-    dest_y = np.floor(ys + flow[ys, xs, 1] + 0.5).astype(np.int64)
+    dest_x = np.floor(np.arange(width) + flow[..., 0] + 0.5).astype(np.int64)
+    dest_y = np.floor(np.arange(height)[:, None] + flow[..., 1] + 0.5).astype(np.int64)
     inside = (dest_x >= 0) & (dest_x < width) & (dest_y >= 0) & (dest_y < height)
     return np.where(inside, dest_y * width + dest_x, -1)
-

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import graph_from_edges, random_graph
 from vidseg.graph import (
+    MAGNITUDE_EDGES,
     build_graph,
     color_distance,
+    flow_bin_index,
     histogram_entropy,
     motion_reliability,
     spatial_affinity,
@@ -214,6 +216,85 @@ def test_motion_noncoherence_empty_superpixel():
     sp = SuperpixelMap(np.zeros((2, 2, 2), dtype=np.int32), [2, 1])  # label 1 of frame 0 unused
     with pytest.raises(DataError, match="frame 0 has empty superpixel labels"):
         motion_reliability(sp, [np.zeros((2, 2, 2))])
+
+
+def _flow_bins_by_formula(vectors):
+    """8 orientation x 4 magnitude bins, written out with digitize and arctan2."""
+    v = np.asarray(vectors, dtype=np.float64)
+    mag_bin = np.digitize(np.hypot(v[..., 0], v[..., 1]), MAGNITUDE_EDGES)
+    angle = np.arctan2(v[..., 1], v[..., 0])
+    orient = np.floor((angle + np.pi) / (2.0 * np.pi / 8)).astype(np.int64) % 8
+    return np.where(mag_bin == 0, 0, mag_bin * 8 + orient)
+
+
+def test_flow_bin_index_matches_formula_on_axes_edges_and_random(rng):
+    # exact axes and diagonals sit on orientation-bin boundaries
+    units = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    axes = [(c * ux, c * uy) for c in (0.25, 0.5, 1, 2, 3, 8, 10) for ux, uy in units]
+    below = [np.nextafter(edge, 0.0) for edge in MAGNITUDE_EDGES]
+    edges = [
+        (sx * e, 0.0) if axis == 0 else (0.0, sx * e)
+        for e in (*MAGNITUDE_EDGES, *below)
+        for sx in (1, -1)
+        for axis in (0, 1)
+    ]
+    fixed = np.array([*axes, *edges, (0, 0), (-0.0, -1.0), (0.0, -0.0)], dtype=np.float64)
+    normal = rng.normal(0.0, 4.0, size=(10_000, 2)).astype(np.float32)
+    integer = rng.integers(-12, 13, size=(10_000, 2)).astype(np.float32)
+    for vectors in (fixed, fixed.astype(np.float32), normal, integer, integer.reshape(100, 100, 2)):
+        got = flow_bin_index(vectors)
+        assert got.dtype == np.int64 and got.shape == vectors.shape[:-1]
+        assert np.array_equal(got, _flow_bins_by_formula(vectors))
+    assert flow_bin_index(np.array([[1, 1], [-1, 0], [0.0, 0.0], [8, -8]])).tolist() == [
+        13, 8, 0, 27,
+    ]
+    assert [flow_bin_index([e, 0.0]) // 8 for e in (*below, *MAGNITUDE_EDGES)] == [0, 1, 2, 1, 2, 3]
+
+
+def test_motion_reliability_matches_full_histogram_oracle(rng):
+    """Static, one-, two- and many-bin superpixels against the entropy of all 32 bins."""
+    height, width, n, w_c = 18, 20, 12, 1.7
+    labels = np.stack([rng.permutation(np.arange(height * width) % n).reshape(height, width)
+                       for _ in range(3)])
+    sp = SuperpixelMap(labels, [n] * 3)
+    flows = []
+    for t in range(2):
+        per_label = rng.uniform(1.0, 6.0, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
+        per_label[:4] = 0.0  # labels 0..3 static: bin 0 only
+        flow = per_label[labels[t]]  # labels 4..6: one vector each, so one bin
+        flow[(labels[t] >= 7) & (labels[t] <= 8) & (rng.random((height, width)) < 0.5)] = 0.0
+        many = labels[t] >= 9
+        flow[many] = rng.normal(0.0, 4.0, size=(np.count_nonzero(many), 2))
+        flows.append(flow.astype(np.float32))
+    want = np.ones(3 * n)
+    occupied = []
+    for t, flow in enumerate(flows):
+        hist = np.zeros((n, 32))
+        np.add.at(hist, (labels[t].ravel(), _flow_bins_by_formula(flow).ravel()), 1)
+        occupied.append(np.count_nonzero(hist, axis=1))
+        want[t * n : (t + 1) * n] = np.exp(-w_c * histogram_entropy(hist))
+    occupied = np.concatenate(occupied)
+    assert [np.count_nonzero(occupied == k) for k in (1, 2)] == [14, 4]
+    assert (occupied > 2).sum() == 6
+    got = motion_reliability(sp, flows, w_c=w_c)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert np.all(got[np.flatnonzero(occupied == 1)] == 1.0) and np.all(got[2 * n :] == 1.0)
+    static = motion_reliability(sp, [np.zeros((height, width, 2), np.float32)] * 2, w_c=w_c)
+    assert np.all(static == 1.0)
+
+
+def test_temporal_edges_collision_counts_a_shared_pixel_once():
+    # frame 0: superpixel 0 = x 0..2, superpixel 1 = x 3..4. Pixels 0 and 1
+    # (superpixel 0) and pixel 3 (superpixel 1) all land on x = 3.
+    sp = SuperpixelMap(np.array([[[0, 0, 0, 1, 1]], [[0, 0, 0, 1, 2]]], np.int32), [2, 3])
+    flow = np.zeros((1, 5, 2), np.float32)
+    flow[0, :2, 0] = [3, 2]
+    i, j, rho = temporal_edges(sp, [flow])
+    # superpixel 0 covers {2, 3}: warp size 2, not 3
+    assert (i.dtype, j.dtype, rho.dtype) == (np.int64, np.int64, np.float64)
+    assert i.tolist() == [0, 0, 1, 1]
+    assert j.tolist() == [2, 3, 3, 4]
+    assert rho.tolist() == [0.5, 0.5, 0.5, 0.5]
 
 
 def test_entropy_uniform_32_bins():

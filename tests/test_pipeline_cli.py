@@ -611,6 +611,8 @@ def test_cli_import_loads_no_sparse_solvers():
         ("classes", "object"),
         ("classes", [1]),
         ("gmm_seed", -1),
+        ("lambda_spatial", float("inf")),
+        ("motion_coherence_weight", float("inf")),
     ],
 )
 def test_config_type_and_range_errors_name_the_key_before_writing(tmp_path, capsys, key, bad):
@@ -721,6 +723,13 @@ MANIFEST_FAULTS = {
     "appearance inf": ("appearance", float("inf")),
     "appearance nan": ("appearance", float("nan")),
     "appearance -5": ("appearance", -5.0),
+    "appearance true": ("appearance", True),
+    "appearance string": ("appearance", "0.5"),
+    "confidence true": ("confidences", {"object": True}),
+    "confidence string": ("confidences", {"object": "0.9"}),
+    "confidence 1.5": ("confidences", {"object": 1.5}),
+    "confidences list": ("confidences", [0.9]),
+    "mask number": ("mask", 5),
 }
 
 

@@ -55,7 +55,7 @@ def test_zero_velocity_static():
 def test_flow_warps_gt_exactly():
     ds = generate(_small_cfg())
     for t in range(1, ds.config.frame_count):
-        dest = warp_pixels(ds.flows[t - 1], *np.nonzero(ds.gt_masks[t - 1]))
+        dest = warp_pixels(ds.flows[t - 1])[ds.gt_masks[t - 1]]
         assert np.array_equal(np.sort(dest), np.flatnonzero(ds.gt_masks[t]))
 
 
