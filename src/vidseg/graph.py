@@ -113,14 +113,10 @@ def temporal_edges(sp: SuperpixelMap, flows):
         valid = dest >= 0
         src, dest = sp.labels[t - 1].ravel()[valid], dest[valid]
         n_prev, n_next = sp.counts[t - 1], sp.counts[t]
-        # union semantics: only pixels sharing a destination can repeat a (source, dest) pair
-        shared = np.bincount(dest, minlength=npix)[dest] > 1
-        if shared.any():
-            src_u, dest_u, _ = _pair_counts(src[shared], dest[shared], (n_prev, npix))
-            src = np.concatenate([src[~shared], src_u])
-            dest = np.concatenate([dest[~shared], dest_u])
-        warp_size = np.bincount(src, minlength=n_prev)
-        pi, pj, counts = _pair_counts(src, sp.labels[t].ravel()[dest], (n_prev, n_next))
+        # union semantics: collapse source pixels landing on one destination
+        src_u, dest_u, _ = _pair_counts(src, dest, (n_prev, npix))
+        warp_size = np.bincount(src_u, minlength=n_prev)
+        pi, pj, counts = _pair_counts(src_u, sp.labels[t].ravel()[dest_u], (n_prev, n_next))
         out_i.append(pi + offsets[t - 1])
         out_j.append(pj + offsets[t])
         out_rho.append(counts / warp_size[pi])
@@ -158,19 +154,13 @@ def flow_bin_index(flow_vectors):
     [2, 8), and [8, inf).
     """
     v = np.asarray(flow_vectors, dtype=np.float64)
-    idx = np.zeros(v.shape[:-1], np.int64)
-    # |dx|, |dy| < 0.25 keeps the magnitude below 0.36, in bin 0, without a hypot
-    big = np.abs(v) >= MAGNITUDE_EDGES[0] / 2
-    near = np.flatnonzero(big[..., 0] | big[..., 1])
-    v = v.reshape(-1, 2)[near]
-    mag = np.hypot(v[:, 0], v[:, 1])
+    mag = np.hypot(v[..., 0], v[..., 1])
     mag_bin = sum(mag >= edge for edge in MAGNITUDE_EDGES)  # np.digitize for finite mag
-    moving = mag_bin > 0
-    v = v[moving]
-    angle = np.arctan2(v[:, 1], v[:, 0])
+    # the angle of a static pixel is never used: it stays -pi, orientation 0
+    angle = np.arctan2(v[..., 1], v[..., 0], out=np.full(mag.shape, -np.pi), where=mag_bin > 0)
     orient = np.floor((angle + np.pi) / (2.0 * np.pi / ORIENTATION_BINS)).astype(np.int64)
-    idx.flat[near[moving]] = mag_bin[moving] * ORIENTATION_BINS + orient % ORIENTATION_BINS
-    return idx
+    # % ORIENTATION_BINS (a power of two) on 0..8, without an int64 division
+    return mag_bin * ORIENTATION_BINS + (orient & (ORIENTATION_BINS - 1))
 
 
 def histogram_entropy(hist):
@@ -180,8 +170,9 @@ def histogram_entropy(hist):
     if np.any(total <= 0):
         raise DataError("empty histogram")
     p = h / total
-    ent = -np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0), axis=-1)
-    return ent + 0.0  # avoid -0.0
+    plogp = np.log(p, out=np.zeros_like(p), where=p > 0)  # an empty bin adds 0
+    plogp *= p
+    return -plogp.sum(axis=-1) + 0.0  # avoid -0.0
 
 
 def motion_reliability(sp: SuperpixelMap, flows, w_c=MOTION_COHERENCE_WEIGHT):

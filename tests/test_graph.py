@@ -227,6 +227,13 @@ def _flow_bins_by_formula(vectors):
     return np.where(mag_bin == 0, 0, mag_bin * 8 + orient)
 
 
+def _entropy_by_formula(hist):
+    """Row entropies in nats, written out with np.where over every bin."""
+    h = np.asarray(hist, dtype=np.float64)
+    p = h / h.sum(axis=-1, keepdims=True)
+    return -np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0), axis=-1) + 0.0
+
+
 def test_flow_bin_index_matches_formula_on_axes_edges_and_random(rng):
     # exact axes and diagonals sit on orientation-bin boundaries
     units = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
@@ -272,7 +279,7 @@ def test_motion_reliability_matches_full_histogram_oracle(rng):
         hist = np.zeros((n, 32))
         np.add.at(hist, (labels[t].ravel(), _flow_bins_by_formula(flow).ravel()), 1)
         occupied.append(np.count_nonzero(hist, axis=1))
-        want[t * n : (t + 1) * n] = np.exp(-w_c * histogram_entropy(hist))
+        want[t * n : (t + 1) * n] = np.exp(-w_c * _entropy_by_formula(hist))
     occupied = np.concatenate(occupied)
     assert [np.count_nonzero(occupied == k) for k in (1, 2)] == [14, 4]
     assert (occupied > 2).sum() == 6
@@ -299,6 +306,17 @@ def test_temporal_edges_collision_counts_a_shared_pixel_once():
 
 def test_entropy_uniform_32_bins():
     assert histogram_entropy(np.ones(32)) == pytest.approx(LN32, abs=1e-12)
+
+
+def test_entropy_matches_formula_bit_for_bit(rng):
+    # sparse rows (one to a few occupied bins) and dense rows, as motion_reliability builds them
+    hist = rng.integers(0, 20, size=(500, 32)) * (rng.random((500, 32)) < rng.random((500, 1)))
+    hist[np.arange(500), rng.integers(0, 32, 500)] += 1
+    hist[:50] = 0
+    hist[:50, 7] = 16
+    want = _entropy_by_formula(hist)
+    assert histogram_entropy(hist).tobytes() == want.tobytes()
+    assert np.all(want[:50] == 0.0) and not np.signbit(want).any()
 
 
 def test_entropy_row_wise():
