@@ -30,7 +30,7 @@ class EvalReport:
     def write_csv(self, path):
         rows = [tuple(r[c] for c in COLUMNS) for r in self.rows]
         rows.append(("mean", "", *self.summary().values()))
-        write_rows(path, ",".join(COLUMNS), "%s,%s,%.17g,%.17g,%.17g\n", rows)
+        write_rows(path, ",".join(COLUMNS), ("%s,%s,%.17g,%.17g,%.17g\n" % row for row in rows))
 
 
 def frame_counts(pred_masks, gt_masks, annotated=None):

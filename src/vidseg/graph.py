@@ -58,7 +58,8 @@ class SpaceTimeGraph:
         kinds = ["spatial"] * len(self.spatial_i) + ["temporal"] * len(self.temporal_i)
         weights = np.concatenate([self.spatial_w, self.temporal_w])
         rows = zip(kinds, fi.tolist(), si.tolist(), fj.tolist(), sj.tolist(), weights.tolist())
-        write_rows(path, "kind,frame_i,sp_i,frame_j,sp_j,weight", "%s,%d,%d,%d,%d,%.17g\n", rows)
+        lines = ("%s,%d,%d,%d,%d,%.17g\n" % row for row in rows)
+        write_rows(path, "kind,frame_i,sp_i,frame_j,sp_j,weight", lines)
 
 
 def _pair_counts(rows, cols, shape):

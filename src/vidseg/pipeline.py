@@ -8,10 +8,12 @@ file-mediated staging lossless.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -44,6 +46,9 @@ from .video import (
 
 _FRAME_INDEX_RE = re.compile(r"(\d+)\D*$")
 CONFIDENCE_HEADER = "frame,superpixel_id,class,value"
+_CONFIDENCE_ROW = np.dtype(
+    [("frame", np.int64), ("superpixel_id", np.int64), ("class", object), ("value", np.float64)]
+)
 
 
 class StageError(RuntimeError):
@@ -315,50 +320,98 @@ def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks):
 
 
 def write_confidence_csv(path, confidence_fields):
-    """Dump confidence fields as (frame, superpixel_id, class, value) rows."""
-    rows = (
-        (t, s, cls, v)
-        for cls, fieldv in sorted(confidence_fields.items())
-        for t, values in enumerate(fieldv.values)
-        for s, v in enumerate(values.tolist())
-    )
-    write_rows(path, CONFIDENCE_HEADER, "%d,%d,%s,%.17g\n", rows)
+    """Dump confidence fields as (frame, superpixel_id, class, value) rows.
+
+    Each frame is one % over its rows' template, fed the ids and values interleaved.
+    """
+    def frames():
+        for cls, fieldv in sorted(confidence_fields.items()):
+            row = ",%d," + cls.replace("%", "%%") + ",%.17g\n"
+            for t, values in enumerate(fieldv.values):
+                cells = [None] * (2 * len(values))
+                cells[::2] = range(len(values))
+                cells[1::2] = values.tolist()
+                yield (str(t) + row) * len(values) % tuple(cells)
+
+    write_rows(path, CONFIDENCE_HEADER, frames())
+
+
+def _parse_confidence_rows(lines):
+    """The rows of lines (a text stream or a list of lines) as a _CONFIDENCE_ROW array."""
+    with warnings.catch_warnings():
+        # numpy 1.23-1.26 read "1.5" into an int64 field as 1, with a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, _CONFIDENCE_ROW, delimiter=",", comments=None, ndmin=1)
+
+
+def _numbered_rows(body):
+    """(file line, text) of each non-blank line of body, the text after the header."""
+    return [(n, line) for n, line in enumerate(body.split("\n"), start=2) if line.strip()]
 
 
 def read_confidence_csv(path):
-    """Read confidence fields back; inverse of write_confidence_csv."""
-    per_class = {}
+    """Read confidence fields back; inverse of write_confidence_csv.
+
+    Ids are ASCII decimal integers and values decimal floats; blank lines are
+    skipped. Every error names the file line of its row, malformed rows first.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != CONFIDENCE_HEADER:
-            raise DataError(f"unexpected confidence CSV header in {path}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                frame_s, sp_s, cls, value_s = line.split(",")
-                frame, sp_id, value = int(frame_s), int(sp_s), float(value_s)
-            except ValueError as exc:
-                raise DataError(f"malformed confidence row {lineno} in {path}") from exc
-            if frame < 0 or sp_id < 0:
-                raise DataError(f"negative id in confidence row {lineno} in {path}")
-            if not math.isfinite(value):
-                raise DataError(f"non-finite value in confidence row {lineno} in {path}")
-            row = per_class.setdefault(cls, {}).setdefault(frame, {})
-            if sp_id in row:
-                raise DataError(f"duplicate confidence row {lineno} in {path}")
-            row[sp_id] = value
+        body = fh.read()
+    if header != CONFIDENCE_HEADER:
+        raise DataError(f"unexpected confidence CSV header in {path}")
+    if not body.strip():
+        return {}
+    try:
+        rows = _parse_confidence_rows(io.StringIO(body))
+    except (ValueError, DeprecationWarning):
+        # a malformed row, or a whitespace-only line, which np.loadtxt rejects too
+        numbered = _numbered_rows(body)
+        try:
+            rows = _parse_confidence_rows([line for _, line in numbered])
+        except (ValueError, DeprecationWarning) as exc:
+            lo, hi = 0, len(numbered)  # the first malformed row lies in numbered[lo:hi]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    _parse_confidence_rows([line for _, line in numbered[lo:mid]])
+                    lo = mid
+                except (ValueError, DeprecationWarning):
+                    hi = mid
+            raise DataError(f"malformed confidence row {numbered[lo][0]} in {path}") from exc
+    frame, sp_id, cls, value = (rows[name] for name in _CONFIDENCE_ROW.names)
+    # class codes in order of first appearance, one dict lookup per run of equal names
+    starts = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1]])
+    codes = {}
+    run_codes = [codes.setdefault(name, len(codes)) for name in cls[starts].tolist()]
+    code = np.repeat(run_codes, np.diff(np.r_[starts, len(rows)]))
+    order = np.lexsort((sp_id, frame, code))  # stable: of two equal rows, the later sorts second
+    c, f, s = code[order], frame[order], sp_id[order]
+    same_frame = (c[1:] == c[:-1]) & (f[1:] == f[:-1])
+    duplicate = np.zeros(len(rows), dtype=bool)
+    duplicate[order[1:]] = same_frame & (s[1:] == s[:-1])
+    checks = [
+        ("negative id in", (frame < 0) | (sp_id < 0)),
+        ("non-finite value in", ~np.isfinite(value)),
+        ("duplicate", duplicate),
+    ]
+    failed = [(np.argmax(bad), i) for i, (_, bad) in enumerate(checks) if bad.any()]
+    if failed:  # the first failing row; on one row, the first failing check
+        k, i = min(failed)
+        raise DataError(f"{checks[i][0]} confidence row {_numbered_rows(body)[k][0]} in {path}")
+    # within a (class, frame), the sorted ids must run 0, 1, 2, ...
+    gap = s != np.r_[0, np.where(same_frame, s[:-1] + 1, 0)]
+    value = value[order]
+    bounds = np.searchsorted(c, np.arange(len(codes) + 1))
     out = {}
-    for cls, frames in per_class.items():
-        check_id("class", cls)
-        values = []
-        for t in range(max(frames) + 1):
-            row = frames.get(t, {})
-            if sorted(row) != list(range(len(row))):
-                raise DataError(f"non-contiguous superpixel ids for frame {t} in {path}")
-            values.append(np.array([row[s] for s in range(len(row))], dtype=np.float64))
-        out[cls] = ConfidenceField(cls, values)
+    for i, name in enumerate(codes):
+        check_id("class", name)
+        lo, hi = bounds[i], bounds[i + 1]
+        if gap[lo:hi].any():
+            t = f[lo:hi][gap[lo:hi]].min()
+            raise DataError(f"non-contiguous superpixel ids for frame {t} in {path}")
+        counts = np.bincount(f[lo:hi])
+        out[name] = ConfidenceField(name, np.split(value[lo:hi], np.cumsum(counts)[:-1]))
     return out
 
 

@@ -15,6 +15,7 @@ routes share the same fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class PropagationConfig:
 
     def __post_init__(self):
         for name in ("mu", "tolerance", "max_iterations"):
-            if not getattr(self, name) > 0:  # NaN is not positive either
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be positive and finite")
         if self.solver not in ("linear", "iterative"):
             raise ValueError(f"unknown solver {self.solver!r}")
 

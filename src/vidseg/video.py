@@ -38,12 +38,12 @@ def check_id(kind, value):
     return value
 
 
-def write_rows(path, header, template, rows):
-    """Write a CSV file, creating its directory: the header line, then template % row per row."""
+def write_rows(path, header, lines):
+    """Write a CSV file, creating its directory: the header line, then the text of lines."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(template % row for row in rows)
+        fh.writelines(lines)
 
 
 def list_dir(path, suffixes):

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from vidseg.pipeline import (
 from vidseg.pnm import write_pgm
 from vidseg.proposals import ConfidenceField
 from vidseg.synth import SynthConfig, generate, write_dataset
-from vidseg.video import DataError, load_mask
+from vidseg.video import DataError, check_id, load_mask
 
 
 def _dataset_config(root, **synth_kw):
@@ -526,17 +528,184 @@ def test_read_confidence_csv_rejects_duplicate_rows(tmp_path):
         (["0,1,object,nan"], "non-finite value in confidence row 3"),
         (["0,1,object,0.5", "1,0,object,inf"], "non-finite value in confidence row 4"),
         (["0,1,object,-inf"], "non-finite value in confidence row 3"),
+        # ids are ASCII decimal integers and values plain decimal floats, as
+        # written; what int() and float() take beyond that is malformed
+        (["1.0,0,object,0.5"], "malformed confidence row 3"),
+        (["1_0,0,object,0.5"], "malformed confidence row 3"),
+        (["0,\u0661,object,0.5"], "malformed confidence row 3"),
+        (["0,1,object,0_5"], "malformed confidence row 3"),
+        (["0,1,object,\u0660.5"], "malformed confidence row 3"),
+        (["0,1,object,0x1"], "malformed confidence row 3"),
     ],
     ids=["3-columns", "5-columns", "non-numeric-value", "fractional-frame", "non-numeric-id",
          "negative-frame", "negative-frame-after-rows", "negative-superpixel", "gap-in-frame-0",
-         "gap-in-frame-1", "nan", "inf-after-rows", "minus-inf"],
+         "gap-in-frame-1", "nan", "inf-after-rows", "minus-inf", "integral-float-frame",
+         "underscore-frame", "non-ascii-id", "underscore-value", "non-ascii-value", "hex-value"],
 )
 def test_read_confidence_csv_errors_name_the_row_or_frame(tmp_path, rows, message):
     path = tmp_path / "pooled.csv"
     lines = ["frame,superpixel_id,class,value", "0,0,object,0.25", *rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        read_confidence_csv(str(path))
+
+
+def test_read_confidence_csv_rejects_a_float_id_on_numpy_that_truncates_it(tmp_path, monkeypatch):
+    # numpy 1.23-1.26 read "1.5" into an int64 field as 1 and only warn; the
+    # reader must still reject the row with the caller's warning filters at default
+    loadtxt = np.loadtxt
+
+    def truncating_loadtxt(lines, *args, **kwargs):
+        text = lines.getvalue() if hasattr(lines, "getvalue") else "\n".join(lines)
+        if "1.5," in text:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        return loadtxt(io.StringIO(text.replace("1.5,", "1,")), *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    path = tmp_path / "pooled.csv"
+    path.write_text("frame,superpixel_id,class,value\n0,0,object,0.25\n0,1.5,object,0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with pytest.raises(DataError, match="malformed confidence row 3 "):
+            read_confidence_csv(str(path))
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t", " \f"], ids=["empty", "spaces", "tab", "form-feed"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,1,object,high", "malformed confidence row 6 "),
+        ("0,1,object", "malformed confidence row 6 "),
+        ("0,-1,object,0.5", "negative id in confidence row 6 "),
+        ("0,1,object,nan", "non-finite value in confidence row 6 "),
+        ("0,0,object,0.5", "duplicate confidence row 6 "),
+        ("0,2,object,0.5", "non-contiguous superpixel ids for frame 0 "),
+    ],
+    ids=["malformed", "3-columns", "negative", "non-finite", "duplicate", "gap"],
+)
+def test_read_confidence_csv_skips_blank_lines_and_names_the_file_line(tmp_path, blank, row, message):
+    path = tmp_path / "pooled.csv"
+    lines = ["frame,superpixel_id,class,value", "", "0,0,object,0.25", blank, "", row, "1,0,object,1"]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=message):
         read_confidence_csv(str(path))
+    path.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+    back = read_confidence_csv(str(path))["object"]
+    assert [v.tolist() for v in back.values] == [[0.25], [1.0]]
+
+
+def test_read_confidence_csv_reports_the_first_bad_row_of_a_large_file(tmp_path):
+    rows = [f"{t},{s},object,0.5" for t in range(50) for s in range(100)]
+    rows[3210] = "32,10,object"
+    rows[4000] = "40,0,object,x"
+    path = tmp_path / "pooled.csv"
+    path.write_text("\n".join(["frame,superpixel_id,class,value", *rows]) + "\n")
+    with pytest.raises(DataError, match="malformed confidence row 3212 "):
+        read_confidence_csv(str(path))
+
+
+def test_confidence_csv_round_trips_odd_class_ids_and_empty_frames(tmp_path):
+    fields = {
+        cls: ConfidenceField(cls, [np.array([0.5, 0.25]), np.array([]), np.array([1 / 3])])
+        for cls in ('a#b"c', "100%d", "%s%%", "obj ect")
+    }
+    path = tmp_path / "conf.csv"
+    write_confidence_csv(path, fields)
+    text = path.read_text()
+    assert '0,1,a#b"c,0.25\n' in text and "2,0,100%d,0.33333333333333331\n" in text
+    back = read_confidence_csv(path)
+    assert list(back) == sorted(fields)
+    for cls, fieldv in fields.items():
+        assert [v.tolist() for v in back[cls].values] == [v.tolist() for v in fieldv.values]
+    clone = tmp_path / "clone.csv"
+    write_confidence_csv(clone, back)
+    assert clone.read_bytes() == path.read_bytes()
+
+
+def _read_confidence_rows_one_by_one(path):
+    """Reference reader: each row checked in file order as it is read."""
+    per_class = {}
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            frame_s, sp_s, cls, value_s = line.strip().split(",")
+            frame, sp_id, value = int(frame_s), int(sp_s), float(value_s)
+            if frame < 0 or sp_id < 0:
+                raise DataError(f"negative id in confidence row {lineno} in {path}")
+            if not np.isfinite(value):
+                raise DataError(f"non-finite value in confidence row {lineno} in {path}")
+            row = per_class.setdefault(cls, {}).setdefault(frame, {})
+            if sp_id in row:
+                raise DataError(f"duplicate confidence row {lineno} in {path}")
+            row[sp_id] = value
+    out = {}
+    for cls, frames in per_class.items():
+        check_id("class", cls)
+        out[cls] = []
+        for t in range(max(frames) + 1):
+            row = frames.get(t, {})
+            if sorted(row) != list(range(len(row))):
+                raise DataError(f"non-contiguous superpixel ids for frame {t} in {path}")
+            out[cls].append([row[s] for s in range(len(row))])
+    return out
+
+
+def test_read_confidence_csv_matches_a_row_by_row_reader(tmp_path):
+    # shuffled, interleaved classes with up to four well-formed faults each;
+    # the first faulty row, and the first check it fails, is the one reported
+    rng = np.random.default_rng(3)
+    faults = ["negative", "non-finite", "both", "duplicate", "drop", "gap", "blank", "spaces",
+              "bad-class"]
+    outcomes = set()
+    for trial in range(300):
+        rows = [[t, s, cls, float(rng.random())] for cls in ("b", "a") for t in range(3)
+                for s in range(int(rng.integers(0, 4)))]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        lines = [",".join(map(str, row[:3])) + f",{row[3]!r}" for row in rows]
+        for fault in rng.choice(faults, size=int(rng.integers(0, 5))):
+            k = int(rng.integers(0, len(lines) + 1))
+            if fault == "negative":
+                lines.insert(k, f"{-int(rng.integers(1, 3))},0,a,0.5")
+            elif fault == "non-finite":
+                lines.insert(k, f"0,{int(rng.integers(0, 3))},b,{rng.choice(['nan', 'inf', '-inf'])}")
+            elif fault == "both":
+                lines.insert(k, "0,-1,b,nan")
+            elif fault == "duplicate" and lines:
+                lines.insert(k, lines[int(rng.integers(0, len(lines)))])
+            elif fault == "drop" and lines:
+                del lines[min(k, len(lines) - 1)]
+            elif fault == "gap":
+                lines.insert(k, f"{int(rng.integers(0, 3))},5,{rng.choice(['a', 'b'])},0.5")
+            elif fault in ("blank", "spaces"):
+                lines.insert(k, "" if fault == "blank" else " \t")
+            elif fault == "bad-class":
+                lines.insert(k, "0,0,..,0.5")
+        path = str(tmp_path / f"conf{trial}.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(["frame,superpixel_id,class,value", *lines]) + "\n")
+        try:
+            want = _read_confidence_rows_one_by_one(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                read_confidence_csv(path)
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc).split()[0])
+            continue
+        got = read_confidence_csv(path)
+        assert list(got) == list(want)
+        assert {cls: [v.tolist() for v in f.values] for cls, f in got.items()} == want
+        outcomes.add("read")
+    assert len(outcomes) == 6  # each outcome was reached
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"], ids=["header-only", "blank", "whitespace"])
+def test_read_confidence_csv_of_no_rows_is_empty(tmp_path, body):
+    path = tmp_path / "pooled.csv"
+    path.write_text("frame,superpixel_id,class,value\n" + body)
+    assert read_confidence_csv(str(path)) == {}
 
 
 def _run_on_edited_pooled(dataset, tmp_path, capsys, command, edit):
@@ -613,6 +782,8 @@ def test_cli_import_loads_no_sparse_solvers():
         ("gmm_seed", -1),
         ("lambda_spatial", float("inf")),
         ("motion_coherence_weight", float("inf")),
+        ("mu", float("inf")),
+        ("tolerance", float("inf")),
     ],
 )
 def test_config_type_and_range_errors_name_the_key_before_writing(tmp_path, capsys, key, bad):
