@@ -42,7 +42,8 @@ def frame_counts(pred_masks, gt_masks, annotated=None):
         pred = np.asarray(pred_masks[t], dtype=bool)
         gt = np.asarray(gt_masks[t], dtype=bool)
         if pred.shape != gt.shape:
-            raise DataError("prediction and ground-truth dimensions differ")
+            raise DataError(f"prediction and ground-truth dimensions differ in frame {t}: "
+                            f"{pred.shape} and {gt.shape}")
         counts.append(
             [np.count_nonzero(pred & gt), np.count_nonzero(pred | gt), np.count_nonzero(pred ^ gt)]
         )

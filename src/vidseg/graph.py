@@ -85,8 +85,6 @@ def spatial_edges(sp: SuperpixelMap):
         pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), (n, n))
         out_i.append(pi + offsets[t])
         out_j.append(pj + offsets[t])
-    if not out_i:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
@@ -105,7 +103,7 @@ def temporal_edges(sp: SuperpixelMap, flows):
     offsets = sp.frame_offsets()
     height, width = sp.labels.shape[1:]
     npix = height * width
-    out_i, out_j, out_rho = [], [], []
+    out_i, out_j, out_rho = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for t in range(1, sp.frame_count):
         flow = np.asarray(flows[t - 1])
         if flow.shape[:2] != (height, width):
@@ -121,17 +119,13 @@ def temporal_edges(sp: SuperpixelMap, flows):
         out_i.append(pi + offsets[t - 1])
         out_j.append(pj + offsets[t])
         out_rho.append(counts / warp_size[pi])
-    if not out_i:
-        empty = np.empty(0, np.int64)
-        return empty, empty.copy(), np.empty(0, np.float64)
     return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_rho)
 
 
-def color_distance(color_i, color_j, mean_sq=None):
-    """Squared RGB distance over twice mean_sq (by default the pairs' own mean)."""
+def color_distance(color_i, color_j):
+    """Squared RGB distance over twice the pairs' own mean squared distance."""
     sq = np.sum((np.asarray(color_i, float) - np.asarray(color_j, float)) ** 2, axis=-1)
-    if mean_sq is None:
-        mean_sq = float(sq.sum() / max(sq.size, 1))
+    mean_sq = float(sq.sum() / max(sq.size, 1))
     if mean_sq <= 0:
         return np.zeros_like(sq)
     return sq / (2.0 * mean_sq)

@@ -22,7 +22,6 @@ from . import gmm as gmm_mod
 from . import mrf as mrf_mod
 from .evaluation import EvalReport, render_overlay, score_masks
 from .graph import MOTION_COHERENCE_WEIGHT, build_graph
-from .pnm import write_pgm
 from .proposals import (
     CONFIDENCE_THRESHOLD,
     ConfidenceField,
@@ -41,6 +40,7 @@ from .video import (
     load_mask,
     load_superpixels,
     load_video,
+    write_mask,
     write_rows,
 )
 
@@ -282,10 +282,7 @@ def write_segmentation(out_dir, cls, video, masks, gmm_obj, gmm_bg):
     mask_dir = os.path.join(out_dir, "masks", cls)
     os.makedirs(mask_dir, exist_ok=True)
     for t in range(video.frame_count):
-        write_pgm(
-            os.path.join(mask_dir, f"frame_{t:04d}.pgm"),
-            masks[t].astype(np.uint8) * 255,
-        )
+        write_mask(os.path.join(mask_dir, f"frame_{t:04d}.pgm"), masks[t])
     render_overlay(video, masks, os.path.join(out_dir, "overlays", cls))
     models = {
         name: {f.name: getattr(model, f.name).tolist() for f in fields(model)}
@@ -407,11 +404,13 @@ def read_confidence_csv(path):
     for i, name in enumerate(codes):
         check_id("class", name)
         lo, hi = bounds[i], bounds[i + 1]
+        if f[hi - 1] >= hi - lo:  # every frame has a row: no clip fits a larger frame id
+            raise DataError(f"class {name!r}: frame {f[hi - 1]} is past the class's {hi - lo} "
+                            f"rows in {path}")
         if gap[lo:hi].any():
             t = f[lo:hi][gap[lo:hi]].min()
             raise DataError(f"non-contiguous superpixel ids for frame {t} in {path}")
-        counts = np.bincount(f[lo:hi])
-        out[name] = ConfidenceField(name, np.split(value[lo:hi], np.cumsum(counts)[:-1]))
+        out[name] = ConfidenceField.from_flat(name, value[lo:hi], np.bincount(f[lo:hi]))
     return out
 
 

@@ -83,7 +83,7 @@ def energy(x, graph, c, mu):
 def stationarity_residual(x, graph, c, mu):
     """Max-norm residual of the optimality condition X - SX + mu (X - C)."""
     r = x - graph.operator.dot(x) + mu * (x - c)
-    return float(np.max(np.abs(r))) if len(r) else 0.0
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 def propagate_iterative(graph, c, cfg: PropagationConfig) -> PropagationResult:
@@ -99,7 +99,7 @@ def propagate_iterative(graph, c, cfg: PropagationConfig) -> PropagationResult:
     residual = np.inf
     for k in range(1, cfg.max_iterations + 1):
         x_next = alpha * s.dot(x) + (1.0 - alpha) * c
-        residual = float(np.max(np.abs(x_next - x))) if len(x) else 0.0
+        residual = float(np.max(np.abs(x_next - x), initial=0.0))
         x = x_next
         if residual <= cfg.tolerance:
             return PropagationResult(x, k, residual)

@@ -18,10 +18,14 @@ import numpy as np
 from .mrf import Labeling, MRFProblem, mrf_energy
 from .pnm import write_pgm, write_ppm
 from .proposals import ScoredProposal
-from .video import SuperpixelMap, VideoVolume, check_id, write_flow
+from .video import SuperpixelMap, VideoVolume, check_id, write_flow, write_mask
 
 DENSE_ORACLE_LIMIT = 1000
 ENUMERATION_LIMIT = 16
+# SynthConfig field -> its least usable value
+SYNTH_MINIMA = {"width": 1, "height": 1, "frame_count": 1, "cell_size": 1, "shape_width": 1,
+                "shape_height": 1, "proposals_per_frame": 1, "jitter_px": 0,
+                "color_noise_sigma": 0, "confidence_noise_sigma": 0}
 
 
 @dataclass
@@ -48,10 +52,10 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
-        if self.width <= 0 or self.height <= 0 or self.frame_count < 1:
-            raise ValueError("bad frame geometry")
-        if self.cell_size < 1:
-            raise ValueError("bad cell size")
+        """Raise ValueError naming the first field that would make an unusable clip."""
+        for name, least in SYNTH_MINIMA.items():
+            if not getattr(self, name) >= least:  # a NaN fails too
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         check_id("class", self.class_id)
         for t in (0, self.frame_count - 1):
             x = self.start_x + t * self.velocity[0]
@@ -187,14 +191,8 @@ def write_dataset(ds: SynthDataset, out_dir):
             os.path.join(paths["superpixel_dir"], f"frame_{t:04d}.pgm"),
             ds.superpixels.labels[t].astype(np.uint16),
         )
-        write_pgm(
-            os.path.join(paths["motion_dir"], f"frame_{t:04d}.pgm"),
-            ds.motion_masks[t].astype(np.uint8) * 255,
-        )
-        write_pgm(
-            os.path.join(paths["gt_dir"], f"frame_{t:04d}.pgm"),
-            ds.gt_masks[t].astype(np.uint8) * 255,
-        )
+        write_mask(os.path.join(paths["motion_dir"], f"frame_{t:04d}.pgm"), ds.motion_masks[t])
+        write_mask(os.path.join(paths["gt_dir"], f"frame_{t:04d}.pgm"), ds.gt_masks[t])
     for t, flow in enumerate(ds.flows):
         write_flow(os.path.join(paths["flow_dir"], f"flow_{t:04d}.flo"), flow)
 
@@ -202,9 +200,7 @@ def write_dataset(ds: SynthDataset, out_dir):
     with open(paths["proposal_manifest"], "w", encoding="utf-8") as fh:
         for idx, p in enumerate(ds.proposals):
             mask_name = f"mask_{idx:05d}.pgm"
-            write_pgm(
-                os.path.join(manifest_dir, mask_name), p.mask.astype(np.uint8) * 255
-            )
+            write_mask(os.path.join(manifest_dir, mask_name), p.mask)
             fh.write(
                 json.dumps(
                     {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnm import PnmError, read_pnm
+from .pnm import PnmError, read_pnm, write_pgm
 
 FLOW_MAGIC = 202021.25  # little-endian float header, b"PIEH"
 
@@ -89,8 +89,8 @@ class SuperpixelMap:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int32)
-        if self.labels.ndim != 3:
-            raise DataError("labels must have shape (T, H, W)")
+        if self.labels.ndim != 3 or self.labels.shape[0] < 1:
+            raise DataError("labels must have shape (T, H, W) with at least one frame")
         if len(self.counts) != self.labels.shape[0]:
             raise DataError("counts must have one entry per frame")
         for t, frame in enumerate(self.labels):
@@ -223,6 +223,11 @@ def load_mask(path, shape=None) -> np.ndarray:
     if shape is not None and img.shape != shape:
         raise DataError(f"dimension mismatch: mask {path} is {img.shape}, expected {shape}")
     return img != 0
+
+
+def write_mask(path, mask):
+    """Write a mask as an 8-bit PGM, 255 where set and 0 elsewhere; inverse of load_mask."""
+    write_pgm(path, np.where(mask, np.uint8(255), np.uint8(0)))
 
 
 def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> SuperpixelStats:

@@ -45,7 +45,7 @@ def test_iou_annotated_subset():
 
 
 def test_iou_dimension_mismatch():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"differ in frame 0: \(1, 10\) and \(1, 8\)$"):
         mask_scores([_mask1d(10, 0, 5)], [_mask1d(8, 0, 5)])
 
 

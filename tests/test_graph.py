@@ -160,20 +160,19 @@ def test_edges_match_set_oracle():
 
 
 def test_color_distance_single_pair_self_normalizes():
-    d = color_distance([0, 0, 0], [10, 0, 0], mean_sq=100.0)
+    d = color_distance([0, 0, 0], [10, 0, 0])
     assert d == pytest.approx(0.5)
 
 
 def test_color_distance_identical_colors():
-    assert color_distance([5, 5, 5], [5, 5, 5], mean_sq=3.0) == 0.0
+    assert color_distance([5, 5, 5], [5, 5, 5]) == 0.0
 
 
 def test_color_distance_three_pairs():
     sq = np.array([1.0, 2.0, 3.0])
-    mean = sq.mean()
     a = np.zeros((3, 3))
     b = np.stack([np.sqrt(sq), np.zeros(3), np.zeros(3)], axis=1)
-    assert np.allclose(color_distance(a, b, mean), [0.25, 0.5, 0.75])
+    assert np.allclose(color_distance(a, b), [0.25, 0.5, 0.75])
 
 
 def test_spatial_affinity_values():

@@ -644,6 +644,10 @@ def _read_confidence_rows_one_by_one(path):
     out = {}
     for cls, frames in per_class.items():
         check_id("class", cls)
+        rows = sum(map(len, frames.values()))
+        if max(frames) >= rows:
+            raise DataError(f"class {cls!r}: frame {max(frames)} is past the class's {rows} "
+                            f"rows in {path}")
         out[cls] = []
         for t in range(max(frames) + 1):
             row = frames.get(t, {})
@@ -750,6 +754,18 @@ def test_non_finite_confidence_exits_2(dataset, tmp_path, capsys, command, value
     code, err, out, lineno = _run_on_edited_pooled(dataset, tmp_path, capsys, command, edit)
     assert code == 2
     assert f"non-finite value in confidence row {lineno} " in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["adapt", "segment"])
+def test_frame_id_past_the_class_rows_exits_2(dataset, tmp_path, capsys, command):
+    # the reader would size the field by the frame id: about 8 TB for 10**12 frames
+    code, err, out, _ = _run_on_edited_pooled(
+        dataset, tmp_path, capsys, command, lambda lines: [*lines, f"{10**12},0,object,0.5"]
+    )
+    assert code == 2
+    assert f"class 'object': frame {10**12} is past the class's " in err
+    assert str(tmp_path / "pooled.csv") in err
     assert not os.path.exists(out)
 
 

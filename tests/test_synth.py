@@ -189,6 +189,29 @@ def test_synth_cli_flag_sets_its_config_field(tmp_path, capsys, flag, values, fi
     assert config == _synth_config_json(fields.get("class_id", "object"))
 
 
+@pytest.mark.parametrize(
+    "flag, values, field",
+    [
+        ("--frames", ["0"], "frame_count"),
+        ("--width", ["0"], "width"),
+        ("--height", ["-3"], "height"),
+        ("--cell-size", ["0"], "cell_size"),
+        ("--shape-size", ["0", "12"], "shape_width"),
+        ("--shape-size", ["12", "0"], "shape_height"),
+        ("--proposals-per-frame", ["0"], "proposals_per_frame"),
+        ("--jitter", ["-1"], "jitter_px"),
+        ("--color-noise", ["-1"], "color_noise_sigma"),
+        ("--confidence-noise", ["-0.5"], "confidence_noise_sigma"),
+        ("--color-noise", ["nan"], "color_noise_sigma"),
+    ],
+)
+def test_synth_cli_rejects_an_unusable_field_before_writing(tmp_path, capsys, flag, values, field):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), *_SMALL_ARGV, flag, *values]) == 2
+    assert f"{field} must be >= " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dense_oracle_two_node():
     g = graph_from_edges(2, spatial=[(0, 1, 1.0)])
     x = dense_solve_oracle(g, np.array([1.0, 0.0]), mu=0.5)

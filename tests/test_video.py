@@ -7,9 +7,11 @@ from vidseg.video import (
     SuperpixelMap,
     VideoVolume,
     compute_superpixel_stats,
+    load_mask,
     load_superpixels,
     load_video,
     warp_pixels,
+    write_mask,
 )
 
 
@@ -176,6 +178,21 @@ def test_stats_name_the_frame_with_an_empty_label():
 def test_superpixel_map_rejects_labels_outside_its_counts(labels, counts, frame):
     with pytest.raises(DataError, match=f"frame {frame} has superpixel labels outside"):
         SuperpixelMap(labels, counts)
+
+
+def test_superpixel_map_rejects_zero_frames():
+    with pytest.raises(DataError, match="at least one frame"):
+        SuperpixelMap(np.zeros((0, 4, 4), dtype=np.int32), [])
+
+
+def test_write_mask_round_trips_through_load_mask(tmp_path, rng):
+    mask = rng.random((5, 7)) < 0.5
+    path = tmp_path / "mask.pgm"
+    write_mask(path, mask)
+    raster = np.where(mask, 255, 0).astype(np.uint8).tobytes()
+    assert path.read_bytes() == b"P5\n7 5\n255\n" + raster
+    back = load_mask(path, (5, 7))
+    assert back.dtype == bool and np.array_equal(back, mask)
 
 
 def test_warp_translation():
