@@ -43,8 +43,8 @@ from .propagation import (
     PropagationResult,
     adapt_confidence,
     energy,
+    propagate,
     propagate_iterative,
-    propagate_linear,
 )
 from .synth import (
     SynthConfig,

@@ -48,7 +48,6 @@ def _build_parser():
     pipe.add_argument("--config", required=True, help="pipeline config JSON")
     pipe.add_argument("--skip-adaptation", action="store_true", default=None,
                       help="feed the pooled confidences to segmentation directly")
-    pipe.add_argument("--solver", choices=("iterative", "linear"), default=None)
     pipe.add_argument("--out", type=os.path.abspath, help="output directory override")
     pipe.add_argument("--dump-graph", action="store_true", default=None,
                       help="also write the space-time graph edges as CSV")
@@ -82,7 +81,6 @@ def _build_parser():
     adapt.add_argument("--config", required=True)
     adapt.add_argument("--confidence", required=True, help="pooled confidence CSV")
     adapt.add_argument("--out", required=True, help="adapted CSV path")
-    adapt.add_argument("--solver", choices=("iterative", "linear"), default=None)
 
     segment = sub.add_parser("segment", help="segment from a confidence CSV")
     segment.add_argument("--config", required=True)
@@ -103,8 +101,8 @@ def _load_config(args, **overrides):
 
 
 def _cmd_pipeline(args):
-    cfg = _load_config(args, out_dir=args.out, solver=args.solver,
-                       skip_adaptation=args.skip_adaptation, dump_graph=args.dump_graph)
+    cfg = _load_config(args, out_dir=args.out, skip_adaptation=args.skip_adaptation,
+                       dump_graph=args.dump_graph)
     report = run_pipeline(cfg)
     summary = report.summary()
     print(
@@ -147,7 +145,7 @@ def _cmd_pool(args):
 
 
 def _cmd_adapt(args):
-    cfg = _load_config(args, solver=args.solver)
+    cfg = _load_config(args)
     inputs = load_inputs(cfg)
     pooled = read_confidence_csv(args.confidence)
     adapted = adapt_stage(cfg, inputs, pooled)

@@ -85,7 +85,6 @@ class PipelineConfig:
     lambda_temporal: float = mrf_mod.LAMBDA_TEMPORAL
     gmm_components: int = gmm_mod.DEFAULT_COMPONENTS
     gmm_seed: int = 0
-    solver: str = PropagationConfig.solver
     tolerance: float = PropagationConfig.tolerance
     max_iterations: int = PropagationConfig.max_iterations
     skip_adaptation: bool = False

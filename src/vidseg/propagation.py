@@ -1,16 +1,16 @@
 """Confidence adaptation by diffusion on the space-time graph.
 
-Minimizes a smoothness + fit energy over per-superpixel confidences, either
-by the damped diffusion iteration
-
-    X_{k+1} = alpha * S @ X_k + (1 - alpha) * C
-
-or by solving the stationarity system
+Minimizes a smoothness + fit energy over per-superpixel confidences by
+solving the stationarity system
 
     (I - (1 - eta) S) X = eta C,   eta = mu / (1 + mu)
 
-with conjugate gradients. With alpha = 1 / (1 + mu) both
-routes share the same fixed point.
+with conjugate gradients. The paper's damped diffusion iteration
+
+    X_{k+1} = alpha * S @ X_k + (1 - alpha) * C
+
+with alpha = 1 / (1 + mu) has the same fixed point; it is kept as the
+reference the solve is checked against.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class PropagationConfig:
     mu: float = DEFAULT_MU
-    solver: str = "linear"  # "linear" | "iterative"
     tolerance: float = 1e-8
     max_iterations: int = 10000
 
@@ -46,8 +45,6 @@ class PropagationConfig:
         for name in ("mu", "tolerance", "max_iterations"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails both
                 raise ValueError(f"{name} must be positive and finite")
-        if self.solver not in ("linear", "iterative"):
-            raise ValueError(f"unknown solver {self.solver!r}")
 
     @property
     def eta(self):
@@ -112,7 +109,7 @@ def propagate_iterative(graph, c, cfg: PropagationConfig) -> PropagationResult:
     )
 
 
-def propagate_linear(graph, c, cfg: PropagationConfig) -> PropagationResult:
+def propagate(graph, c, cfg: PropagationConfig) -> PropagationResult:
     """Solve (I - (1 - eta) S) X = eta C by conjugate gradients.
 
     The system matrix is symmetric positive definite (the spectrum of S lies
@@ -152,12 +149,6 @@ def propagate_linear(graph, c, cfg: PropagationConfig) -> PropagationResult:
         residual,
         cfg.max_iterations,
     )
-
-
-def propagate(graph, c, cfg: PropagationConfig) -> PropagationResult:
-    if cfg.solver == "iterative":
-        return propagate_iterative(graph, c, cfg)
-    return propagate_linear(graph, c, cfg)
 
 
 def adapt_confidence(field: ConfidenceField, graph, cfg: PropagationConfig) -> ConfidenceField:

@@ -10,6 +10,7 @@ verify the diffusion solvers and the min-cut labeler.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,10 +23,11 @@ from .video import SuperpixelMap, VideoVolume, check_id, write_flow, write_mask
 
 DENSE_ORACLE_LIMIT = 1000
 ENUMERATION_LIMIT = 16
-# SynthConfig field -> its least usable value
+# SynthConfig field -> its least usable value; -inf admits every number but NaN
 SYNTH_MINIMA = {"width": 1, "height": 1, "frame_count": 1, "cell_size": 1, "shape_width": 1,
                 "shape_height": 1, "proposals_per_frame": 1, "jitter_px": 0,
-                "color_noise_sigma": 0, "confidence_noise_sigma": 0}
+                "color_noise_sigma": 0, "confidence_noise_sigma": 0,
+                "confidence_base": -math.inf}
 
 
 @dataclass

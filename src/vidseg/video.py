@@ -129,17 +129,14 @@ class SuperpixelStats:
 def load_video(path) -> VideoVolume:
     """Load a directory of PPM/PGM frames in lexicographic filename order.
 
-    A frames.txt manifest in the directory (one filename per line) overrides
-    the lexicographic order.
+    Every per-frame directory is read in that order, so a frames.txt manifest,
+    which would reorder the frames alone, is a data error.
     """
     if not os.path.isdir(path):
         raise DataError(f"missing video directory: {path}")
-    manifest = os.path.join(path, "frames.txt")
-    if os.path.isfile(manifest):
-        with open(manifest, "r", encoding="utf-8") as fh:
-            names = [line.strip() for line in fh if line.strip()]
-    else:
-        names = list_dir(path, FRAME_SUFFIXES)
+    if os.path.exists(os.path.join(path, "frames.txt")):
+        raise DataError(f"frames.txt in {path}: frames are read in file-name order only")
+    names = list_dir(path, FRAME_SUFFIXES)
     if not names:
         raise DataError(f"no frames in {path}")
     frames = []

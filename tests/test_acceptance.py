@@ -17,8 +17,8 @@ from vidseg.proposals import ScoredProposal, pool_frame
 from vidseg.propagation import (
     PropagationConfig,
     adapt_confidence,
+    propagate,
     propagate_iterative,
-    propagate_linear,
     stationarity_residual,
 )
 from vidseg.synth import (
@@ -46,7 +46,7 @@ def test_solver_equivalence_and_stationarity():
         graph = random_graph(rng, max_nodes=200)
         c = rng.random(graph.n_nodes)
         x_it = propagate_iterative(graph, c, cfg).x
-        x_lin = propagate_linear(graph, c, cfg).x
+        x_lin = propagate(graph, c, cfg).x
         x_dense = dense_solve_oracle(graph, c, cfg.mu)
         max_it_lin = max(max_it_lin, np.max(np.abs(x_it - x_lin)))
         max_lin_dense = max(max_lin_dense, np.max(np.abs(x_lin - x_dense)))

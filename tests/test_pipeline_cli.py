@@ -126,7 +126,7 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     config_path = _dataset_config(root)
     with open(config_path) as fh:
         cfg = json.load(fh)
-    cfg.update({"solver": "iterative", "max_iterations": 1, "tolerance": 1e-12})
+    cfg.update({"max_iterations": 1, "tolerance": 1e-12})
     with open(config_path, "w") as fh:
         json.dump(cfg, fh)
     code = main(["pipeline", "--config", config_path])
@@ -375,17 +375,35 @@ def test_run_pipeline_validates_paths(tmp_path):
         run_pipeline(cfg)
 
 
-def test_config_rejects_unknown_solver_before_writing(tmp_path, capsys):
-    root = str(tmp_path / "bogus")
+def test_solver_is_no_longer_an_option(tmp_path, capsys):
+    # conjugate gradients is the only diffusion solve
+    root = str(tmp_path / "data")
     config_path = _dataset_config(root)
+    before = _files_under(str(tmp_path), dirs=True)
+    for command in (["pipeline"], ["adapt", "--confidence", "pooled.csv", "--out", "a.csv"]):
+        assert main([*command, "--config", config_path, "--solver", "iterative"]) == 1
     with open(config_path) as fh:
         cfg = json.load(fh)
-    cfg["solver"] = "bogus"
+    cfg["solver"] = "iterative"
     with open(config_path, "w") as fh:
         json.dump(cfg, fh)
     assert main(["pipeline", "--config", config_path]) == 2
-    assert "unknown solver" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(root, "out", "pooled.csv"))
+    assert "unknown config keys" in capsys.readouterr().err
+    assert _files_under(str(tmp_path), dirs=True) == before
+
+
+def test_frames_manifest_rejected_before_writing(tmp_path, capsys):
+    # a frames.txt would reorder the frames but not the superpixels, flow or masks
+    root = str(tmp_path / "ordered")
+    config_path = _dataset_config(root)
+    frames = os.path.join(root, "frames")
+    names = sorted(os.listdir(frames), reverse=True)
+    with open(os.path.join(frames, "frames.txt"), "w") as fh:
+        fh.writelines(f"{name}\n" for name in names)
+    before = _files_under(str(tmp_path), dirs=True)
+    assert main(["pipeline", "--config", config_path]) == 2
+    assert "frames.txt" in capsys.readouterr().err
+    assert _files_under(str(tmp_path), dirs=True) == before
 
 
 def _eval_with_extra_mask(dataset, tmp_path, capsys, side, extra):

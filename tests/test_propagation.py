@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from conftest import graph_from_edges, random_graph
-from vidseg.proposals import ConfidenceField
+from vidseg.graph import build_graph
+from vidseg.proposals import (
+    ConfidenceField,
+    filter_by_confidence,
+    pool_confidence,
+    score_proposals,
+)
 from vidseg.propagation import (
     ConvergenceError,
     PropagationConfig,
     adapt_confidence,
     energy,
+    propagate,
     propagate_iterative,
-    propagate_linear,
     stationarity_residual,
 )
-from vidseg.synth import dense_solve_oracle
+from vidseg.synth import SynthConfig, dense_solve_oracle, generate
 
 
 def two_node_graph():
@@ -29,8 +35,6 @@ def test_config_eta_alpha():
 def test_config_validation():
     with pytest.raises(ValueError):
         PropagationConfig(mu=-1)
-    with pytest.raises(ValueError):
-        PropagationConfig(solver="magic")
     with pytest.raises(ValueError):
         PropagationConfig(tolerance=0)
 
@@ -66,7 +70,7 @@ def test_two_node_fixed_point_both_routes():
     g = two_node_graph()
     c = np.array([1.0, 0.0])
     cfg = PropagationConfig(mu=0.5, tolerance=1e-12)
-    for solve in (propagate_iterative, propagate_linear):
+    for solve in (propagate_iterative, propagate):
         res = solve(g, c, cfg)
         assert np.allclose(res.x, [0.6, 0.4], atol=1e-10)
 
@@ -75,14 +79,14 @@ def test_isolated_node_solution():
     g = graph_from_edges(3, spatial=[(0, 1, 1.0)])
     c = np.array([0.0, 0.0, 0.9])
     cfg = PropagationConfig(mu=0.5, tolerance=1e-12)
-    res = propagate_linear(g, c, cfg)
+    res = propagate(g, c, cfg)
     assert res.x[2] == pytest.approx(0.3, abs=1e-12)  # eta * C on zero rows
 
 
 def test_zero_input_zero_output():
     g = two_node_graph()
     cfg = PropagationConfig()
-    for solve in (propagate_iterative, propagate_linear):
+    for solve in (propagate_iterative, propagate):
         res = solve(g, np.zeros(2), cfg)
         assert np.all(res.x == 0)
 
@@ -93,7 +97,7 @@ def test_uniform_input_on_regular_graph():
         4, spatial=[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
     )
     c = np.full(4, 0.7)
-    res = propagate_linear(g, c, PropagationConfig(tolerance=1e-12))
+    res = propagate(g, c, PropagationConfig(tolerance=1e-12))
     assert np.allclose(res.x, 0.7, atol=1e-10)
 
 
@@ -103,10 +107,27 @@ def test_solver_equivalence_and_oracle(rng):
         g = random_graph(rng, max_nodes=60)
         c = rng.random(g.n_nodes)
         x_it = propagate_iterative(g, c, cfg).x
-        x_lin = propagate_linear(g, c, cfg).x
+        x_lin = propagate(g, c, cfg).x
         x_dense = dense_solve_oracle(g, c, cfg.mu)
         assert np.max(np.abs(x_it - x_lin)) <= 1e-6
         assert np.max(np.abs(x_lin - x_dense)) <= 1e-8
+
+
+def test_solver_equivalence_at_clip_scale():
+    # the S clip's graph (5,450 nodes) and pooled field: past the dense oracle's reach
+    synth = SynthConfig(seed=7)
+    ds = generate(synth)
+    graph = build_graph(ds.video, ds.superpixels, ds.flows)
+    scored = score_proposals(ds.proposals, ds.motion_masks)
+    pooled = pool_confidence(filter_by_confidence(scored, synth.class_id, 0.01),
+                             synth.class_id, ds.superpixels)
+    c = pooled.flat()
+    cfg = PropagationConfig(tolerance=1e-10)
+    x_cg = propagate(graph, c, cfg).x
+    x_it = propagate_iterative(graph, c, cfg).x
+    assert np.max(np.abs(x_cg - x_it)) <= 10 * cfg.tolerance
+    for x in (x_cg, x_it):
+        assert stationarity_residual(x, graph, c, cfg.mu) <= 10 * cfg.tolerance
 
 
 def test_stationarity_residual_small(rng):
@@ -114,7 +135,7 @@ def test_stationarity_residual_small(rng):
     for _ in range(5):
         g = random_graph(rng, max_nodes=50)
         c = rng.random(g.n_nodes)
-        x = propagate_linear(g, c, cfg).x
+        x = propagate(g, c, cfg).x
         assert stationarity_residual(x, g, c, cfg.mu) <= 1e-7
 
 
@@ -123,7 +144,7 @@ def test_optimality_of_linear_solution(rng):
     cfg = PropagationConfig(tolerance=1e-14)
     g = random_graph(rng, max_nodes=30)
     c = rng.random(g.n_nodes)
-    x = propagate_linear(g, c, cfg).x
+    x = propagate(g, c, cfg).x
 
     def objective(v):
         return 0.5 * energy(v, g, c, mu=0.0) + cfg.mu * float(np.sum((v - c) ** 2))
@@ -155,7 +176,7 @@ def test_maximum_principle(rng):
     for _ in range(10):
         g = random_graph(rng, max_nodes=50)
         c = rng.random(g.n_nodes)
-        x = propagate_linear(g, c, cfg).x
+        x = propagate(g, c, cfg).x
         assert x.min() >= -1e-10
         assert x.max() <= 1.0 + 1e-10
 
@@ -193,7 +214,7 @@ def test_disconnected_components_solve_independently(rng):
     g_b = graph_from_edges(2, spatial=[(0, 1, 2.0)])
     c = rng.random(5)
     cfg = PropagationConfig(tolerance=1e-13)
-    x_all = propagate_linear(g_all, c, cfg).x
-    x_a = propagate_linear(g_a, c[:3], cfg).x
-    x_b = propagate_linear(g_b, c[3:], cfg).x
+    x_all = propagate(g_all, c, cfg).x
+    x_a = propagate(g_a, c[:3], cfg).x
+    x_b = propagate(g_b, c[3:], cfg).x
     assert np.allclose(x_all, np.concatenate([x_a, x_b]), atol=1e-10)

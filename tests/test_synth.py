@@ -203,6 +203,7 @@ def test_synth_cli_flag_sets_its_config_field(tmp_path, capsys, flag, values, fi
         ("--color-noise", ["-1"], "color_noise_sigma"),
         ("--confidence-noise", ["-0.5"], "confidence_noise_sigma"),
         ("--color-noise", ["nan"], "color_noise_sigma"),
+        ("--confidence-base", ["nan"], "confidence_base"),
     ],
 )
 def test_synth_cli_rejects_an_unusable_field_before_writing(tmp_path, capsys, flag, values, field):

@@ -45,15 +45,15 @@ def test_load_video_empty(tmp_path):
         load_video(tmp_path / "v")
 
 
-def test_load_video_manifest_overrides_order(tmp_path):
+def test_load_video_rejects_a_frame_order_manifest(tmp_path):
+    # superpixels, flow and masks are read in file-name order, so frames are too
     d = tmp_path / "v"
     d.mkdir()
     for name, value in (("a.pgm", 1), ("b.pgm", 2)):
         write_pgm(d / name, np.full((4, 4), value, dtype=np.uint8))
     (d / "frames.txt").write_text("b.pgm\na.pgm\n")
-    video = load_video(d)
-    assert video.frames[0, 0, 0, 0] == 2
-    assert video.frames[1, 0, 0, 0] == 1
+    with pytest.raises(DataError, match="frames.txt"):
+        load_video(d)
 
 
 def test_load_video_dimension_mismatch(tmp_path):
