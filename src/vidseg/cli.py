@@ -33,6 +33,22 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
+# synth's one-number float flags. argparse reads only tokens such as -1 and -.5
+# as negative numbers, so after a space it takes -inf or -1e-3 for an option name.
+FLOAT_FLAGS = ("--confidence-base", "--confidence-noise", "--color-noise")
+
+
+def _join_float_values(argv):
+    """argv with each FLOAT_FLAGS flag and the token after it joined as FLAG=VALUE."""
+    out = []
+    for token in argv:
+        if out and out[-1] in FLOAT_FLAGS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -195,7 +211,7 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -122,9 +122,13 @@ def temporal_edges(sp: SuperpixelMap, flows):
     return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_rho)
 
 
-def color_distance(color_i, color_j):
-    """Squared RGB distance over twice the pairs' own mean squared distance."""
-    sq = np.sum((np.asarray(color_i, float) - np.asarray(color_j, float)) ** 2, axis=-1)
+def color_distance(colors, i, j):
+    """Squared RGB distance of colors[i] and colors[j], over twice its own mean.
+
+    Gathers one channel at a time, summed in np.sum's order over a row.
+    """
+    colors = np.asarray(colors, float)
+    sq = sum((colors[i, k] - colors[j, k]) ** 2 for k in range(3))
     mean_sq = float(sq.sum() / max(sq.size, 1))
     if mean_sq <= 0:
         return np.zeros_like(sq)
@@ -214,11 +218,13 @@ def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
         shape=(n, n),
     )
     operator = upper + upper.T
+    del upper
     degrees = np.asarray(operator.sum(axis=1)).ravel()
     dinv = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
     # A becomes S in place; entry-wise A_ij * (dinv_i * dinv_j) keeps S exactly symmetric
-    row_of = np.repeat(np.arange(n), np.diff(operator.indptr))
-    operator.data *= dinv[row_of] * dinv[operator.indices]
+    scale = np.repeat(dinv, np.diff(operator.indptr))
+    scale *= dinv[operator.indices]
+    operator.data *= scale
     return SpaceTimeGraph(
         frame_offsets=frame_offsets,
         spatial_i=si,
@@ -252,13 +258,14 @@ def build_graph(
     si, sj = spatial_edges(sp)
     ti, tj, rho = temporal_edges(sp, flows)
 
-    d_c_s = color_distance(colors[si], colors[sj])
-    cent_d = np.linalg.norm(centroids[si] - centroids[sj], axis=1)
+    d_c_s = color_distance(colors, si, sj)
+    # np.linalg.norm(axis=1)'s value, without (m, 2) gathers
+    cent_d = np.sqrt(sum((centroids[si, k] - centroids[sj, k]) ** 2 for k in range(2)))
     mean_cent = cent_d.sum() / max(len(cent_d), 1)
     d_s = cent_d / mean_cent if mean_cent > 0 else np.zeros_like(cent_d)
     sw = spatial_affinity(d_c_s, d_s)
 
-    d_c_t = color_distance(colors[ti], colors[tj])
+    d_c_t = color_distance(colors, ti, tj)
     m = motion_reliability(sp, flows, w_c)
     tw = temporal_affinity(d_c_t, rho, m[ti])
 

@@ -235,8 +235,15 @@ def _reachable(indptr, indices, live, start):
 
 
 def rasterize(labeling: Labeling, sp) -> np.ndarray:
-    """Per-frame boolean masks: pixel set where its superpixel is object."""
+    """Per-frame boolean masks: pixel set where its superpixel is object.
+
+    Fills the (T, H, W) masks one frame at a time.
+    """
     labels = np.asarray(labeling.labels, dtype=bool)
     if len(labels) != sp.total_count:
         raise ValueError("labeling does not cover all superpixels")
-    return labels[sp.node_ids()]
+    offsets = sp.frame_offsets()
+    masks = np.empty(sp.labels.shape, dtype=bool)
+    for t, frame in enumerate(sp.labels):
+        masks[t] = labels[offsets[t]:offsets[t + 1]][frame]
+    return masks

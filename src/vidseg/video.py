@@ -109,10 +109,6 @@ class SuperpixelMap:
         """Global node-id offset per frame: node = offsets[t] + superpixel id."""
         return np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int64)
 
-    def node_ids(self):
-        """(T, H, W) global node id of every pixel."""
-        return self.labels + self.frame_offsets()[:-1, None, None]
-
 
 @dataclass
 class SuperpixelStats:
@@ -230,21 +226,24 @@ def write_mask(path, mask):
 def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> SuperpixelStats:
     """Mean RGB colors and centroids of every superpixel, by global node id.
 
-    The caller checks that video and sp share their (T, H, W) shape.
+    Works one frame at a time: each frame's bincounts fill its rows of the
+    (N, 5) sums, so no temporary spans the clip's pixels. The sums are of
+    integers, hence exact in any order. The caller checks that video and sp
+    share their (T, H, W) shape.
     """
     offsets = sp.frame_offsets()
-    n = int(offsets[-1])
-    nodes = sp.node_ids().ravel()
-    counts = np.bincount(nodes, minlength=n)
-    if not counts.all():
-        t = np.searchsorted(offsets, np.argmin(counts), side="right") - 1
-        raise DataError(f"frame {t} has empty superpixel labels")
+    sums = np.empty((int(offsets[-1]), 5))  # r, g, b, x, y
+    counts = np.empty(len(sums), dtype=np.int64)
     ys, xs = np.indices(sp.labels.shape[1:], dtype=np.float64).reshape(2, -1)
-    reps = sp.frame_count
-    columns = (*video.frames.reshape(-1, 3).T, np.tile(xs, reps), np.tile(ys, reps))
-    sums = np.stack([np.bincount(nodes, weights=w, minlength=n) for w in columns], axis=1)
-    means = sums / counts[:, None]
-    return SuperpixelStats(mean_color=means[:, :3], centroid=means[:, 3:])
+    for t in range(sp.frame_count):
+        labels, n, rows = sp.labels[t].ravel(), sp.counts[t], slice(offsets[t], offsets[t + 1])
+        counts[rows] = np.bincount(labels, minlength=n)
+        if not counts[rows].all():
+            raise DataError(f"frame {t} has empty superpixel labels")
+        for k, w in enumerate((*video.frames[t].reshape(-1, 3).T, xs, ys)):
+            sums[rows, k] = np.bincount(labels, weights=w, minlength=n)
+    sums /= counts[:, None]
+    return SuperpixelStats(mean_color=sums[:, :3], centroid=sums[:, 3:])
 
 
 def warp_pixels(flow):

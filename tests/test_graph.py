@@ -160,19 +160,26 @@ def test_edges_match_set_oracle():
 
 
 def test_color_distance_single_pair_self_normalizes():
-    d = color_distance([0, 0, 0], [10, 0, 0])
-    assert d == pytest.approx(0.5)
+    d = color_distance([[0, 0, 0], [10, 0, 0]], [0], [1])
+    assert d == pytest.approx([0.5])
 
 
 def test_color_distance_identical_colors():
-    assert color_distance([5, 5, 5], [5, 5, 5]) == 0.0
+    assert color_distance([[5, 5, 5], [5, 5, 5]], [0], [1]).tolist() == [0.0]
 
 
 def test_color_distance_three_pairs():
     sq = np.array([1.0, 2.0, 3.0])
-    a = np.zeros((3, 3))
-    b = np.stack([np.sqrt(sq), np.zeros(3), np.zeros(3)], axis=1)
-    assert np.allclose(color_distance(a, b), [0.25, 0.5, 0.75])
+    colors = np.zeros((4, 3))
+    colors[1:, 0] = np.sqrt(sq)
+    assert np.allclose(color_distance(colors, [0, 0, 0], [1, 2, 3]), [0.25, 0.5, 0.75])
+
+
+def test_color_distance_equals_the_row_sum_bit_for_bit(rng):
+    colors = rng.uniform(0.0, 255.0, size=(50, 3))
+    i, j = rng.integers(0, 50, size=(2, 400))
+    sq = np.sum((colors[i] - colors[j]) ** 2, axis=-1)  # (m, 3) gathers, summed per row
+    assert np.array_equal(color_distance(colors, i, j), sq / (2.0 * (sq.sum() / sq.size)))
 
 
 def test_spatial_affinity_values():

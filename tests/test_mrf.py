@@ -305,3 +305,15 @@ def test_rasterize():
     assert not empty.any()
     one = rasterize(Labeling(np.array([True, False])), sp)
     assert np.array_equal(one[0], [[True, True], [False, False]])
+
+
+def test_rasterize_frames_with_unequal_superpixel_counts():
+    labels_img = np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[2, 1], [0, 2]]], dtype=np.int32)
+    sp = SuperpixelMap(labels_img, [2, 1, 3])  # nodes 0-1, 2, 3-5
+    masks = rasterize(Labeling(np.array([False, True, True, False, True, False])), sp)
+    assert masks.dtype == bool
+    assert masks.tolist() == [
+        [[False, True], [True, False]],
+        [[True, True], [True, True]],
+        [[False, True], [False, False]],
+    ]

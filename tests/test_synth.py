@@ -176,6 +176,9 @@ _SMALL_FIELDS = dict(frame_count=3, width=40, height=40, shape_width=12, shape_h
         ("--proposals-per-frame", ["2"], {"proposals_per_frame": 2}),
         ("--jitter", ["3"], {"jitter_px": 3}),
         ("--confidence-base", ["0.3"], {"confidence_base": 0.3}),
+        # argparse alone reads neither as a value after a space
+        ("--confidence-base", ["-1e-3"], {"confidence_base": -1e-3}),
+        ("--confidence-base", ["-inf"], {"confidence_base": -np.inf}),
         ("--confidence-noise", ["0.1"], {"confidence_noise_sigma": 0.1}),
         ("--color-noise", ["5.5"], {"color_noise_sigma": 5.5}),
         ("--class-id", ["car"], {"class_id": "car"}),
@@ -202,6 +205,8 @@ def test_synth_cli_flag_sets_its_config_field(tmp_path, capsys, flag, values, fi
         ("--jitter", ["-1"], "jitter_px"),
         ("--color-noise", ["-1"], "color_noise_sigma"),
         ("--confidence-noise", ["-0.5"], "confidence_noise_sigma"),
+        ("--confidence-noise", ["-1e-3"], "confidence_noise_sigma"),
+        ("--color-noise", ["-inf"], "color_noise_sigma"),
         ("--color-noise", ["nan"], "color_noise_sigma"),
         ("--confidence-base", ["nan"], "confidence_base"),
     ],

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vidseg.mrf import Labeling, rasterize
 from vidseg.pnm import write_pgm, write_ppm
+from vidseg.synth import SynthConfig, generate
 from vidseg.video import (
     DataError,
     SuperpixelMap,
@@ -166,6 +170,36 @@ def test_stats_name_the_frame_with_an_empty_label():
     sp = SuperpixelMap(labels, [1, 2])  # frame 1 never uses label 1
     with pytest.raises(DataError, match="frame 1 "):
         compute_superpixel_stats(_video_of([np.zeros((2, 2, 3), np.uint8)] * 2), sp)
+
+
+def _transient_bytes(fn, *args):
+    """tracemalloc's peak during fn(*args), less what its result keeps alive."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841 -- alive while the memory is read
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - live
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        lambda ds: (compute_superpixel_stats, ds.video, ds.superpixels),
+        lambda ds: (rasterize, Labeling(np.ones(ds.superpixels.total_count, bool)), ds.superpixels),
+    ],
+    ids=["compute_superpixel_stats", "rasterize"],
+)
+def test_ingest_transient_memory_does_not_grow_with_the_clip_pixels(layer):
+    """Both layers work one frame at a time: 28 more frames add no per-pixel temporary."""
+    transient = {}
+    for frames in (4, 32):
+        ds = generate(SynthConfig(frame_count=frames, cell_size=4))  # 128x128, 1024 nodes a frame
+        transient[frames] = _transient_bytes(*layer(ds))
+    added_pixels = 28 * 128 * 128
+    # a float64 per node is 0.5 B a pixel here; a clip-sized int64 or float64 is 8
+    assert (transient[32] - transient[4]) / added_pixels < 2.0, transient
 
 
 @pytest.mark.parametrize(
