@@ -41,7 +41,7 @@ def main():
               "(inside [-1, 1], so diffusion converges)")
 
     # motion reliability of one 8x8 superpixel: coherent flow vs. scrambled flow
-    one = SuperpixelMap(np.zeros((2, 8, 8)), [1, 1])
+    one = SuperpixelMap(np.zeros((2, 8, 8)))
     rng = np.random.default_rng(0)
     print("\nmotion reliability m = exp(-w_c * entropy):")
     for name, flow in (("coherent", np.ones((8, 8, 2))),

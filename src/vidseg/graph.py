@@ -107,7 +107,8 @@ def temporal_edges(sp: SuperpixelMap, flows):
     for t in range(1, sp.frame_count):
         flow = np.asarray(flows[t - 1])
         if flow.shape[:2] != (height, width):
-            raise DataError(f"flow {t - 1} dimensions differ from frames")
+            raise DataError(f"flow of frames {t - 1}-{t} is {flow.shape[:2]}, "
+                            f"frames are {(height, width)}")
         dest = warp_pixels(flow).ravel()
         valid = dest >= 0
         src, dest = sp.labels[t - 1].ravel()[valid], dest[valid]
@@ -187,8 +188,6 @@ def motion_reliability(sp: SuperpixelMap, flows, w_c=MOTION_COHERENCE_WEIGHT):
         key = sp.labels[t].ravel().astype(np.int64) * N_FLOW_BINS + idx.ravel()
         hist = np.bincount(key, minlength=n * N_FLOW_BINS).reshape(n, N_FLOW_BINS)
         occupied = np.count_nonzero(hist, axis=1)
-        if not occupied.all():
-            raise DataError(f"frame {t} has empty superpixel labels")
         mixed = np.flatnonzero(occupied > 1)  # one occupied bin: entropy 0, m = 1
         m[offsets[t] + mixed] = np.exp(-w_c * histogram_entropy(hist[mixed]))
     return m

@@ -198,15 +198,8 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
         gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape) if cfg.gt_dir else {}
         stats = graph = None
         if build:
-            flow_names = list_dir(cfg.flow_dir, ".flo")
-            if len(flow_names) != video.frame_count - 1:
-                raise DataError(
-                    f"expected {video.frame_count - 1} flow files, found {len(flow_names)}"
-                )
-            flows = [load_flow(os.path.join(cfg.flow_dir, n)) for n in flow_names]
-            for k, flow in enumerate(flows):
-                if flow.shape[:2] != (video.height, video.width):
-                    raise DataError(f"flow {flow_names[k]} dimensions differ from frames")
+            flows = [load_flow(os.path.join(cfg.flow_dir, n))
+                     for n in list_dir(cfg.flow_dir, ".flo")]
             stats = compute_superpixel_stats(video, sp)
             graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
     except (OSError, ValueError) as exc:
@@ -418,6 +411,9 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     cfg.validate()
     inputs = load_inputs(cfg)
     pooled = pool_stage(cfg, inputs)
+    if cfg.gt_dir and len(pooled) > 1:  # gt_dir holds one class's masks
+        raise DataError(f"gt_dir is scored against every class, but the run segments "
+                        f"{sorted(pooled)}; set classes to the one class gt_dir annotates")
     if cfg.dump_graph:
         inputs.graph.dump_csv(os.path.join(cfg.out_dir, "graph.csv"))
     write_confidence_csv(os.path.join(cfg.out_dir, "pooled.csv"), pooled)

@@ -121,14 +121,7 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     xs = np.arange(w) // cfg.cell_size
     ys = np.arange(h) // cfg.cell_size
     cell = ys[:, None] * ncols + xs[None, :]
-    label_frames = []
-    counts = []
-    for t in range(T):
-        raw = cell * 2 + gt[t]
-        uniq, remapped = np.unique(raw, return_inverse=True)
-        label_frames.append(remapped.reshape(h, w).astype(np.int32))
-        counts.append(int(uniq.size))
-    sp = SuperpixelMap(np.stack(label_frames), counts)
+    sp = SuperpixelMap(cell * 2 + gt)
 
     flows = []
     for t in range(T - 1):

@@ -2,14 +2,16 @@
 
 All types are plain containers over numpy arrays and are treated as
 immutable after construction; loaders validate dimensions up front so the
-rest of the pipeline can assume consistency.
+rest of the pipeline can assume consistency. SuperpixelMap numbers each
+frame's superpixels 0..n-1 itself, so every map, loaded or built in memory,
+holds contiguous ids.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,21 +83,26 @@ class VideoVolume:
 class SuperpixelMap:
     """Per-frame label images with contiguous 0-based superpixel ids.
 
-    labels: (T, H, W) int32, counts[t] = number of superpixels in frame t.
+    labels: (T, H, W) non-negative ints, kept as an int32 copy in which each
+    frame's values are renumbered 0..n-1 in value order; counts[t] = number
+    of superpixels in frame t.
     """
 
     labels: np.ndarray
-    counts: list
+    counts: list = field(init=False)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
+        self.labels = np.array(self.labels, dtype=np.int32)
         if self.labels.ndim != 3 or self.labels.shape[0] < 1:
             raise DataError("labels must have shape (T, H, W) with at least one frame")
-        if len(self.counts) != self.labels.shape[0]:
-            raise DataError("counts must have one entry per frame")
+        self.counts = []
         for t, frame in enumerate(self.labels):
-            if frame.min() < 0 or frame.max() >= self.counts[t]:
-                raise DataError(f"frame {t} has superpixel labels outside 0..{self.counts[t] - 1}")
+            if frame.min() < 0:
+                raise DataError(f"frame {t} has a negative superpixel label")
+            # the values present, numbered in sorted order: the np.unique remap without a sort
+            lookup = np.cumsum(np.bincount(frame.ravel()) > 0, dtype=np.int32) - 1
+            frame[...] = lookup[frame]
+            self.counts.append(int(lookup[-1]) + 1)
 
     @property
     def frame_count(self):
@@ -154,7 +161,7 @@ def load_video(path) -> VideoVolume:
 
 
 def load_superpixels(path, expected_frames) -> SuperpixelMap:
-    """Load per-frame 16-bit PGM label images, remapping labels to 0..n-1."""
+    """Load per-frame 16-bit PGM label images; SuperpixelMap renumbers them 0..n-1."""
     if not os.path.isdir(path):
         raise DataError(f"missing superpixel directory: {path}")
     names = list_dir(path, ".pgm")
@@ -163,17 +170,12 @@ def load_superpixels(path, expected_frames) -> SuperpixelMap:
             f"superpixel frame count mismatch: {len(names)} files, expected {expected_frames}"
         )
     label_frames = []
-    counts = []
     for name in names:
         raw = read_pnm(os.path.join(path, name))
         if raw.ndim != 2:
             raise DataError(f"superpixel map {name} is not a PGM label image")
-        # the values present, numbered in sorted order: the np.unique remap without a sort
-        lookup = np.cumsum(np.bincount(raw.ravel()) > 0, dtype=np.int32) - 1
-        label_frames.append(lookup[raw])
-        counts.append(int(lookup[-1]) + 1)
-    labels = np.stack(label_frames)
-    return SuperpixelMap(labels, counts)
+        label_frames.append(raw)
+    return SuperpixelMap(label_frames)
 
 
 def load_flow(path) -> np.ndarray:
@@ -188,11 +190,12 @@ def load_flow(path) -> np.ndarray:
     width, height = struct.unpack("<ii", data[4:12])
     if width <= 0 or height <= 0:
         raise DataError(f"bad flow dimensions in {path}")
-    count = width * height * 2
-    raster = np.frombuffer(data, dtype="<f4", count=-1, offset=12)
-    if raster.size < count:
+    size = 12 + width * height * 8
+    if len(data) < size:
         raise DataError(f"truncated flow raster in {path}")
-    flow = raster[:count].reshape(height, width, 2).copy()
+    if len(data) > size:
+        raise DataError(f"{len(data) - size} bytes after the {width}x{height} flow raster in {path}")
+    flow = np.frombuffer(data, dtype="<f4", offset=12).reshape(height, width, 2).copy()
     if not np.all(np.isfinite(flow)):
         raise DataError(f"non-finite flow in {path}")
     return flow
@@ -238,8 +241,6 @@ def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> Superpixe
     for t in range(sp.frame_count):
         labels, n, rows = sp.labels[t].ravel(), sp.counts[t], slice(offsets[t], offsets[t + 1])
         counts[rows] = np.bincount(labels, minlength=n)
-        if not counts[rows].all():
-            raise DataError(f"frame {t} has empty superpixel labels")
         for k, w in enumerate((*video.frames[t].reshape(-1, 3).T, xs, ys)):
             sums[rows, k] = np.bincount(labels, weights=w, minlength=n)
     sums /= counts[:, None]

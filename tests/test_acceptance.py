@@ -180,7 +180,7 @@ def test_pooling_identities():
 def test_entropy_and_affinity_spot_values():
     def pi_and_m(flow):
         """Entropy pi (m = exp(-pi) at w_c = 1) and m of the one superpixel of frame 0 of two."""
-        sp = SuperpixelMap(np.zeros((2, *flow.shape[:2]), dtype=np.int32), [1, 1])
+        sp = SuperpixelMap(np.zeros((2, *flow.shape[:2]), dtype=np.int32))
         pi = -math.log(motion_reliability(sp, [flow], w_c=1.0)[0])
         return pi, motion_reliability(sp, [flow])[0]
 

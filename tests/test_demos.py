@@ -5,6 +5,7 @@ import os
 import pytest
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 DEMOS = sorted(glob.glob(os.path.join(DEMO_DIR, "*.py")))
 
 
@@ -22,3 +23,14 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(module, "OUT", str(tmp_path))
     module.main()
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_library_block_runs():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    adapted, sp = scope["adapted"], scope["ds"].superpixels
+    assert [len(v) for v in adapted.values] == sp.counts
+    assert len(sp.counts) == 20 and sum(sp.counts) == 5450

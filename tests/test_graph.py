@@ -24,9 +24,7 @@ LN32 = 3.4657359027997265
 
 
 def _sp(label_frames):
-    labels = np.stack([np.asarray(f, dtype=np.int32) for f in label_frames])
-    counts = [int(f.max()) + 1 for f in labels]
-    return SuperpixelMap(labels, counts)
+    return SuperpixelMap(label_frames)
 
 
 def test_spatial_edges_two_halves():
@@ -149,7 +147,8 @@ def test_edges_match_set_oracle():
         f = rng.integers(0, n, size=(9, 13)).astype(np.int32)
         f.ravel()[:n] = np.arange(n)
         frames.append(f)
-    sp = SuperpixelMap(np.stack(frames), counts)
+    sp = SuperpixelMap(np.stack(frames))
+    assert sp.counts == counts
     flows = [rng.normal(0.0, 2.5, size=(9, 13, 2)) for _ in range(2)]
     expected_s, expected_t, exits, collisions = _edges_oracle(sp.labels, counts, flows)
     assert exits > 0 and collisions > 0
@@ -196,7 +195,7 @@ def test_temporal_affinity_values():
 
 def _one_superpixel(size):
     """Two frames of one superpixel each; only frame 0 is warped forward."""
-    return SuperpixelMap(np.zeros((2, size, size), dtype=np.int32), [1, 1])
+    return SuperpixelMap(np.zeros((2, size, size), dtype=np.int32))
 
 
 def test_motion_noncoherence_uniform_flow():
@@ -216,12 +215,6 @@ def test_motion_noncoherence_two_bins():
     assert pi == pytest.approx(LN2, abs=1e-12)
     assert m[0] == pytest.approx(0.25, abs=1e-12)
     assert m[1] == 1.0  # the last frame is never warped forward
-
-
-def test_motion_noncoherence_empty_superpixel():
-    sp = SuperpixelMap(np.zeros((2, 2, 2), dtype=np.int32), [2, 1])  # label 1 of frame 0 unused
-    with pytest.raises(DataError, match="frame 0 has empty superpixel labels"):
-        motion_reliability(sp, [np.zeros((2, 2, 2))])
 
 
 def _flow_bins_by_formula(vectors):
@@ -269,7 +262,7 @@ def test_motion_reliability_matches_full_histogram_oracle(rng):
     height, width, n, w_c = 18, 20, 12, 1.7
     labels = np.stack([rng.permutation(np.arange(height * width) % n).reshape(height, width)
                        for _ in range(3)])
-    sp = SuperpixelMap(labels, [n] * 3)
+    sp = SuperpixelMap(labels)
     flows = []
     for t in range(2):
         per_label = rng.uniform(1.0, 6.0, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
@@ -299,7 +292,7 @@ def test_motion_reliability_matches_full_histogram_oracle(rng):
 def test_temporal_edges_collision_counts_a_shared_pixel_once():
     # frame 0: superpixel 0 = x 0..2, superpixel 1 = x 3..4. Pixels 0 and 1
     # (superpixel 0) and pixel 3 (superpixel 1) all land on x = 3.
-    sp = SuperpixelMap(np.array([[[0, 0, 0, 1, 1]], [[0, 0, 0, 1, 2]]], np.int32), [2, 3])
+    sp = SuperpixelMap(np.array([[[0, 0, 0, 1, 1]], [[0, 0, 0, 1, 2]]], np.int32))
     flow = np.zeros((1, 5, 2), np.float32)
     flow[0, :2, 0] = [3, 2]
     i, j, rho = temporal_edges(sp, [flow])

@@ -118,3 +118,12 @@ def test_flow_truncated(tmp_path):
     path.write_bytes(payload + b"\x00" * 8)
     with pytest.raises(DataError, match="truncated"):
         load_flow(path)
+
+
+def test_flow_trailing_bytes(tmp_path):
+    path = tmp_path / "f.flo"
+    write_flow(path, np.zeros((4, 4, 2)))
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 40)
+    with pytest.raises(DataError, match=re.escape(f"40 bytes after the 4x4 flow raster in {path}")):
+        load_flow(path)

@@ -298,7 +298,7 @@ def test_sub_threshold_arcs_still_certified():
 
 def test_rasterize():
     labels_img = np.array([[[0, 0], [1, 1]]], dtype=np.int32)
-    sp = SuperpixelMap(labels_img, [2])
+    sp = SuperpixelMap(labels_img)
     full = rasterize(Labeling(np.array([True, True])), sp)
     assert full.all()
     empty = rasterize(Labeling(np.array([False, False])), sp)
@@ -309,7 +309,8 @@ def test_rasterize():
 
 def test_rasterize_frames_with_unequal_superpixel_counts():
     labels_img = np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[2, 1], [0, 2]]], dtype=np.int32)
-    sp = SuperpixelMap(labels_img, [2, 1, 3])  # nodes 0-1, 2, 3-5
+    sp = SuperpixelMap(labels_img)  # nodes 0-1, 2, 3-5
+    assert sp.counts == [2, 1, 3]
     masks = rasterize(Labeling(np.array([False, True, True, False, True, False])), sp)
     assert masks.dtype == bool
     assert masks.tolist() == [

@@ -24,7 +24,7 @@ from vidseg.pipeline import (
 from vidseg.pnm import write_pgm
 from vidseg.proposals import ConfidenceField
 from vidseg.synth import SynthConfig, generate, write_dataset
-from vidseg.video import DataError, check_id, load_mask
+from vidseg.video import DataError, check_id, load_mask, write_flow
 
 
 def _dataset_config(root, **synth_kw):
@@ -920,6 +920,18 @@ def test_wrong_size_mask_rejected_before_writing(tmp_path, capsys, mask_dir):
     assert _files_under(str(tmp_path), dirs=True) == before
 
 
+def test_wrong_size_flow_rejected_before_writing(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
+                 "--height", "48", "--shape-size", "16", "16"]) == 0
+    capsys.readouterr()
+    write_flow(os.path.join(data, "flow", "flow_0002.flo"), np.zeros((10, 10, 2)))
+    before = _files_under(str(tmp_path), dirs=True)
+    assert main(["pipeline", "--config", os.path.join(data, "config.json")]) == 2
+    assert "ingest: flow of frames 2-3 is (10, 10)" in capsys.readouterr().err
+    assert _files_under(str(tmp_path), dirs=True) == before
+
+
 # manifest faults: (key, bad value) written into manifest line 3 of a 4-frame clip
 MANIFEST_FAULTS = {
     "frame": ("frame", 4),
@@ -989,4 +1001,34 @@ def test_unknown_class_rejected_before_writing(tmp_path, capsys):
     assert main(["pipeline", "--config", config_path]) == 2
     assert "pool: class 'car'" in capsys.readouterr().err
     assert _files_under(str(tmp_path), dirs=True) == before  # not even an empty out_dir
+
+
+@pytest.mark.parametrize("gt_dir", ["gt", ""])
+def test_several_classes_are_not_scored_against_one_gt_dir(tmp_path, capsys, gt_dir):
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
+                 "--height", "48", "--shape-size", "16", "16"]) == 0
+    manifest = os.path.join(data, "proposals", "manifest.jsonl")
+    with open(manifest) as fh:
+        lines = [json.loads(line) for line in fh]
+    for rec in lines:
+        rec["confidences"]["car"] = 0.2
+    with open(manifest, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in lines)
+    config_path = os.path.join(data, "config.json")
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    cfg.update(classes=[], gt_dir=gt_dir)  # all manifest classes: car and object
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    capsys.readouterr()
+    before = _files_under(str(tmp_path), dirs=True)
+    code = main(["pipeline", "--config", config_path])
+    if gt_dir:
+        assert code == 2
+        assert "['car', 'object']; set classes" in capsys.readouterr().err
+        assert _files_under(str(tmp_path), dirs=True) == before
+    else:
+        assert code == 0
+        assert sorted(os.listdir(os.path.join(data, "out", "masks"))) == ["car", "object"]
 
