@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# Run every route of the installed `vidseg` console script on synthetic clips
+# written under the directory given as the one argument, which must not hold
+# earlier runs: the single-shot pipeline, the staged route (pool, adapt,
+# segment, eval), which must write the single-shot run's files byte for byte,
+# the ablation route, a one-frame clip and the default moving clip. A failing
+# command, a differing file or a Python warning under PYTHONWARNINGS=error
+# fails the script.
+#
+#   bash .github/console-routes.sh "$RUNNER_TEMP"
+set -euo pipefail
+tmp=$1
+
+# a clip that segments (IoU 1), so the staged-route diff below compares real masks
+vidseg synth --out "$tmp/demo" --seed 5 --frames 4 --confidence-base 0.6
+vidseg pipeline --config "$tmp/demo/config.json"
+grep -qx 'mean,,1,1,0' "$tmp/demo/out/report.csv"
+# the staged route; $tmp/staged does not exist yet, so each writer creates its directory
+cfg="$tmp/demo/config.json"
+out="$tmp/staged"
+PYTHONWARNINGS=error vidseg pool --config "$cfg" --out "$out/pooled.csv"
+PYTHONWARNINGS=error vidseg adapt --config "$cfg" --confidence "$out/pooled.csv" --out "$out/adapted.csv"
+PYTHONWARNINGS=error vidseg segment --config "$cfg" --confidence "$out/adapted.csv" --out "$out/seg"
+PYTHONWARNINGS=error vidseg eval --pred "$out/seg/masks/object" --gt "$tmp/demo/gt" --out "$out/new/report.csv"
+# the staged route writes the single-shot run's files byte for byte
+single="$tmp/demo/out"
+cmp "$single/pooled.csv" "$out/pooled.csv"
+cmp "$single/adapted.csv" "$out/adapted.csv"
+cmp "$single/gmm_object.json" "$out/seg/gmm_object.json"
+diff -r "$single/masks" "$out/seg/masks"
+diff -r "$single/overlays" "$out/seg/overlays"
+# the ablation route: no diffusion, graph dump
+vidseg pipeline --config "$cfg" --skip-adaptation --dump-graph --out "$out/ablation"
+# a one-frame clip: no flow and no temporal edges; any warning fails the script
+vidseg synth --out "$tmp/one" --frames 1 --seed 3 --confidence-base 0.6 --width 48 --height 48 --shape-size 16 16
+PYTHONWARNINGS=error vidseg pipeline --config "$tmp/one/config.json" --dump-graph
+# the default moving clip: flow-binned and colliding pixels in every frame pair; any warning fails the script
+vidseg synth --out "$tmp/moving" --seed 7
+PYTHONWARNINGS=error vidseg pipeline --config "$tmp/moving/config.json" --dump-graph

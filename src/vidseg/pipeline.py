@@ -14,6 +14,7 @@ import math
 import os
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,7 +36,7 @@ from .video import (
     DataError,
     check_id,
     compute_superpixel_stats,
-    list_dir,
+    list_frames,
     load_flow,
     load_mask,
     load_superpixels,
@@ -57,6 +58,15 @@ class StageError(RuntimeError):
     def __init__(self, stage, cause):
         super().__init__(f"{stage}: {cause}")
         self.cause = cause
+
+
+@contextmanager
+def _stage(name):
+    """Re-raise a ConvergenceError, OSError or ValueError of the block as StageError(name, ...)."""
+    try:
+        yield
+    except (ConvergenceError, OSError, ValueError) as exc:
+        raise StageError(name, exc) from exc
 
 
 # Path keys; relative values resolve against the config file.
@@ -161,13 +171,12 @@ class LoadedInputs:
 def load_mask_dir(path, frame_count=None, shape=None):
     """Masks of a directory of PGMs, keyed by the frame number ending each name.
 
-    A name without a frame number, one at or past frame_count, two names of
-    one frame, or a mask not of (H, W) shape (if given) is a DataError.
+    A directory without masks, a name without a frame number, one at or past
+    frame_count, two names of one frame, or a mask not of (H, W) shape (if
+    given) is a DataError.
     """
-    if not os.path.isdir(path):
-        raise DataError(f"missing directory: {path}")
     names = {}
-    for name in list_dir(path, ".pgm"):
+    for name in map(os.path.basename, list_frames(path, ".pgm")):
         match = _FRAME_INDEX_RE.search(os.path.splitext(name)[0])
         idx = int(match.group(1)) if match else None
         if idx is None or (frame_count is not None and idx >= frame_count):
@@ -175,6 +184,8 @@ def load_mask_dir(path, frame_count=None, shape=None):
         if idx in names:
             raise DataError(f"mask files {names[idx]} and {name} in {path} both map to frame {idx}")
         names[idx] = name
+    if not names:
+        raise DataError(f"no masks in {path}")
     return {idx: load_mask(os.path.join(path, name), shape) for idx, name in names.items()}
 
 
@@ -183,33 +194,27 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
 
     Pooling reads neither the flow nor the stats, so `vidseg pool` loads without build.
     """
-    try:
+    with _stage("ingest"):
         video = load_video(cfg.video_dir)
         sp = load_superpixels(cfg.superpixel_dir, video.frame_count)
-        if video.frames.shape[:3] != sp.labels.shape:
-            raise DataError("video and superpixel dimensions differ")
-        motion_names = list_dir(cfg.motion_dir, ".pgm")
-        if len(motion_names) != video.frame_count:
-            raise DataError(
-                f"expected {video.frame_count} motion masks, found {len(motion_names)}"
-            )
         shape = (video.height, video.width)
-        motion = np.stack([load_mask(os.path.join(cfg.motion_dir, n), shape) for n in motion_names])
+        if sp.labels.shape[1:] != shape:
+            raise DataError(f"dimension mismatch: superpixel maps in {cfg.superpixel_dir} are "
+                            f"{sp.labels.shape[1:]}, frames are {shape}")
+        motion = np.stack([load_mask(mask_path, shape) for mask_path
+                           in list_frames(cfg.motion_dir, ".pgm", video.frame_count)])
         gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape) if cfg.gt_dir else {}
         stats = graph = None
         if build:
-            flows = [load_flow(os.path.join(cfg.flow_dir, n))
-                     for n in list_dir(cfg.flow_dir, ".flo")]
+            flows = [load_flow(flow_path) for flow_path in list_frames(cfg.flow_dir, ".flo")]
             stats = compute_superpixel_stats(video, sp)
             graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
-    except (OSError, ValueError) as exc:
-        raise StageError("ingest", exc) from exc
     return LoadedInputs(video, sp, motion, gt_masks, stats, graph)
 
 
 def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
     """Score, filter, and pool proposals into per-class confidence fields."""
-    try:
+    with _stage("pool"):
         video = inputs.video
         proposals = load_proposal_manifest(
             cfg.proposal_manifest, video.frame_count, (video.height, video.width)
@@ -227,20 +232,16 @@ def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
             retained = filter_by_confidence(scored, cls, cfg.confidence_threshold)
             pooled[cls] = pool_confidence(retained, cls, inputs.superpixels)
         return pooled
-    except (OSError, ValueError) as exc:
-        raise StageError("pool", exc) from exc
 
 
 def adapt_stage(cfg: PipelineConfig, inputs: LoadedInputs, pooled):
     """Diffuse each class's pooled field over the space-time graph."""
-    try:
+    with _stage("adapt"):
         prop_cfg = cfg.propagation_config()
         return {
             cls: adapt_confidence(fieldv, inputs.graph, prop_cfg)
             for cls, fieldv in sorted(pooled.items())
         }
-    except (ConvergenceError, ValueError) as exc:
-        raise StageError("adapt", exc) from exc
 
 
 def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
@@ -286,26 +287,22 @@ def write_segmentation(out_dir, cls, video, masks, gmm_obj, gmm_bg):
 
 def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, confidences):
     """Segment every class and write its masks, overlays and color models."""
-    try:
+    with _stage("segment"):
         masks = {}
         for cls, fieldv in sorted(confidences.items()):
             masks[cls], gmm_obj, gmm_bg = segment_class(cfg, inputs, fieldv)
             write_segmentation(cfg.out_dir, cls, inputs.video, masks[cls], gmm_obj, gmm_bg)
         return masks
-    except (ConvergenceError, OSError, ValueError) as exc:
-        raise StageError("segment", exc) from exc
 
 
 def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks):
     """Score the masks against ground truth, if any, and write report.csv."""
-    try:
+    with _stage("eval"):
         report = EvalReport()
         if inputs.gt_masks:
             report = score_masks(cfg.video_id, masks, inputs.gt_masks)
         report.write_csv(os.path.join(cfg.out_dir, "report.csv"))
         return report
-    except (OSError, ValueError) as exc:
-        raise StageError("eval", exc) from exc
 
 
 def write_confidence_csv(path, confidence_fields):

@@ -1,7 +1,8 @@
-"""Minimal binary PGM/PPM readers and writers.
+"""Minimal binary PGM/PPM readers and writers, and the input-error type.
 
 Supports 8-bit P5/P6 and 16-bit P5 (big-endian sample order, used for
-superpixel label maps). No other PNM variants.
+superpixel label maps). No other PNM variants. Every bad input, here and in
+the modules above, is a DataError, and each one read_pnm raises names its file.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import re
 import numpy as np
 
 
-class PnmError(ValueError):
-    pass
+class DataError(ValueError):
+    """Invalid or inconsistent input data."""
 
 
 # magic, then width, height and maxval, each after whitespace or "#" comments, then
@@ -32,21 +33,21 @@ def read_pnm(path):
         data = fh.read()
     header = _HEADER.match(data)
     if header is None:
-        raise PnmError(f"malformed PNM header in {path}")
+        raise DataError(f"malformed PNM header in {path}")
     magic, *numbers = header.groups()
     width, height, maxval = map(int, numbers)
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
-        raise PnmError("bad PNM dimensions or maxval")
+        raise DataError(f"bad PNM dimensions or maxval in {path}")
     channels = 3 if magic == b"P6" else 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height * channels
     raster = np.frombuffer(data, dtype=dtype, count=-1, offset=header.end())
     if raster.size < count:
-        raise PnmError(f"truncated raster in {path}")
+        raise DataError(f"truncated raster in {path}")
     raster = raster[:count]
     if magic == b"P6":
         if maxval > 255:
-            raise PnmError("16-bit PPM not supported")
+            raise DataError(f"16-bit PPM not supported: {path}")
         return raster.reshape(height, width, 3).copy()
     if maxval > 255:
         return raster.astype(np.uint16).reshape(height, width)
@@ -57,7 +58,7 @@ def write_pgm(path, image):
     """Write an (H, W) array as binary PGM; wider than 8-bit data is stored big-endian 16-bit."""
     image = np.asarray(image)
     if image.ndim != 2:
-        raise PnmError("PGM image must be 2-D")
+        raise DataError("PGM image must be 2-D")
     if image.dtype.itemsize > 1:
         maxval, raster = 65535, image.astype(">u2")
     else:
@@ -70,7 +71,7 @@ def write_ppm(path, image):
     """Write an (H, W, 3) uint8 array as binary PPM."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
-        raise PnmError("PPM image must be (H, W, 3)")
+        raise DataError("PPM image must be (H, W, 3)")
     header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
     _atomic_write(path, header + image.astype("u1").tobytes())
 

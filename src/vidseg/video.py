@@ -4,7 +4,9 @@ All types are plain containers over numpy arrays and are treated as
 immutable after construction; loaders validate dimensions up front so the
 rest of the pipeline can assume consistency. SuperpixelMap numbers each
 frame's superpixels 0..n-1 itself, so every map, loaded or built in memory,
-holds contiguous ids.
+holds contiguous ids. Every per-frame directory is listed by list_frames, and
+every input error is a DataError (defined in pnm, re-exported here) that names
+its file or directory.
 """
 
 from __future__ import annotations
@@ -15,15 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pnm import PnmError, read_pnm, write_pgm
+from .pnm import DataError, read_pnm, write_pgm
 
 FLOW_MAGIC = 202021.25  # little-endian float header, b"PIEH"
 
 FRAME_SUFFIXES = (".ppm", ".pgm")
-
-
-class DataError(ValueError):
-    """Invalid or inconsistent input data."""
 
 
 def check_id(kind, value):
@@ -48,9 +46,15 @@ def write_rows(path, header, lines):
         fh.writelines(lines)
 
 
-def list_dir(path, suffixes):
-    """Sorted names in directory path ending in suffixes (a str or a tuple), any case."""
-    return sorted(n for n in os.listdir(path) if n.lower().endswith(suffixes))
+def list_frames(path, suffixes, count=None):
+    """Paths of the files in directory path ending in suffixes (a str or a tuple, any
+    case), in name order; count, if given, is the number there must be."""
+    if not os.path.isdir(path):
+        raise DataError(f"missing directory: {path}")
+    names = sorted(n for n in os.listdir(path) if n.lower().endswith(suffixes))
+    if count is not None and len(names) != count:
+        raise DataError(f"file count mismatch in {path}: {len(names)} files, expected {count}")
+    return [os.path.join(path, n) for n in names]
 
 
 @dataclass
@@ -130,50 +134,40 @@ class SuperpixelStats:
 
 
 def load_video(path) -> VideoVolume:
-    """Load a directory of PPM/PGM frames in lexicographic filename order.
+    """Load a directory of 8-bit PPM/PGM frames in lexicographic filename order.
 
     Every per-frame directory is read in that order, so a frames.txt manifest,
     which would reorder the frames alone, is a data error.
     """
-    if not os.path.isdir(path):
-        raise DataError(f"missing video directory: {path}")
+    paths = list_frames(path, FRAME_SUFFIXES)
     if os.path.exists(os.path.join(path, "frames.txt")):
         raise DataError(f"frames.txt in {path}: frames are read in file-name order only")
-    names = list_dir(path, FRAME_SUFFIXES)
-    if not names:
+    if not paths:
         raise DataError(f"no frames in {path}")
     frames = []
-    for name in names:
-        try:
-            img = read_pnm(os.path.join(path, name))
-        except (OSError, PnmError) as exc:
-            raise DataError(f"unreadable frame {name}: {exc}") from exc
+    for frame_path in paths:
+        img = read_pnm(frame_path)
+        if img.dtype != np.uint8:
+            raise DataError(f"frame {frame_path} is not 8-bit")
         if img.ndim == 2:
-            img = np.repeat(img.astype(np.uint8)[:, :, None], 3, axis=2)
+            img = np.repeat(img[:, :, None], 3, axis=2)
+        if frames and img.shape != frames[0].shape:
+            raise DataError(f"dimension mismatch: {frame_path} is {img.shape[:2]}, "
+                            f"expected {frames[0].shape[:2]}")
         frames.append(img)
-    shape = frames[0].shape
-    for name, img in zip(names, frames):
-        if img.shape != shape:
-            raise DataError(
-                f"dimension mismatch: {name} is {img.shape[:2]}, expected {shape[:2]}"
-            )
     return VideoVolume(np.stack(frames))
 
 
 def load_superpixels(path, expected_frames) -> SuperpixelMap:
     """Load per-frame 16-bit PGM label images; SuperpixelMap renumbers them 0..n-1."""
-    if not os.path.isdir(path):
-        raise DataError(f"missing superpixel directory: {path}")
-    names = list_dir(path, ".pgm")
-    if len(names) != expected_frames:
-        raise DataError(
-            f"superpixel frame count mismatch: {len(names)} files, expected {expected_frames}"
-        )
     label_frames = []
-    for name in names:
-        raw = read_pnm(os.path.join(path, name))
+    for frame_path in list_frames(path, ".pgm", expected_frames):
+        raw = read_pnm(frame_path)
         if raw.ndim != 2:
-            raise DataError(f"superpixel map {name} is not a PGM label image")
+            raise DataError(f"superpixel map {frame_path} is not a PGM label image")
+        if label_frames and raw.shape != label_frames[0].shape:
+            raise DataError(f"dimension mismatch: {frame_path} is {raw.shape}, "
+                            f"expected {label_frames[0].shape}")
         label_frames.append(raw)
     return SuperpixelMap(label_frames)
 

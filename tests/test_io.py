@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from vidseg.pnm import PnmError, read_pnm, write_pgm, write_ppm
+from vidseg.pnm import read_pnm, write_pgm, write_ppm
 from vidseg.video import DataError, load_flow, write_flow
 
 
@@ -42,14 +42,14 @@ def test_pnm_comment_header(tmp_path):
 def test_pnm_truncated_raster(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-    with pytest.raises(PnmError, match="truncated"):
+    with pytest.raises(DataError, match="truncated"):
         read_pnm(path)
 
 
 def test_pnm_bad_magic(tmp_path):
     path = tmp_path / "b.pgm"
     path.write_bytes(b"P3\n1 1\n255\n0")
-    with pytest.raises(PnmError):
+    with pytest.raises(DataError):
         read_pnm(path)
 
 
@@ -67,7 +67,7 @@ def test_pnm_bad_magic(tmp_path):
 def test_pnm_malformed_header_names_the_path(tmp_path, header):
     path = tmp_path / "h.pgm"
     path.write_bytes(header + b"\x00" * 4)
-    with pytest.raises(PnmError, match=f"malformed PNM header in {re.escape(str(path))}$"):
+    with pytest.raises(DataError, match=f"malformed PNM header in {re.escape(str(path))}$"):
         read_pnm(path)
 
 
@@ -82,7 +82,14 @@ def test_pnm_header_separators(tmp_path, sep):
 def test_pnm_bad_dimensions_or_maxval(tmp_path, header):
     path = tmp_path / "d.pgm"
     path.write_bytes(header + b"\x00" * 4)
-    with pytest.raises(PnmError, match="bad PNM dimensions or maxval"):
+    with pytest.raises(DataError, match=f"bad PNM dimensions or maxval in {re.escape(str(path))}$"):
+        read_pnm(path)
+
+
+def test_pnm_16_bit_ppm_names_the_path(tmp_path):
+    path = tmp_path / "w.ppm"
+    path.write_bytes(b"P6\n1 1\n65535\n" + b"\x00" * 6)
+    with pytest.raises(DataError, match=f"16-bit PPM not supported: {re.escape(str(path))}$"):
         read_pnm(path)
 
 

@@ -429,6 +429,20 @@ def test_eval_cli_rejects_two_masks_of_one_frame(dataset, tmp_path, capsys, side
     assert "frame_0001.pgm and other_0001.pgm" in err and "frame 1" in err
 
 
+@pytest.mark.parametrize("side", ["--gt", "--pred"])
+@pytest.mark.parametrize("case, message", [("missing", "missing directory: "), ("empty", "no masks in ")])
+def test_eval_cli_rejects_a_missing_or_empty_mask_dir(dataset, tmp_path, capsys, side, case, message):
+    # an empty --gt would score nothing, and report a perfect mean
+    root, _ = dataset
+    gt_dir = os.path.join(root, "gt")
+    odd_dir = str(tmp_path / "masks")
+    if case == "empty":
+        os.mkdir(odd_dir)
+    dirs = {"--gt": gt_dir, "--pred": gt_dir, side: odd_dir}
+    assert main(["eval", "--pred", dirs["--pred"], "--gt", dirs["--gt"]]) == 2
+    assert message + odd_dir in capsys.readouterr().err
+
+
 def test_segment_class_writes_nothing(dataset, tmp_path):
     root, config_path = dataset
     out = os.path.join(root, "out")
@@ -901,22 +915,73 @@ def test_pool_rejects_superpixels_of_another_size(tmp_path, capsys):
         write_pgm(os.path.join(sp_dir, name), np.zeros((32, 64), dtype=np.uint16))
     pooled = str(tmp_path / "pooled.csv")
     assert main(["pool", "--config", config_path, "--out", pooled]) == 2
-    assert "ingest" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ingest: dimension mismatch" in err and sp_dir in err
     assert not os.path.exists(pooled)
 
 
-@pytest.mark.parametrize("mask_dir", ["motion", "gt"])
-def test_wrong_size_mask_rejected_before_writing(tmp_path, capsys, mask_dir):
+def _last_file(directory):
+    return os.path.join(directory, sorted(os.listdir(directory))[-1])
+
+
+def _resize_last(directory):
+    path = _last_file(directory)
+    write_pgm(path, np.zeros((10, 10), dtype=np.uint8))
+    return path
+
+
+def _zero_size_header(directory):
+    path = _last_file(directory)
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n0 0\n255\n")
+    return path
+
+
+def _sixteen_bit_frame(directory):
+    frame = _last_file(directory)
+    os.remove(frame)
+    path = os.path.splitext(frame)[0] + ".pgm"
+    write_pgm(path, np.full((48, 48), 300, dtype=np.uint16))  # 300 would read as 44 in 8 bits
+    return path
+
+
+def _remove_last(directory):
+    os.remove(_last_file(directory))
+    return directory
+
+
+def _remove_all(directory):
+    for name in os.listdir(directory):
+        os.remove(os.path.join(directory, name))
+    return directory
+
+
+# ingest faults: (input directory of a 4-frame clip, the edit, which returns the path the
+# error must name, and the text the error must hold)
+INGEST_FAULTS = {
+    "motion mask size": ("motion", _resize_last, "dimension mismatch"),
+    "gt mask size": ("gt", _resize_last, "dimension mismatch"),
+    "superpixel map size": ("superpixels", _resize_last, "dimension mismatch"),
+    "superpixel header": ("superpixels", _zero_size_header, "bad PNM dimensions or maxval"),
+    "16-bit frame": ("frames", _sixteen_bit_frame, "is not 8-bit"),
+    "missing motion mask": ("motion", _remove_last, "file count mismatch"),
+    "missing superpixel map": ("superpixels", _remove_last, "file count mismatch"),
+    "empty gt_dir": ("gt", _remove_all, "no masks in"),
+}
+
+
+@pytest.mark.parametrize("fault", INGEST_FAULTS)
+def test_bad_ingest_file_rejected_before_writing(tmp_path, capsys, fault):
     data = str(tmp_path / "data")
     assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
                  "--height", "48", "--shape-size", "16", "16"]) == 0
     capsys.readouterr()
-    bad = os.path.join(data, mask_dir, sorted(os.listdir(os.path.join(data, mask_dir)))[-1])
-    write_pgm(bad, np.zeros((10, 10), dtype=np.uint8))
+    directory, edit, message = INGEST_FAULTS[fault]
+    named = edit(os.path.join(data, directory))
     before = _files_under(str(tmp_path), dirs=True)
     assert main(["pipeline", "--config", os.path.join(data, "config.json")]) == 2
     err = capsys.readouterr().err
-    assert "ingest: dimension mismatch" in err and bad in err
+    assert "ingest: " in err and message in err and named in err
     assert _files_under(str(tmp_path), dirs=True) == before
 
 
