@@ -216,13 +216,10 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except StageError as exc:
-        if isinstance(exc.cause, ConvergenceError):
+    except (StageError, OSError, ValueError) as exc:  # DataError is a ValueError
+        if isinstance(exc.__cause__, ConvergenceError):
             print(f"error (non-convergence): {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as exc:  # DataError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -62,12 +62,11 @@ class SpaceTimeGraph:
         write_rows(path, "kind,frame_i,sp_i,frame_j,sp_j,weight", lines)
 
 
-def _pair_counts(rows, cols, shape):
+def _pair_counts(rows, cols, ncols):
     """Distinct (row, col) pairs in row-major order, with how often each occurs."""
-    counts = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
-    counts.sum_duplicates()
-    row = np.repeat(np.arange(shape[0], dtype=np.int64), np.diff(counts.indptr))
-    return row, counts.indices.astype(np.int64), counts.data
+    # int64 before the product: numpy 1.x keeps int32 * np.int64 scalar in int32
+    keys, counts = np.unique(np.asarray(rows, np.int64) * ncols + cols, return_counts=True)
+    return keys // ncols, keys % ncols, counts.astype(np.float64)
 
 
 def spatial_edges(sp: SuperpixelMap):
@@ -82,7 +81,7 @@ def spatial_edges(sp: SuperpixelMap):
         right, down = labels[:, :-1] != labels[:, 1:], labels[:-1] != labels[1:]
         a = np.concatenate([labels[:, :-1][right], labels[:-1][down]])
         b = np.concatenate([labels[:, 1:][right], labels[1:][down]])
-        pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), (n, n))
+        pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), n)
         out_i.append(pi + offsets[t])
         out_j.append(pj + offsets[t])
     return np.concatenate(out_i), np.concatenate(out_j)
@@ -102,7 +101,6 @@ def temporal_edges(sp: SuperpixelMap, flows):
         )
     offsets = sp.frame_offsets()
     height, width = sp.labels.shape[1:]
-    npix = height * width
     out_i, out_j, out_rho = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for t in range(1, sp.frame_count):
         flow = np.asarray(flows[t - 1])
@@ -112,11 +110,10 @@ def temporal_edges(sp: SuperpixelMap, flows):
         dest = warp_pixels(flow).ravel()
         valid = dest >= 0
         src, dest = sp.labels[t - 1].ravel()[valid], dest[valid]
-        n_prev, n_next = sp.counts[t - 1], sp.counts[t]
         # union semantics: collapse source pixels landing on one destination
-        src_u, dest_u, _ = _pair_counts(src, dest, (n_prev, npix))
-        warp_size = np.bincount(src_u, minlength=n_prev)
-        pi, pj, counts = _pair_counts(src_u, sp.labels[t].ravel()[dest_u], (n_prev, n_next))
+        src_u, dest_u, _ = _pair_counts(src, dest, height * width)
+        warp_size = np.bincount(src_u, minlength=sp.counts[t - 1])
+        pi, pj, counts = _pair_counts(src_u, sp.labels[t].ravel()[dest_u], sp.counts[t])
         out_i.append(pi + offsets[t - 1])
         out_j.append(pj + offsets[t])
         out_rho.append(counts / warp_size[pi])

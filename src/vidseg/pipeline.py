@@ -53,20 +53,16 @@ _CONFIDENCE_ROW = np.dtype(
 
 
 class StageError(RuntimeError):
-    """Error surfaced with the pipeline stage it occurred in."""
-
-    def __init__(self, stage, cause):
-        super().__init__(f"{stage}: {cause}")
-        self.cause = cause
+    """Error surfaced with the pipeline stage it occurred in; __cause__ holds the original."""
 
 
 @contextmanager
 def _stage(name):
-    """Re-raise a ConvergenceError, OSError or ValueError of the block as StageError(name, ...)."""
+    """Re-raise a ConvergenceError, OSError or ValueError of the block as a StageError."""
     try:
         yield
     except (ConvergenceError, OSError, ValueError) as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(f"{name}: {exc}") from exc
 
 
 # Path keys; relative values resolve against the config file.
@@ -206,7 +202,8 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
         gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape) if cfg.gt_dir else {}
         stats = graph = None
         if build:
-            flows = [load_flow(flow_path) for flow_path in list_frames(cfg.flow_dir, ".flo")]
+            flows = [load_flow(flow_path) for flow_path
+                     in list_frames(cfg.flow_dir, ".flo", video.frame_count - 1)]
             stats = compute_superpixel_stats(video, sp)
             graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
     return LoadedInputs(video, sp, motion, gt_masks, stats, graph)

@@ -128,8 +128,6 @@ def pool_frame(proposals, class_id, frame_labels, n_superpixels):
     total = 0.0
     for p in proposals:
         s = p.combined_score * p.class_confidences.get(class_id, 0.0)
-        if s <= 0:
-            continue
         pixel_map += s * p.mask
         total += s
     if total > 0:

@@ -167,7 +167,6 @@ def write_dataset(ds: SynthDataset, out_dir):
     Layout: frames/, superpixels/ (16-bit PGM), flow/ (.flo), motion/, gt/,
     proposals/manifest.jsonl with mask PGMs alongside. Returns the path map.
     """
-    cfg = ds.config
     paths = {
         "video_dir": os.path.join(out_dir, "frames"),
         "superpixel_dir": os.path.join(out_dir, "superpixels"),

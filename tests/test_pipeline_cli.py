@@ -15,6 +15,7 @@ import pytest
 from vidseg.cli import main
 from vidseg.pipeline import (
     PipelineConfig,
+    StageError,
     load_inputs,
     read_confidence_csv,
     run_pipeline,
@@ -966,6 +967,7 @@ INGEST_FAULTS = {
     "16-bit frame": ("frames", _sixteen_bit_frame, "is not 8-bit"),
     "missing motion mask": ("motion", _remove_last, "file count mismatch"),
     "missing superpixel map": ("superpixels", _remove_last, "file count mismatch"),
+    "missing flow file": ("flow", _remove_last, "file count mismatch"),
     "empty gt_dir": ("gt", _remove_all, "no masks in"),
 }
 
@@ -982,6 +984,9 @@ def test_bad_ingest_file_rejected_before_writing(tmp_path, capsys, fault):
     assert main(["pipeline", "--config", os.path.join(data, "config.json")]) == 2
     err = capsys.readouterr().err
     assert "ingest: " in err and message in err and named in err
+    with pytest.raises(StageError, match="ingest: ") as raised:
+        run_pipeline(PipelineConfig.from_json(os.path.join(data, "config.json")))
+    assert isinstance(raised.value.__cause__, DataError)
     assert _files_under(str(tmp_path), dirs=True) == before
 
 
