@@ -27,6 +27,7 @@ single="$tmp/demo/out"
 cmp "$single/pooled.csv" "$out/pooled.csv"
 cmp "$single/adapted.csv" "$out/adapted.csv"
 cmp "$single/gmm_object.json" "$out/seg/gmm_object.json"
+cmp "$single/report.csv" "$out/new/report.csv"
 diff -r "$single/masks" "$out/seg/masks"
 diff -r "$single/overlays" "$out/seg/overlays"
 # the ablation route: no diffusion, graph dump

@@ -83,7 +83,6 @@ def render_overlay(video, masks, out_dir):
     Integer blending ((frame + color) // 2) keeps the output bytes
     deterministic.
     """
-    os.makedirs(out_dir, exist_ok=True)
     color = np.asarray(OVERLAY_COLOR, dtype=np.uint16)
     for t in range(video.frame_count):
         frame = video.frames[t].astype(np.uint16)

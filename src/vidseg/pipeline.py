@@ -1,9 +1,10 @@
 """Pipeline orchestration: ingest -> pool -> adapt -> segment -> eval.
 
-Each stage reads and writes the file formats documented per module, so the
-single-shot pipeline and the per-stage CLI subcommands produce bit-identical
-artifacts. Confidence CSVs are written with full float precision to keep
-file-mediated staging lossless.
+load_inputs returns the clip and its graph, pool_stage (which reads the proposal
+manifest) and adapt_stage class -> ConfidenceField. segment_stage returns class ->
+segment_class's dict and writes masks, overlays and mixtures; eval_stage returns the
+EvalReport and writes report.csv. run_pipeline and the CLI subcommands write the
+confidence CSVs at full float precision, so the two routes write identical bytes.
 """
 
 from __future__ import annotations
@@ -242,7 +243,8 @@ def adapt_stage(cfg: PipelineConfig, inputs: LoadedInputs, pooled):
 
 
 def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
-    """Fit color models and min-cut one class; returns (masks, gmm_obj, gmm_bg)."""
+    """Fit color models and min-cut one class, writing nothing; returns {"masks", "gmm_obj",
+    "gmm_bg", "problem", "labeling"}: masks, mixtures, and the MRF problem and its solve."""
     fieldv.check_counts(inputs.superpixels.counts)
     (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(
         fieldv, inputs.stats
@@ -264,32 +266,26 @@ def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
         cfg.lambda_temporal,
     )
     labeling = mrf_mod.solve_binary(problem)
-    return mrf_mod.rasterize(labeling, inputs.superpixels), gmm_obj, gmm_bg
-
-
-def write_segmentation(out_dir, cls, video, masks, gmm_obj, gmm_bg):
-    """Write one class's mask PGMs, overlay PPMs and mixture JSON."""
-    mask_dir = os.path.join(out_dir, "masks", cls)
-    os.makedirs(mask_dir, exist_ok=True)
-    for t in range(video.frame_count):
-        write_mask(os.path.join(mask_dir, f"frame_{t:04d}.pgm"), masks[t])
-    render_overlay(video, masks, os.path.join(out_dir, "overlays", cls))
-    models = {
-        name: {f.name: getattr(model, f.name).tolist() for f in fields(model)}
-        for name, model in (("object", gmm_obj), ("background", gmm_bg))
-    }
-    with open(os.path.join(out_dir, f"gmm_{cls}.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(models, sort_keys=True))
+    return {"masks": mrf_mod.rasterize(labeling, inputs.superpixels), "gmm_obj": gmm_obj,
+            "gmm_bg": gmm_bg, "problem": problem, "labeling": labeling}
 
 
 def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, confidences):
-    """Segment every class and write its masks, overlays and color models."""
+    """Segment and write each class (masks, overlays, mixtures); class -> segment_class's dict."""
     with _stage("segment"):
-        masks = {}
+        segs = {}
         for cls, fieldv in sorted(confidences.items()):
-            masks[cls], gmm_obj, gmm_bg = segment_class(cfg, inputs, fieldv)
-            write_segmentation(cfg.out_dir, cls, inputs.video, masks[cls], gmm_obj, gmm_bg)
-        return masks
+            seg = segs[cls] = segment_class(cfg, inputs, fieldv)
+            for t, mask in enumerate(seg["masks"]):
+                write_mask(os.path.join(cfg.out_dir, "masks", cls, f"frame_{t:04d}.pgm"), mask)
+            render_overlay(inputs.video, seg["masks"], os.path.join(cfg.out_dir, "overlays", cls))
+            models = {
+                name: {f.name: getattr(seg[key], f.name).tolist() for f in fields(seg[key])}
+                for name, key in (("object", "gmm_obj"), ("background", "gmm_bg"))
+            }
+            with open(os.path.join(cfg.out_dir, f"gmm_{cls}.json"), "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(models, sort_keys=True))
+        return segs
 
 
 def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks):
@@ -416,5 +412,5 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     else:
         confidences = adapt_stage(cfg, inputs, pooled)
         write_confidence_csv(os.path.join(cfg.out_dir, "adapted.csv"), confidences)
-    masks = segment_stage(cfg, inputs, confidences)
-    return eval_stage(cfg, inputs, masks)
+    segs = segment_stage(cfg, inputs, confidences)
+    return eval_stage(cfg, inputs, {cls: seg["masks"] for cls, seg in segs.items()})

@@ -77,6 +77,7 @@ def write_ppm(path, image):
 
 
 def _atomic_write(path, payload: bytes):
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)

@@ -175,8 +175,7 @@ def write_dataset(ds: SynthDataset, out_dir):
         "gt_dir": os.path.join(out_dir, "gt"),
         "proposal_manifest": os.path.join(out_dir, "proposals", "manifest.jsonl"),
     }
-    for key in ("video_dir", "superpixel_dir", "flow_dir", "motion_dir", "gt_dir"):
-        os.makedirs(paths[key], exist_ok=True)
+    os.makedirs(paths["flow_dir"], exist_ok=True)  # a one-frame clip writes no flow
     os.makedirs(os.path.dirname(paths["proposal_manifest"]), exist_ok=True)
 
     for t in range(ds.video.frame_count):

@@ -10,7 +10,12 @@ import numpy as np
 
 from conftest import random_graph, tree_digest
 from vidseg.gmm import fit_gmm, sample_training_sets
-from vidseg.graph import histogram_entropy, motion_reliability, spatial_affinity
+from vidseg.graph import (
+    histogram_entropy,
+    motion_reliability,
+    spatial_affinity,
+    temporal_affinity,
+)
 from vidseg.mrf import MRFProblem, mrf_energy, solve_binary
 from vidseg.pipeline import PipelineConfig, run_pipeline
 from vidseg.proposals import ScoredProposal, pool_frame
@@ -197,6 +202,10 @@ def test_entropy_and_affinity_spot_values():
         "pi(2 bins)=ln2": abs(pi_two - math.log(2)) <= 1e-12,
         "m=0.25": abs(m_two - 0.25) <= 1e-12,
         "affinity=1.21306": abs(aff - 1.21306) <= 1e-5,
+        # w_t = exp(-d_c) * m / rho: a thinner overlap weighs more
+        "temporal=2.42612": abs(temporal_affinity(0.5, 0.25, 1.0) - 2.42612) <= 1e-5,
+        "temporal(rho=1/64)=64x": temporal_affinity(0.0, 1 / 64, 1.0)
+        == 64 * temporal_affinity(0.0, 1.0, 1.0),
         "entropy(uniform 32)=ln32": abs(histogram_entropy(np.ones(32)) - math.log(32))
         <= 1e-12,
     }

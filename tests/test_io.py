@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vidseg.pnm import read_pnm, write_pgm, write_ppm
-from vidseg.video import DataError, load_flow, write_flow
+from vidseg.video import DataError, load_flow, load_mask, write_flow, write_mask
 
 
 def test_pgm8_round_trip(tmp_path):
@@ -31,6 +31,24 @@ def test_ppm_round_trip(tmp_path):
     path = tmp_path / "a.ppm"
     write_ppm(path, img)
     assert np.array_equal(read_pnm(path), img)
+
+
+@pytest.mark.parametrize(
+    "write, read, image",
+    [
+        (write_pgm, read_pnm, np.arange(12, dtype=np.uint8).reshape(3, 4)),
+        (write_ppm, read_pnm, np.arange(36, dtype=np.uint8).reshape(3, 4, 3)),
+        (write_mask, load_mask, np.arange(12).reshape(3, 4) % 3 == 0),
+    ],
+    ids=["pgm", "ppm", "mask"],
+)
+def test_writers_create_missing_directories(tmp_path, write, read, image):
+    flat, nested = tmp_path / "image.pnm", tmp_path / "a" / "b" / "image.pnm"
+    write(flat, image)
+    write(nested, image)
+    assert nested.read_bytes() == flat.read_bytes()
+    assert np.array_equal(read(nested), image)
+    assert sorted(p.name for p in nested.parent.iterdir()) == ["image.pnm"]
 
 
 def test_pnm_comment_header(tmp_path):

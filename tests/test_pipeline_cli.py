@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vidseg import mrf, pipeline
 from vidseg.cli import main
 from vidseg.pipeline import (
     PipelineConfig,
@@ -452,17 +453,42 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
     cfg = PipelineConfig.from_json(config_path, {"out_dir": str(tmp_path / "unused")})
     inputs = load_inputs(cfg)
     fieldv = read_confidence_csv(os.path.join(out, "adapted.csv"))["object"]
-    masks, gmm_obj, gmm_bg = segment_class(cfg, inputs, fieldv)
+    seg = segment_class(cfg, inputs, fieldv)
+    assert sorted(seg) == ["gmm_bg", "gmm_obj", "labeling", "masks", "problem"]
     assert not os.path.exists(cfg.out_dir)
     for t, name in enumerate(sorted(os.listdir(os.path.join(out, "masks", "object")))):
         written = load_mask(os.path.join(out, "masks", "object", name))
-        assert np.array_equal(masks[t], written)
+        assert np.array_equal(seg["masks"][t], written)
     with open(os.path.join(out, "gmm_object.json")) as fh:
         models = json.load(fh)
-    for name, model in (("object", gmm_obj), ("background", gmm_bg)):
+    for name, key in (("object", "gmm_obj"), ("background", "gmm_bg")):
         assert sorted(models[name]) == ["covariances", "means", "weights"]
-        for key, value in models[name].items():
-            assert np.array_equal(value, getattr(model, key))
+        for field_name, value in models[name].items():
+            assert np.array_equal(value, getattr(seg[key], field_name))
+    # the returned problem and labeling are the solve that gave the masks
+    labeling = seg["labeling"]
+    assert np.array_equal(mrf.rasterize(labeling, inputs.superpixels), seg["masks"])
+    energy = mrf.mrf_energy(seg["problem"], labeling.labels)
+    assert abs(labeling.flow_value - energy) <= mrf.CERTIFICATE_RTOL * max(energy, 1)
+    assert labeling.rounds >= 1
+
+
+def test_run_pipeline_writes_the_confidence_csvs_with_segment_and_eval_stubbed(
+    dataset, tmp_path, monkeypatch
+):
+    # perfbench's write_single_shot_csvs stubs these two stages exactly so, to get the
+    # confidence CSVs that the staged route must reproduce
+    root, config_path = dataset
+    out = os.path.join(root, "out")
+    if not os.path.isdir(out):
+        assert main(["pipeline", "--config", config_path]) == 0
+    monkeypatch.setattr(pipeline, "segment_stage", lambda *args, **kwargs: {})
+    monkeypatch.setattr(pipeline, "eval_stage", lambda *args, **kwargs: None)
+    cfg = PipelineConfig.from_json(config_path, {"out_dir": str(tmp_path / "csvs")})
+    assert run_pipeline(cfg) is None
+    assert _files_under(cfg.out_dir) == ["adapted.csv", "pooled.csv"]
+    for name in ("pooled.csv", "adapted.csv"):
+        assert _digest(os.path.join(cfg.out_dir, name)) == _digest(os.path.join(out, name))
 
 
 def _files_under(root, dirs=False):
