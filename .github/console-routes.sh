@@ -3,9 +3,9 @@
 # written under the directory given as the one argument, which must not hold
 # earlier runs: the single-shot pipeline, the staged route (pool, adapt,
 # segment, eval), which must write the single-shot run's files byte for byte,
-# the ablation route, a one-frame clip and the default moving clip. A failing
-# command, a differing file or a Python warning under PYTHONWARNINGS=error
-# fails the script.
+# the ablation route, a one-frame clip, the default moving clip and a clip with
+# noisy dense flow. A failing command, a differing file or a Python warning
+# under PYTHONWARNINGS=error fails the script.
 #
 #   bash .github/console-routes.sh "$RUNNER_TEMP"
 set -euo pipefail
@@ -38,3 +38,7 @@ PYTHONWARNINGS=error vidseg pipeline --config "$tmp/one/config.json" --dump-grap
 # the default moving clip: flow-binned and colliding pixels in every frame pair; any warning fails the script
 vidseg synth --out "$tmp/moving" --seed 7
 PYTHONWARNINGS=error vidseg pipeline --config "$tmp/moving/config.json" --dump-graph
+# a dense-flow clip: N(0, 2 px) noise on every flow pixel sends fractional flow
+# through the flow bins, colliding warps and the motion-entropy path; any warning fails the script
+vidseg synth --out "$tmp/dense" --seed 7 --flow-noise 2
+PYTHONWARNINGS=error vidseg pipeline --config "$tmp/dense/config.json" --dump-graph

@@ -35,7 +35,7 @@ EXIT_NUMERIC = 3
 
 # synth's one-number float flags. argparse reads only tokens such as -1 and -.5
 # as negative numbers, so after a space it takes -inf or -1e-3 for an option name.
-FLOAT_FLAGS = ("--confidence-base", "--confidence-noise", "--color-noise")
+FLOAT_FLAGS = ("--confidence-base", "--confidence-noise", "--color-noise", "--flow-noise")
 
 
 def _join_float_values(argv):
@@ -87,6 +87,7 @@ def _build_parser():
     synth.add_argument("--confidence-noise", dest="confidence_noise_sigma", type=float,
                        metavar="CONFIDENCE_NOISE")
     synth.add_argument("--color-noise", dest="color_noise_sigma", type=float, metavar="COLOR_NOISE")
+    synth.add_argument("--flow-noise", dest="flow_noise_sigma", type=float, metavar="FLOW_NOISE")
     synth.add_argument("--class-id")
 
     pool = sub.add_parser("pool", help="pool proposals into confidence CSVs")

@@ -6,15 +6,16 @@ frames linked by flow-warped overlap. Affinities combine self-normalized
 color distances with centroid distances (spatial) or overlap ratio and
 motion reliability (temporal). The assembled graph carries the node
 degrees of the affinity matrix A and the symmetrically normalized operator
-S = D^-1/2 A D^-1/2 used by the diffusion solvers.
+S = D^-1/2 A D^-1/2 used by the diffusion solvers. SciPy is imported inside
+the function that uses it, so importing graph loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .video import (
     DataError,
@@ -25,6 +26,9 @@ from .video import (
     warp_pixels,
     write_rows,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 MOTION_COHERENCE_WEIGHT = 2.0  # w_c in m = exp(-w_c * entropy)
 DISTANCE_CLAMP = 1e-6
@@ -198,6 +202,8 @@ def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
     applies to a repeated pair too; self-loops are rejected, so diag(S) = 0.
     Isolated nodes get zero rows in S.
     """
+    from scipy import sparse
+
     frame_offsets = np.asarray(frame_offsets, dtype=np.int64)
     n = int(frame_offsets[-1])
     pools = []

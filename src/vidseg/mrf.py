@@ -10,7 +10,8 @@ that reuse the graph affinities:
 With two labels and non-negative pairwise weights the energy is submodular,
 so a single s-t min-cut gives the exact global minimum; ties resolve to
 background (the minimal source side of the cut). solve_binary finds the cut
-with SciPy's compiled max-flow and certifies it against the energy.
+with SciPy's compiled max-flow and certifies it against the energy. SciPy
+is imported inside the functions that use it, so importing mrf loads none.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .gmm import log_likelihoods
 from .propagation import ConvergenceError
@@ -149,6 +149,7 @@ def solve_binary(problem: MRFProblem) -> Labeling:
     go to background. ConvergenceError is raised if
     |energy - flow| > CERTIFICATE_RTOL * max(energy, 1), or after MAX_ROUNDS.
     """
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_flow
 
     n = problem.n_nodes
@@ -204,6 +205,8 @@ def _network(problem, to_source, to_sink):
     Every arc's reverse is stored (terminal ones at capacity 0), so that
     maximum_flow returns its flow on exactly this pattern.
     """
+    from scipy.sparse import csr_array
+
     n = problem.n_nodes
     ids, s_ids, zeros = np.arange(n, dtype=np.int32), np.full(n, n, dtype=np.int32), np.zeros(n)
     keep = problem.edges[:, 0] != problem.edges[:, 1]  # self-loops never cut
@@ -222,6 +225,7 @@ def _network(problem, to_source, to_sink):
 
 def _reachable(indptr, indices, live, start):
     """Boolean mask of the nodes reachable from start over the live arcs."""
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import breadth_first_order
 
     # own copies: csgraph counts stored zeros as arcs, and pruning them

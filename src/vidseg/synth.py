@@ -1,6 +1,6 @@
 """Deterministic synthetic video generator and brute-force oracles.
 
-Generates a desk-scale moving-shape video with exact optical flow,
+Generates a desk-scale moving-shape video with exact or noisy optical flow,
 boundary-respecting grid superpixels, motion cue masks, jittered box
 proposals with noisy classifier confidences, and ground truth, all in the
 formats the pipeline ingests. Also hosts the independent oracles used to
@@ -27,7 +27,7 @@ ENUMERATION_LIMIT = 16
 SYNTH_MINIMA = {"width": 1, "height": 1, "frame_count": 1, "cell_size": 1, "shape_width": 1,
                 "shape_height": 1, "proposals_per_frame": 1, "jitter_px": 0,
                 "color_noise_sigma": 0, "confidence_noise_sigma": 0,
-                "confidence_base": -math.inf}
+                "flow_noise_sigma": 0, "confidence_base": -math.inf}
 
 
 @dataclass
@@ -44,6 +44,7 @@ class SynthConfig:
     background_color: tuple = (60, 70, 160)
     object_color: tuple = (200, 70, 60)
     color_noise_sigma: float = 3.0
+    flow_noise_sigma: float = 0.0  # N(0, sigma) px on each written flow component
     cell_size: int = 8
     proposals_per_frame: int = 1
     jitter_px: int = 5
@@ -129,6 +130,10 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         flow[gt[t], 0] = cfg.velocity[0]
         flow[gt[t], 1] = cfg.velocity[1]
         flows.append(flow)
+    if cfg.flow_noise_sigma > 0:  # its own stream, so every other output stays as at sigma 0
+        noise_rng = np.random.default_rng([cfg.seed, 1])
+        for flow in flows:
+            flow += noise_rng.normal(0.0, cfg.flow_noise_sigma, size=flow.shape)
 
     proposals = []
     for t in range(T):

@@ -5,6 +5,9 @@ from conftest import graph_from_edges
 from vidseg.gmm import GaussianMixture
 from vidseg.mrf import (
     CERTIFICATE_RTOL,
+    LAMBDA_SPATIAL,
+    LAMBDA_TEMPORAL,
+    MAX_ROUNDS,
     MRFProblem,
     Labeling,
     color_unary,
@@ -238,6 +241,35 @@ def test_certificate_on_large_grid(rng):
     assert labeling.rounds >= 1
     assert abs(labeling.flow_value - energy) <= CERTIFICATE_RTOL * energy
     assert 0 < labeling.labels.sum() < 10000
+
+
+def test_certificate_over_wide_weight_range_at_scale(rng):
+    # 30 frames of 32x32 grid nodes, each linked to itself in the next frame at
+    # lambda_temporal x log-uniform[1e-3, 1e3], up to 2e6: the range thin flow
+    # overlaps of large superpixels reach; the unaries favour object in a square
+    frames, side = 30, 32
+    per = side * side
+    n = frames * per
+    spatial = np.concatenate([_grid_edges(side, side) + t * per for t in range(frames)])
+    temporal = np.stack([np.arange(n - per), np.arange(per, n)], axis=1)
+    weights = np.concatenate([
+        LAMBDA_SPATIAL * rng.uniform(0, 0.01, size=len(spatial)),
+        LAMBDA_TEMPORAL * np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=len(temporal))),
+    ])
+    inner = np.abs(np.mgrid[0:side, 0:side] - side / 2) < side / 4  # per axis
+    square = np.tile(inner.all(axis=0).ravel(), frames)
+    problem = MRFProblem(
+        rng.uniform(0, 100, size=n) + 60 * ~square,
+        rng.uniform(0, 100, size=n) + 60 * square,
+        np.concatenate([spatial, temporal]),
+        weights,
+    )
+    assert weights.max() > 1e6
+    labeling = solve_binary(problem)
+    energy = mrf_energy(problem, labeling.labels)
+    assert abs(labeling.flow_value - energy) <= CERTIFICATE_RTOL * energy
+    assert 1 <= labeling.rounds <= MAX_ROUNDS
+    assert 0 < labeling.labels.sum() < n
 
 
 def test_exact_tie_on_grid_goes_background(rng):

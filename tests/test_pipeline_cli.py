@@ -828,18 +828,45 @@ def test_frame_id_past_the_class_rows_exits_2(dataset, tmp_path, capsys, command
     assert not os.path.exists(out)
 
 
-def test_cli_import_loads_no_sparse_solvers():
+def _scipy_loaded_after(code):
+    """Run code in a fresh interpreter; the scipy modules it left in sys.modules."""
     import vidseg
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(vidseg.__file__)))
-    code = "import sys, vidseg.cli; print(' '.join(sorted(sys.modules)))"
+    probe = code + "\nimport sys; print(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "vidseg.cli" in loaded
-    # every CLI start would pay for importing these
-    assert not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special"}
+    loaded = proc.stdout.splitlines()[-1].split()  # after what the code printed
+    assert "vidseg" in loaded
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+@pytest.mark.parametrize("module", ["vidseg", "vidseg.cli"])
+def test_import_loads_no_scipy(module):
+    # every CLI start would pay for importing it
+    assert _scipy_loaded_after(f"import {module}") == set()
+
+
+def test_only_graph_routes_load_scipy(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    cfg = str(data / "config.json")
+    routes = {
+        "synth": ["synth", "--out", str(data)],
+        "pool": ["pool", "--config", cfg, "--out", str(out / "pooled.csv")],
+        "eval": ["eval", "--pred", str(data / "gt"), "--gt", str(data / "gt")],
+        # the probe sees SciPy when a route loads it
+        "adapt": ["adapt", "--config", cfg, "--confidence", str(out / "pooled.csv"),
+                  "--out", str(out / "adapted.csv")],
+    }
+    loaded = {
+        name: _scipy_loaded_after(f"from vidseg.cli import main\nassert main({argv!r}) == 0")
+        for name, argv in routes.items()
+    }
+    assert {name: bool(mods) for name, mods in loaded.items()} == {
+        "synth": False, "pool": False, "eval": False, "adapt": True,
+    }
+    assert "scipy.sparse" in loaded["adapt"]
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from vidseg.synth import (
     generate,
     write_dataset,
 )
-from vidseg.video import warp_pixels
+from vidseg.video import load_flow, warp_pixels
 
 
 def _small_cfg(**kw):
@@ -115,6 +115,32 @@ def test_written_tree_deterministic(tmp_path):
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
+def test_zero_flow_noise_writes_the_tree_of_exact_flow(tmp_path):
+    # the digest of _small_cfg()'s tree before flow_noise_sigma existed
+    pinned = "4497393034ee955cc1d2310a299139755ee7ccad5360d73db93a1448dcdd7ee6"
+    write_dataset(generate(_small_cfg(flow_noise_sigma=0.0)), tmp_path / "zero")
+    assert tree_digest(tmp_path / "zero") == pinned
+
+
+def test_flow_noise_changes_only_the_flow(tmp_path):
+    clean = generate(_small_cfg())
+    write_dataset(clean, tmp_path / "clean")
+    write_dataset(generate(_small_cfg(flow_noise_sigma=2.0)), tmp_path / "noisy")
+    a, b = _file_digests(tmp_path / "clean"), _file_digests(tmp_path / "noisy")
+    assert a.keys() == b.keys()
+    changed = {name for name in a if a[name] != b[name]}
+    assert changed == {name for name in a if name.startswith("flow" + os.sep)}
+    assert len(changed) == len(clean.flows) == 4
+    deviation = np.stack([
+        load_flow(os.path.join(tmp_path, "noisy", "flow", f"flow_{t:04d}.flo")) - flow
+        for t, flow in enumerate(clean.flows)
+    ])
+    # 18,432 draws (4 pairs x 48 x 48 pixels x 2 components): the standard
+    # errors of the sample mean and std are about 0.015 and 0.01
+    assert abs(deviation.mean()) < 0.05
+    assert abs(deviation.std() - 2.0) < 0.05
+
+
 def _file_digests(root):
     out = {}
     for dirpath, _, filenames in os.walk(root):
@@ -181,6 +207,7 @@ _SMALL_FIELDS = dict(frame_count=3, width=40, height=40, shape_width=12, shape_h
         ("--confidence-base", ["-inf"], {"confidence_base": -np.inf}),
         ("--confidence-noise", ["0.1"], {"confidence_noise_sigma": 0.1}),
         ("--color-noise", ["5.5"], {"color_noise_sigma": 5.5}),
+        ("--flow-noise", ["2"], {"flow_noise_sigma": 2.0}),
         ("--class-id", ["car"], {"class_id": "car"}),
     ],
 )
@@ -209,6 +236,8 @@ def test_synth_cli_flag_sets_its_config_field(tmp_path, capsys, flag, values, fi
         ("--color-noise", ["-inf"], "color_noise_sigma"),
         ("--color-noise", ["nan"], "color_noise_sigma"),
         ("--confidence-base", ["nan"], "confidence_base"),
+        ("--flow-noise", ["-1"], "flow_noise_sigma"),
+        ("--flow-noise", ["-inf"], "flow_noise_sigma"),
     ],
 )
 def test_synth_cli_rejects_an_unusable_field_before_writing(tmp_path, capsys, flag, values, field):
