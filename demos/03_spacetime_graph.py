@@ -24,7 +24,7 @@ def main():
           f"weights {graph.spatial_w.min():.3g} .. {graph.spatial_w.max():.3g}")
     print(f"temporal edges: {len(graph.temporal_i):5d}  "
           f"weights {graph.temporal_w.min():.3g} .. {graph.temporal_w.max():.3g}")
-    rho = temporal_edges(ds.superpixels, ds.flows)[2]
+    rho = np.concatenate([temporal_edges(sp, t, flow)[2] for t, flow in enumerate(ds.flows)])
     print(f"overlap ratios rho: {rho.min():.2f} .. {rho.max():.2f}")
 
     # same-region edges keep near-unit color affinity; boundary edges collapse
@@ -41,12 +41,12 @@ def main():
               "(inside [-1, 1], so diffusion converges)")
 
     # motion reliability of one 8x8 superpixel: coherent flow vs. scrambled flow
-    one = SuperpixelMap(np.zeros((2, 8, 8)))
+    one = SuperpixelMap(np.zeros((1, 8, 8)))
     rng = np.random.default_rng(0)
     print("\nmotion reliability m = exp(-w_c * entropy):")
     for name, flow in (("coherent", np.ones((8, 8, 2))),
                        ("scrambled", rng.normal(0, 3.0, size=(8, 8, 2)))):
-        m = motion_reliability(one, [flow])[0]
+        m = motion_reliability(one, 0, flow)[0]
         print(f"  {name} flow: entropy={np.log(1 / m) / MOTION_COHERENCE_WEIGHT:.3f} -> m={m:.3f}")
     print("Unreliable flow weakens a superpixel's temporal links instead of "
           "propagating bad correspondences.")

@@ -66,11 +66,18 @@ class SpaceTimeGraph:
         write_rows(path, "kind,frame_i,sp_i,frame_j,sp_j,weight", lines)
 
 
-def _pair_counts(rows, cols, ncols):
-    """Distinct (row, col) pairs in row-major order, with how often each occurs."""
-    # int64 before the product: numpy 1.x keeps int32 * np.int64 scalar in int32
-    keys, counts = np.unique(np.asarray(rows, np.int64) * ncols + cols, return_counts=True)
-    return keys // ncols, keys % ncols, counts.astype(np.float64)
+def _pair_counts(rows, cols, nrows, ncols):
+    """Distinct (row, col) pairs in row-major order, with how often each occurs.
+
+    rows < nrows and cols < ncols; the keys are int32 when every key fits.
+    """
+    keys = np.asarray(rows).astype(np.int32 if nrows * ncols < 2**31 else np.int64)
+    keys *= ncols
+    keys += cols
+    keys, counts = np.unique(keys, return_counts=True)
+    # int64 results: callers add np.int64 offsets, which numpy 1.x would keep in int32
+    i, j = np.divmod(keys.astype(np.int64, copy=False), ncols)
+    return i, j, counts.astype(np.float64)
 
 
 def spatial_edges(sp: SuperpixelMap):
@@ -85,43 +92,30 @@ def spatial_edges(sp: SuperpixelMap):
         right, down = labels[:, :-1] != labels[:, 1:], labels[:-1] != labels[1:]
         a = np.concatenate([labels[:, :-1][right], labels[:-1][down]])
         b = np.concatenate([labels[:, 1:][right], labels[1:][down]])
-        pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), n)
+        pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), n, n)
         out_i.append(pi + offsets[t])
         out_j.append(pj + offsets[t])
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def temporal_edges(sp: SuperpixelMap, flows):
-    """Flow-linked adjacency between consecutive frames.
+def temporal_edges(sp: SuperpixelMap, t, flow):
+    """Flow-linked adjacency from frame t to frame t+1, along flow.
 
-    Warps every superpixel of frame t-1 forward (union of rounded
-    destinations, out-of-frame dropped) and intersects with frame-t
-    superpixels. Returns (i, j, rho) where i is the source node, j the
-    target node, and rho the overlap ratio |warp(s_i) ∩ s_j| / |warp(s_i)|.
+    Warps every superpixel of frame t forward (union of rounded
+    destinations, out-of-frame dropped) and intersects with frame-t+1
+    superpixels. Returns (i, j, rho) where i is the global source node, j the
+    global target node, and rho the overlap ratio |warp(s_i) ∩ s_j| / |warp(s_i)|.
     """
-    if len(flows) != sp.frame_count - 1:
-        raise DataError(
-            f"expected {sp.frame_count - 1} flow fields, got {len(flows)}"
-        )
     offsets = sp.frame_offsets()
-    height, width = sp.labels.shape[1:]
-    out_i, out_j, out_rho = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    for t in range(1, sp.frame_count):
-        flow = np.asarray(flows[t - 1])
-        if flow.shape[:2] != (height, width):
-            raise DataError(f"flow of frames {t - 1}-{t} is {flow.shape[:2]}, "
-                            f"frames are {(height, width)}")
-        dest = warp_pixels(flow).ravel()
-        valid = dest >= 0
-        src, dest = sp.labels[t - 1].ravel()[valid], dest[valid]
-        # union semantics: collapse source pixels landing on one destination
-        src_u, dest_u, _ = _pair_counts(src, dest, height * width)
-        warp_size = np.bincount(src_u, minlength=sp.counts[t - 1])
-        pi, pj, counts = _pair_counts(src_u, sp.labels[t].ravel()[dest_u], sp.counts[t])
-        out_i.append(pi + offsets[t - 1])
-        out_j.append(pj + offsets[t])
-        out_rho.append(counts / warp_size[pi])
-    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_rho)
+    dest = warp_pixels(flow).ravel()
+    valid = dest >= 0
+    src, dest = sp.labels[t].ravel()[valid], dest[valid]
+    # union semantics: collapse source pixels landing on one destination
+    src_u, dest_u, _ = _pair_counts(src, dest, sp.counts[t], sp.labels[t].size)
+    warp_size = np.bincount(src_u, minlength=sp.counts[t])
+    pi, pj, counts = _pair_counts(src_u, sp.labels[t + 1].ravel()[dest_u], sp.counts[t],
+                                  sp.counts[t + 1])
+    return pi + offsets[t], pj + offsets[t + 1], counts / warp_size[pi]
 
 
 def color_distance(colors, i, j):
@@ -176,21 +170,14 @@ def histogram_entropy(hist):
     return -plogp.sum(axis=-1) + 0.0  # avoid -0.0
 
 
-def motion_reliability(sp: SuperpixelMap, flows, w_c=MOTION_COHERENCE_WEIGHT):
-    """Per-node reliability m = exp(-w_c * entropy) over all global node ids.
-
-    Superpixels of the last frame are never warped forward; they keep m = 1.
-    """
-    m = np.ones(sp.total_count, dtype=np.float64)
-    offsets = sp.frame_offsets()
-    for t in range(len(flows)):
-        n = sp.counts[t]
-        idx = flow_bin_index(flows[t])
-        key = sp.labels[t].ravel().astype(np.int64) * N_FLOW_BINS + idx.ravel()
-        hist = np.bincount(key, minlength=n * N_FLOW_BINS).reshape(n, N_FLOW_BINS)
-        occupied = np.count_nonzero(hist, axis=1)
-        mixed = np.flatnonzero(occupied > 1)  # one occupied bin: entropy 0, m = 1
-        m[offsets[t] + mixed] = np.exp(-w_c * histogram_entropy(hist[mixed]))
+def motion_reliability(sp: SuperpixelMap, t, flow, w_c=MOTION_COHERENCE_WEIGHT):
+    """Reliability m = exp(-w_c * entropy) of each superpixel of frame t, warped along flow."""
+    n = sp.counts[t]
+    key = sp.labels[t].ravel().astype(np.int64) * N_FLOW_BINS + flow_bin_index(flow).ravel()
+    hist = np.bincount(key, minlength=n * N_FLOW_BINS).reshape(n, N_FLOW_BINS)
+    m = np.ones(n, dtype=np.float64)
+    mixed = np.flatnonzero(np.count_nonzero(hist, axis=1) > 1)  # one occupied bin: m = 1
+    m[mixed] = np.exp(-w_c * histogram_entropy(hist[mixed]))
     return m
 
 
@@ -249,16 +236,38 @@ def build_graph(
 ) -> SpaceTimeGraph:
     """Construct the full space-time graph for a video.
 
-    Color distances are self-normalized separately over the spatial and
-    temporal adjacency pools; centroid distances over the spatial pool.
+    flows is any iterable of the T-1 flow fields, field t warping frame t to
+    frame t+1. It is consumed once, one frame pair at a time, and no field is
+    held past its own pair, so a generator that loads each field on demand
+    keeps one resident. Color distances are self-normalized separately over
+    the spatial and temporal adjacency pools; centroid distances over the
+    spatial pool.
     """
     if stats is None:
         stats = compute_superpixel_stats(video, sp)
     colors, centroids = stats.mean_color, stats.centroid
     offsets = sp.frame_offsets()
+    pairs, shape = sp.frame_count - 1, sp.labels.shape[1:]
 
     si, sj = spatial_edges(sp)
-    ti, tj, rho = temporal_edges(sp, flows)
+    # the empty head gives a one-frame clip, which has no pairs, the dtypes of the others
+    temporal = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    m = np.ones(sp.total_count)
+    flows = iter(flows)
+    for flow in flows:  # not enumerate: its reused result tuple would hold the last field
+        t = len(temporal) - 1
+        if t == pairs:
+            raise DataError(f"expected {pairs} flow fields, got {t + 1 + sum(1 for _ in flows)}")
+        flow = np.asarray(flow)
+        if flow.shape[:2] != shape:
+            raise DataError(f"flow of frames {t}-{t + 1} is {flow.shape[:2]}, frames are {shape}")
+        temporal.append(temporal_edges(sp, t, flow))
+        m[offsets[t] : offsets[t + 1]] = motion_reliability(sp, t, flow, w_c)
+        del flow  # before the next field is made
+    if len(temporal) - 1 != pairs:
+        raise DataError(f"expected {pairs} flow fields, got {len(temporal) - 1}")
+    ti, tj, rho = (np.concatenate(column) for column in zip(*temporal))
+    del temporal
 
     d_c_s = color_distance(colors, si, sj)
     # np.linalg.norm(axis=1)'s value, without (m, 2) gathers
@@ -268,7 +277,6 @@ def build_graph(
     sw = spatial_affinity(d_c_s, d_s)
 
     d_c_t = color_distance(colors, ti, tj)
-    m = motion_reliability(sp, flows, w_c)
     tw = temporal_affinity(d_c_t, rho, m[ti])
 
     return assemble(offsets, (si, sj, sw), (ti, tj, tw))

@@ -189,6 +189,8 @@ def load_mask_dir(path, frame_count=None, shape=None):
 def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
     """Ingest stage: load and validate the inputs; with build, also the flow, stats and graph.
 
+    The flow files are counted up front, then each is read as build_graph reaches its
+    frame pair and freed before the next, so one flow field is resident at a time.
     Pooling reads neither the flow nor the stats, so `vidseg pool` loads without build.
     """
     with _stage("ingest"):
@@ -203,8 +205,8 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
         gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape) if cfg.gt_dir else {}
         stats = graph = None
         if build:
-            flows = [load_flow(flow_path) for flow_path
-                     in list_frames(cfg.flow_dir, ".flo", video.frame_count - 1)]
+            flows = (load_flow(flow_path) for flow_path
+                     in list_frames(cfg.flow_dir, ".flo", video.frame_count - 1))
             stats = compute_superpixel_stats(video, sp)
             graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
     return LoadedInputs(video, sp, motion, gt_masks, stats, graph)

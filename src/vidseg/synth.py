@@ -28,6 +28,10 @@ SYNTH_MINIMA = {"width": 1, "height": 1, "frame_count": 1, "cell_size": 1, "shap
                 "shape_height": 1, "proposals_per_frame": 1, "jitter_px": 0,
                 "color_noise_sigma": 0, "confidence_noise_sigma": 0,
                 "flow_noise_sigma": 0, "confidence_base": -math.inf}
+# noise sigma -> the bound it must lie below. Generator.normal's draws lie within 14
+# sigma, so flow noise below float32 max / 16 keeps every written flow value finite.
+SYNTH_NOISE_BOUNDS = {"color_noise_sigma": math.inf, "confidence_noise_sigma": math.inf,
+                      "flow_noise_sigma": float(np.finfo(np.float32).max) / 16}
 
 
 @dataclass
@@ -57,8 +61,13 @@ class SynthConfig:
     def validate(self):
         """Raise ValueError naming the first field that would make an unusable clip."""
         for name, least in SYNTH_MINIMA.items():
-            if not getattr(self, name) >= least:  # a NaN fails too
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not value >= least:  # a NaN fails too
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
+            bound = SYNTH_NOISE_BOUNDS.get(name)
+            if bound is not None and not value < bound:
+                limit = "finite" if bound == math.inf else f"below {bound:.4g}"
+                raise ValueError(f"{name} must be >= {least} and {limit}, got {value!r}")
         check_id("class", self.class_id)
         for t in (0, self.frame_count - 1):
             x = self.start_x + t * self.velocity[0]

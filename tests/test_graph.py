@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_temporal_edges_overlap_ratio():
     f1[1, 0] = 0
     sp = _sp([f0, f1])
     flow = np.zeros((4, 5, 2))
-    i, j, rho = temporal_edges(sp, [flow])
+    i, j, rho = temporal_edges(sp, 0, flow)
     offsets = sp.frame_offsets()
     pairs = {(int(a - offsets[0]), int(b - offsets[1])): r for a, b, r in zip(i, j, rho)}
     assert pairs[(0, 0)] == pytest.approx(0.6)
@@ -69,7 +70,7 @@ def test_temporal_edges_overlap_ratio():
 def test_temporal_edges_identity_twins():
     labels = np.arange(4, dtype=np.int32).reshape(2, 2)
     sp = _sp([labels, labels])
-    i, j, rho = temporal_edges(sp, [np.zeros((2, 2, 2))])
+    i, j, rho = temporal_edges(sp, 0, np.zeros((2, 2, 2)))
     offsets = sp.frame_offsets()
     assert np.array_equal(i - offsets[0], j - offsets[1])
     assert np.allclose(rho, 1.0)
@@ -81,7 +82,7 @@ def test_temporal_edges_warp_exits_frame():
     sp = _sp([labels, labels])
     flow = np.zeros((2, 2, 2))
     flow[:, 1, 0] = 5.0  # superpixel 1 leaves the frame
-    i, j, rho = temporal_edges(sp, [flow])
+    i, j, rho = temporal_edges(sp, 0, flow)
     assert 1 not in set(i)  # no edges from node 1
     assert np.all(rho > 0) and np.all(rho <= 1.0)
 
@@ -93,7 +94,7 @@ def test_temporal_rho_sums_to_at_most_one(rng):
     labels1[0, :6] = np.arange(6)
     sp = _sp([labels0, labels1])
     flow = rng.normal(0, 2, size=(8, 8, 2))
-    i, j, rho = temporal_edges(sp, [flow])
+    i, j, rho = temporal_edges(sp, 0, flow)
     assert np.all(rho > 0) and np.all(rho <= 1.0 + 1e-12)
     for node in set(i):
         assert rho[i == node].sum() <= 1.0 + 1e-12
@@ -153,7 +154,8 @@ def test_edges_match_set_oracle():
     flows = [rng.normal(0.0, 2.5, size=(9, 13, 2)) for _ in range(2)]
     expected_s, expected_t, exits, collisions = _edges_oracle(sp.labels, counts, flows)
     assert exits > 0 and collisions > 0
-    got_all = (*spatial_edges(sp), *temporal_edges(sp, flows))
+    temporal = [temporal_edges(sp, t, flow) for t, flow in enumerate(flows)]
+    got_all = (*spatial_edges(sp), *(np.concatenate(column) for column in zip(*temporal)))
     for got, want in zip(got_all, (*expected_s, *expected_t)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -195,27 +197,26 @@ def test_temporal_affinity_values():
 
 
 def _one_superpixel(size):
-    """Two frames of one superpixel each; only frame 0 is warped forward."""
-    return SuperpixelMap(np.zeros((2, size, size), dtype=np.int32))
+    """One frame of one superpixel."""
+    return SuperpixelMap(np.zeros((1, size, size), dtype=np.int32))
 
 
 def test_motion_noncoherence_uniform_flow():
     flow = np.ones((4, 4, 2))
-    pi = -math.log(motion_reliability(_one_superpixel(4), [flow], w_c=1.0)[0])
-    m = motion_reliability(_one_superpixel(4), [flow])
+    pi = -math.log(motion_reliability(_one_superpixel(4), 0, flow, w_c=1.0)[0])
+    m = motion_reliability(_one_superpixel(4), 0, flow)
     assert pi == 0.0
-    assert m.tolist() == [1.0, 1.0]
+    assert m.tolist() == [1.0]
 
 
 def test_motion_noncoherence_two_bins():
     flow = np.zeros((2, 2, 2))
     flow[0, :, 0] = 1.0  # orientation 0, magnitude bin 1
     flow[1, :, 1] = 1.0  # orientation pi/2, same magnitude bin
-    pi = -math.log(motion_reliability(_one_superpixel(2), [flow], w_c=1.0)[0])
-    m = motion_reliability(_one_superpixel(2), [flow])
+    pi = -math.log(motion_reliability(_one_superpixel(2), 0, flow, w_c=1.0)[0])
+    m = motion_reliability(_one_superpixel(2), 0, flow)
     assert pi == pytest.approx(LN2, abs=1e-12)
-    assert m[0] == pytest.approx(0.25, abs=1e-12)
-    assert m[1] == 1.0  # the last frame is never warped forward
+    assert m.tolist() == [pytest.approx(0.25, abs=1e-12)]
 
 
 def _flow_bins_by_formula(vectors):
@@ -273,7 +274,7 @@ def test_motion_reliability_matches_full_histogram_oracle(rng):
         many = labels[t] >= 9
         flow[many] = rng.normal(0.0, 4.0, size=(np.count_nonzero(many), 2))
         flows.append(flow.astype(np.float32))
-    want = np.ones(3 * n)
+    want = np.empty(2 * n)
     occupied = []
     for t, flow in enumerate(flows):
         hist = np.zeros((n, 32))
@@ -283,11 +284,11 @@ def test_motion_reliability_matches_full_histogram_oracle(rng):
     occupied = np.concatenate(occupied)
     assert [np.count_nonzero(occupied == k) for k in (1, 2)] == [14, 4]
     assert (occupied > 2).sum() == 6
-    got = motion_reliability(sp, flows, w_c=w_c)
+    got = np.concatenate([motion_reliability(sp, t, flow, w_c=w_c) for t, flow in enumerate(flows)])
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-    assert np.all(got[np.flatnonzero(occupied == 1)] == 1.0) and np.all(got[2 * n :] == 1.0)
-    static = motion_reliability(sp, [np.zeros((height, width, 2), np.float32)] * 2, w_c=w_c)
-    assert np.all(static == 1.0)
+    assert np.all(got[np.flatnonzero(occupied == 1)] == 1.0)
+    static = np.zeros((height, width, 2), np.float32)
+    assert all(motion_reliability(sp, t, static, w_c=w_c).tolist() == [1.0] * n for t in (0, 1))
 
 
 def test_temporal_edges_collision_counts_a_shared_pixel_once():
@@ -296,7 +297,7 @@ def test_temporal_edges_collision_counts_a_shared_pixel_once():
     sp = SuperpixelMap(np.array([[[0, 0, 0, 1, 1]], [[0, 0, 0, 1, 2]]], np.int32))
     flow = np.zeros((1, 5, 2), np.float32)
     flow[0, :2, 0] = [3, 2]
-    i, j, rho = temporal_edges(sp, [flow])
+    i, j, rho = temporal_edges(sp, 0, flow)
     # superpixel 0 covers {2, 3}: warp size 2, not 3
     assert (i.dtype, j.dtype, rho.dtype) == (np.int64, np.int64, np.float64)
     assert i.tolist() == [0, 0, 1, 1]
@@ -304,15 +305,25 @@ def test_temporal_edges_collision_counts_a_shared_pixel_once():
     assert rho.tolist() == [0.5, 0.5, 0.5, 0.5]
 
 
-def test_pair_counts_keys_past_int32():
-    # 65535 * 2**21 passes 2**31: the key is built in int64 even from int32 labels
-    rows = np.array([65535, 3, 65535], np.int32)
-    cols = np.array([7, 2**21 - 1, 7], np.int32)
-    i, j, counts = _pair_counts(rows, cols, 2**21)
+def _assert_pair_counts_at_the_largest_keys(nrows, ncols):
+    last_row, last_col = nrows - 1, ncols - 1
+    rows = np.array([last_row, 3, last_row, last_row, 0], np.int32)
+    cols = np.array([7, last_col, 7, last_col, 0], np.int32)
+    i, j, counts = _pair_counts(rows, cols, nrows, ncols)
     assert (i.dtype, j.dtype, counts.dtype) == (np.int64, np.int64, np.float64)
-    assert i.tolist() == [3, 65535]
-    assert j.tolist() == [2**21 - 1, 7]
-    assert counts.tolist() == [1.0, 2.0]
+    assert i.tolist() == [0, 3, last_row, last_row]
+    assert j.tolist() == [0, last_col, 7, last_col]
+    assert counts.tolist() == [1.0, 1.0, 2.0, 1.0]
+
+
+def test_pair_counts_keys_past_int32():
+    # 65536 x 2**21: keys up to 2**37 - 1 take the int64 fallback, even from int32 labels
+    _assert_pair_counts_at_the_largest_keys(65536, 2**21)
+
+
+def test_pair_counts_int32_keys_up_to_the_largest():
+    # 1024 x (2**21 - 1) < 2**31: int32 keys, up to 2**31 - 1025
+    _assert_pair_counts_at_the_largest_keys(1024, 2**21 - 1)
 
 
 def test_entropy_uniform_32_bins():
@@ -456,6 +467,43 @@ def test_build_graph_operator_has_zero_diagonal():
     video, sp, flows = _tiny_scene()
     g = build_graph(video, sp, flows)
     assert len(g.temporal_i) and np.all(g.operator.diagonal() == 0.0)
+
+
+def _noisy_flow(t):
+    return np.random.default_rng(t).normal(0.0, 2.0, size=(8, 8, 2)).astype(np.float32)
+
+
+def test_build_graph_holds_one_flow_field_at_a_time():
+    video, sp, _ = _tiny_scene()
+    refs = []
+
+    def fields():
+        for t in range(2):
+            assert all(ref() is None for ref in refs), f"a field before {t} is still alive"
+            flow = _noisy_flow(t)
+            refs.append(weakref.ref(flow))
+            yield flow
+            del flow
+        assert all(ref() is None for ref in refs), "the last field is still alive"
+
+    streamed = build_graph(video, sp, fields())
+    listed = build_graph(video, sp, [_noisy_flow(t) for t in range(2)])
+    assert len(refs) == 2 and len(streamed.temporal_i) > 0
+    for name in ("temporal_i", "temporal_j", "temporal_w", "degrees"):
+        assert np.array_equal(getattr(streamed, name), getattr(listed, name))
+    assert np.array_equal(streamed.operator.toarray(), listed.operator.toarray())
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4])
+def test_build_graph_flow_count_error_is_the_same_for_an_iterator(count):
+    video, sp, _ = _tiny_scene()
+    flows = [np.zeros((8, 8, 2), np.float32)] * count
+    messages = []
+    for given in (flows, iter(flows), (flow for flow in flows)):
+        with pytest.raises(DataError) as raised:
+            build_graph(video, sp, given)
+        messages.append(str(raised.value))
+    assert messages == [f"expected 2 flow fields, got {count}"] * 3
 
 
 @pytest.mark.parametrize("clip", ["one frame", "one superpixel per frame"])

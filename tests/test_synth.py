@@ -8,6 +8,7 @@ from conftest import graph_from_edges, tree_digest
 from vidseg.cli import main
 from vidseg.mrf import MRFProblem, mrf_energy, solve_binary
 from vidseg.synth import (
+    SYNTH_NOISE_BOUNDS,
     SynthConfig,
     dense_solve_oracle,
     enumerate_labelings_oracle,
@@ -141,6 +142,13 @@ def test_flow_noise_changes_only_the_flow(tmp_path):
     assert abs(deviation.std() - 2.0) < 0.05
 
 
+def test_largest_flow_noise_writes_finite_flow(tmp_path):
+    sigma = np.nextafter(SYNTH_NOISE_BOUNDS["flow_noise_sigma"], 0.0)
+    write_dataset(generate(_small_cfg(flow_noise_sigma=sigma)), tmp_path)
+    flows = [load_flow(os.path.join(tmp_path, "flow", f"flow_{t:04d}.flo")) for t in range(4)]
+    assert np.abs(np.stack(flows)).max() > sigma  # load_flow itself rejects a non-finite value
+
+
 def _file_digests(root):
     out = {}
     for dirpath, _, filenames in os.walk(root):
@@ -238,6 +246,11 @@ def test_synth_cli_flag_sets_its_config_field(tmp_path, capsys, flag, values, fi
         ("--confidence-base", ["nan"], "confidence_base"),
         ("--flow-noise", ["-1"], "flow_noise_sigma"),
         ("--flow-noise", ["-inf"], "flow_noise_sigma"),
+        ("--flow-noise", ["inf"], "flow_noise_sigma"),
+        ("--flow-noise", ["1e39"], "flow_noise_sigma"),  # past float32 max
+        ("--flow-noise", ["1e38"], "flow_noise_sigma"),  # its draws would pass float32 max
+        ("--color-noise", ["inf"], "color_noise_sigma"),
+        ("--confidence-noise", ["inf"], "confidence_noise_sigma"),
     ],
 )
 def test_synth_cli_rejects_an_unusable_field_before_writing(tmp_path, capsys, flag, values, field):
