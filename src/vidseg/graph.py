@@ -66,18 +66,11 @@ class SpaceTimeGraph:
         write_rows(path, "kind,frame_i,sp_i,frame_j,sp_j,weight", lines)
 
 
-def _pair_counts(rows, cols, nrows, ncols):
-    """Distinct (row, col) pairs in row-major order, with how often each occurs.
-
-    rows < nrows and cols < ncols; the keys are int32 when every key fits.
-    """
-    keys = np.asarray(rows).astype(np.int32 if nrows * ncols < 2**31 else np.int64)
-    keys *= ncols
-    keys += cols
-    keys, counts = np.unique(keys, return_counts=True)
-    # int64 results: callers add np.int64 offsets, which numpy 1.x would keep in int32
-    i, j = np.divmod(keys.astype(np.int64, copy=False), ncols)
-    return i, j, counts.astype(np.float64)
+def _pair_counts(rows, cols, ncols):
+    """Distinct (row, col) pairs in row-major order, with how often each occurs."""
+    # int64 before the product: numpy 1.x keeps int32 * np.int64 scalar in int32
+    keys, counts = np.unique(np.asarray(rows, np.int64) * ncols + cols, return_counts=True)
+    return keys // ncols, keys % ncols, counts.astype(np.float64)
 
 
 def spatial_edges(sp: SuperpixelMap):
@@ -92,7 +85,7 @@ def spatial_edges(sp: SuperpixelMap):
         right, down = labels[:, :-1] != labels[:, 1:], labels[:-1] != labels[1:]
         a = np.concatenate([labels[:, :-1][right], labels[:-1][down]])
         b = np.concatenate([labels[:, 1:][right], labels[1:][down]])
-        pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), n, n)
+        pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), n)
         out_i.append(pi + offsets[t])
         out_j.append(pj + offsets[t])
     return np.concatenate(out_i), np.concatenate(out_j)
@@ -111,10 +104,9 @@ def temporal_edges(sp: SuperpixelMap, t, flow):
     valid = dest >= 0
     src, dest = sp.labels[t].ravel()[valid], dest[valid]
     # union semantics: collapse source pixels landing on one destination
-    src_u, dest_u, _ = _pair_counts(src, dest, sp.counts[t], sp.labels[t].size)
+    src_u, dest_u, _ = _pair_counts(src, dest, sp.labels[t].size)
     warp_size = np.bincount(src_u, minlength=sp.counts[t])
-    pi, pj, counts = _pair_counts(src_u, sp.labels[t + 1].ravel()[dest_u], sp.counts[t],
-                                  sp.counts[t + 1])
+    pi, pj, counts = _pair_counts(src_u, sp.labels[t + 1].ravel()[dest_u], sp.counts[t + 1])
     return pi + offsets[t], pj + offsets[t + 1], counts / warp_size[pi]
 
 

@@ -248,13 +248,8 @@ def warp_pixels(flow):
     leaves the frame gets -1.
     """
     height, width = flow.shape[:2]
-    x = np.add(np.arange(width), flow[..., 0], dtype=np.float64)
-    y = np.add(np.arange(height)[:, None], flow[..., 1], dtype=np.float64)
-    for v in (x, y):
-        v += 0.5
-        np.floor(v, out=v)
-    inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
-    y *= width  # whole numbers below 2**53 where inside, so the flat index is exact
-    y += x
-    y[~inside] = -1
-    return y.astype(np.int64)
+    dest_x = np.floor(np.arange(width) + flow[..., 0] + 0.5)
+    dest_y = np.floor(np.arange(height)[:, None] + flow[..., 1] + 0.5)
+    inside = (dest_x >= 0) & (dest_x < width) & (dest_y >= 0) & (dest_y < height)
+    # cast after masking: a far-off destination is never cast out of int64 range
+    return np.where(inside, dest_y * width + dest_x, -1).astype(np.int64)

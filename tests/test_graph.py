@@ -305,25 +305,15 @@ def test_temporal_edges_collision_counts_a_shared_pixel_once():
     assert rho.tolist() == [0.5, 0.5, 0.5, 0.5]
 
 
-def _assert_pair_counts_at_the_largest_keys(nrows, ncols):
-    last_row, last_col = nrows - 1, ncols - 1
-    rows = np.array([last_row, 3, last_row, last_row, 0], np.int32)
-    cols = np.array([7, last_col, 7, last_col, 0], np.int32)
-    i, j, counts = _pair_counts(rows, cols, nrows, ncols)
-    assert (i.dtype, j.dtype, counts.dtype) == (np.int64, np.int64, np.float64)
-    assert i.tolist() == [0, 3, last_row, last_row]
-    assert j.tolist() == [0, last_col, 7, last_col]
-    assert counts.tolist() == [1.0, 1.0, 2.0, 1.0]
-
-
 def test_pair_counts_keys_past_int32():
-    # 65536 x 2**21: keys up to 2**37 - 1 take the int64 fallback, even from int32 labels
-    _assert_pair_counts_at_the_largest_keys(65536, 2**21)
-
-
-def test_pair_counts_int32_keys_up_to_the_largest():
-    # 1024 x (2**21 - 1) < 2**31: int32 keys, up to 2**31 - 1025
-    _assert_pair_counts_at_the_largest_keys(1024, 2**21 - 1)
+    # 65535 * 2**21 passes 2**31: the key is built in int64 even from int32 labels
+    rows = np.array([65535, 3, 65535], np.int32)
+    cols = np.array([7, 2**21 - 1, 7], np.int32)
+    i, j, counts = _pair_counts(rows, cols, 2**21)
+    assert (i.dtype, j.dtype, counts.dtype) == (np.int64, np.int64, np.float64)
+    assert i.tolist() == [3, 65535]
+    assert j.tolist() == [2**21 - 1, 7]
+    assert counts.tolist() == [1.0, 2.0]
 
 
 def test_entropy_uniform_32_bins():

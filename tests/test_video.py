@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,3 +243,15 @@ def test_warp_union_semantics():
 def test_warp_zero_flow_identity(rng):
     ys, xs = np.nonzero(rng.random((6, 5)) < 0.4)
     assert np.array_equal(warp_pixels(np.zeros((6, 5, 2)))[ys, xs], ys * 5 + xs)
+
+
+def test_warp_far_off_flow_leaves_the_frame_without_warning():
+    # up to float32's largest, the most any .flo holds: -1, and no cast out of int64 range
+    flow = np.zeros((2, 3, 2), np.float32)
+    flow[0, :, 0] = [1e30, -1e30, np.finfo(np.float32).max]
+    flow[1, :, 1] = [1e30, -1e30, -np.finfo(np.float32).max]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dest = warp_pixels(flow)
+    assert dest.dtype == np.int64
+    assert dest.tolist() == [[-1, -1, -1], [-1, -1, -1]]
