@@ -3,9 +3,10 @@
 # written under the directory given as the one argument, which must not hold
 # earlier runs: the single-shot pipeline, the staged route (pool, adapt,
 # segment, eval), which must write the single-shot run's files byte for byte,
-# the ablation route, a one-frame clip, the default moving clip and a clip with
-# noisy dense flow. A failing command, a differing file or a Python warning
-# under PYTHONWARNINGS=error fails the script.
+# the ablation route, a one-frame clip, the default moving clip, a clip with
+# noisy dense flow and a corner clip whose jitter pushes a proposal out of frame.
+# A failing command, a differing file, a Python warning under PYTHONWARNINGS=error
+# or a temporary file left behind by a write fails the script.
 #
 #   bash .github/console-routes.sh "$RUNNER_TEMP"
 set -euo pipefail
@@ -42,3 +43,14 @@ PYTHONWARNINGS=error vidseg pipeline --config "$tmp/moving/config.json" --dump-g
 # through the flow bins, colliding warps and the motion-entropy path; any warning fails the script
 vidseg synth --out "$tmp/dense" --seed 7 --flow-noise 2
 PYTHONWARNINGS=error vidseg pipeline --config "$tmp/dense/config.json" --dump-graph
+# a 2x2 shape in the corner: jitter pushes frame 0's proposal box out of frame, so
+# synth leaves it out of the manifest; any warning fails the script
+vidseg synth --out "$tmp/corner" --shape-size 2 2 --start 0 0 --velocity 0 0 --frames 3 --confidence-base 0.6
+PYTHONWARNINGS=error vidseg pipeline --config "$tmp/corner/config.json"
+# every file is written to a temporary and renamed into place; none may remain
+leftover=$(find "$tmp" -name '*.tmp')
+if [ -n "$leftover" ]; then
+  echo "temporary files left behind:" >&2
+  echo "$leftover" >&2
+  exit 1
+fi

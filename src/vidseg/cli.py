@@ -25,7 +25,7 @@ from .pipeline import (
     write_confidence_csv,
 )
 from .propagation import ConvergenceError
-from .video import DataError, check_id
+from .video import DataError, check_id, write_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,9 +144,7 @@ def _cmd_synth(args):
     config = {key: os.path.relpath(path, args.out) for key, path in paths.items()}
     config.update(out_dir="out", classes=[cfg.class_id])
     config_path = os.path.join(args.out, "config.json")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(config_path, [json.dumps(config, indent=2, sort_keys=True) + "\n"])
     print(f"synthetic dataset written to {args.out} ({len(paths)} components)")
     print(f"pipeline config: {config_path}")
     return EXIT_OK

@@ -42,6 +42,7 @@ from .video import (
     load_mask,
     load_superpixels,
     load_video,
+    write_file,
     write_mask,
     write_rows,
 )
@@ -285,8 +286,8 @@ def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, confidences):
                 name: {f.name: getattr(seg[key], f.name).tolist() for f in fields(seg[key])}
                 for name, key in (("object", "gmm_obj"), ("background", "gmm_bg"))
             }
-            with open(os.path.join(cfg.out_dir, f"gmm_{cls}.json"), "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(models, sort_keys=True))
+            write_file(os.path.join(cfg.out_dir, f"gmm_{cls}.json"),
+                       [json.dumps(models, sort_keys=True)])
         return segs
 
 

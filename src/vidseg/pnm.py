@@ -1,8 +1,9 @@
-"""Minimal binary PGM/PPM readers and writers, and the input-error type.
+"""Minimal binary PGM/PPM readers and writers, write_file, and the input-error type.
 
 Supports 8-bit P5/P6 and 16-bit P5 (big-endian sample order, used for
-superpixel label maps). No other PNM variants. Every bad input, here and in
-the modules above, is a DataError, and each one read_pnm raises names its file.
+superpixel label maps). No other PNM variants. write_file writes every file
+vidseg writes. Every bad input, here and in the modules above, is a DataError,
+and each one read_pnm raises names its file.
 """
 
 from __future__ import annotations
@@ -55,16 +56,18 @@ def read_pnm(path):
 
 
 def write_pgm(path, image):
-    """Write an (H, W) array as binary PGM; wider than 8-bit data is stored big-endian 16-bit."""
+    """Write an (H, W) array as binary PGM; wider than 8-bit data is stored big-endian 16-bit.
+
+    A value outside 0..maxval (255, or 65535 for wider data) is a DataError, not wrapped.
+    """
     image = np.asarray(image)
     if image.ndim != 2:
         raise DataError("PGM image must be 2-D")
-    if image.dtype.itemsize > 1:
-        maxval, raster = 65535, image.astype(">u2")
-    else:
-        maxval, raster = 255, image.astype("u1")
-    header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii")
-    _atomic_write(path, header + raster.tobytes())
+    maxval = 65535 if image.dtype.itemsize > 1 else 255
+    if not 0 <= image.min() <= image.max() <= maxval:
+        raise DataError(f"PGM values must lie in 0..{maxval}: {path}")
+    header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n"
+    write_file(path, [header, image.astype(">u2" if maxval > 255 else "u1").tobytes()])
 
 
 def write_ppm(path, image):
@@ -72,13 +75,15 @@ def write_ppm(path, image):
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
         raise DataError("PPM image must be (H, W, 3)")
-    header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    _atomic_write(path, header + image.astype("u1").tobytes())
+    write_file(path, [f"P6\n{image.shape[1]} {image.shape[0]}\n255\n", image.astype("u1").tobytes()])
 
 
-def _atomic_write(path, payload: bytes):
+def write_file(path, chunks):
+    """Make path's directory, write chunks (bytes, or str as UTF-8) to path + ".tmp" and
+    rename it onto path, so an exception leaves path as it was (the temporary may remain)."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        for chunk in chunks:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
     os.replace(tmp, path)

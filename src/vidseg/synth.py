@@ -17,12 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrf import Labeling, MRFProblem, mrf_energy
-from .pnm import write_pgm, write_ppm
+from .pnm import DataError, write_file, write_pgm, write_ppm
 from .proposals import ScoredProposal
 from .video import SuperpixelMap, VideoVolume, check_id, write_flow, write_mask
 
 DENSE_ORACLE_LIMIT = 1000
 ENUMERATION_LIMIT = 16
+# frame_{t:04d} names sort in frame order up to 10,000 frames; a 16-bit PGM holds 65,536 ids
+MAX_FRAMES = 10_000
+MAX_SUPERPIXELS = 65_536
 # SynthConfig field -> its least usable value; -inf admits every number but NaN
 SYNTH_MINIMA = {"width": 1, "height": 1, "frame_count": 1, "cell_size": 1, "shape_width": 1,
                 "shape_height": 1, "proposals_per_frame": 1, "jitter_px": 0,
@@ -68,6 +71,8 @@ class SynthConfig:
             if bound is not None and not value < bound:
                 limit = "finite" if bound == math.inf else f"below {bound:.4g}"
                 raise ValueError(f"{name} must be >= {least} and {limit}, got {value!r}")
+        if self.frame_count > MAX_FRAMES:
+            raise ValueError(f"frame_count must be <= {MAX_FRAMES}, got {self.frame_count!r}")
         check_id("class", self.class_id)
         for t in (0, self.frame_count - 1):
             x = self.start_x + t * self.velocity[0]
@@ -155,6 +160,8 @@ def generate(cfg: SynthConfig) -> SynthDataset:
             confidence = float(
                 np.clip(cfg.confidence_base + cfg.confidence_noise_sigma * rng.normal(), 0.0, 1.0)
             )
+            if not mask.any():  # jittered fully out of frame; its draws are still taken
+                continue
             proposals.append(
                 ScoredProposal(
                     frame=t,
@@ -180,7 +187,12 @@ def write_dataset(ds: SynthDataset, out_dir):
 
     Layout: frames/, superpixels/ (16-bit PGM), flow/ (.flo), motion/, gt/,
     proposals/manifest.jsonl with mask PGMs alongside. Returns the path map.
+    A frame with more superpixels than a 16-bit PGM holds is a DataError,
+    raised before any file is written.
     """
+    most = max(ds.superpixels.counts)
+    if most > MAX_SUPERPIXELS:
+        raise DataError(f"{most} superpixels in a frame; a 16-bit PGM holds {MAX_SUPERPIXELS}")
     paths = {
         "video_dir": os.path.join(out_dir, "frames"),
         "superpixel_dir": os.path.join(out_dir, "superpixels"),
@@ -190,36 +202,25 @@ def write_dataset(ds: SynthDataset, out_dir):
         "proposal_manifest": os.path.join(out_dir, "proposals", "manifest.jsonl"),
     }
     os.makedirs(paths["flow_dir"], exist_ok=True)  # a one-frame clip writes no flow
-    os.makedirs(os.path.dirname(paths["proposal_manifest"]), exist_ok=True)
 
     for t in range(ds.video.frame_count):
         write_ppm(os.path.join(paths["video_dir"], f"frame_{t:04d}.ppm"), ds.video.frames[t])
-        write_pgm(
-            os.path.join(paths["superpixel_dir"], f"frame_{t:04d}.pgm"),
-            ds.superpixels.labels[t].astype(np.uint16),
-        )
+        labels_path = os.path.join(paths["superpixel_dir"], f"frame_{t:04d}.pgm")
+        write_pgm(labels_path, ds.superpixels.labels[t])
         write_mask(os.path.join(paths["motion_dir"], f"frame_{t:04d}.pgm"), ds.motion_masks[t])
         write_mask(os.path.join(paths["gt_dir"], f"frame_{t:04d}.pgm"), ds.gt_masks[t])
     for t, flow in enumerate(ds.flows):
         write_flow(os.path.join(paths["flow_dir"], f"flow_{t:04d}.flo"), flow)
 
     manifest_dir = os.path.dirname(paths["proposal_manifest"])
-    with open(paths["proposal_manifest"], "w", encoding="utf-8") as fh:
-        for idx, p in enumerate(ds.proposals):
-            mask_name = f"mask_{idx:05d}.pgm"
-            write_mask(os.path.join(manifest_dir, mask_name), p.mask)
-            fh.write(
-                json.dumps(
-                    {
-                        "frame": p.frame,
-                        "mask": mask_name,
-                        "appearance": p.appearance_score,
-                        "confidences": p.class_confidences,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    lines = []
+    for idx, p in enumerate(ds.proposals):
+        mask_name = f"mask_{idx:05d}.pgm"
+        write_mask(os.path.join(manifest_dir, mask_name), p.mask)
+        record = {"frame": p.frame, "mask": mask_name, "appearance": p.appearance_score,
+                  "confidences": p.class_confidences}
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    write_file(paths["proposal_manifest"], lines)
     return paths
 
 

@@ -11,13 +11,14 @@ its file or directory.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pnm import DataError, read_pnm, write_pgm
+from .pnm import DataError, read_pnm, write_file, write_pgm
 
 FLOW_MAGIC = 202021.25  # little-endian float header, b"PIEH"
 
@@ -39,11 +40,8 @@ def check_id(kind, value):
 
 
 def write_rows(path, header, lines):
-    """Write a CSV file, creating its directory: the header line, then the text of lines."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(lines)
+    """Write a CSV file with write_file: the header line, then the text of lines, streamed."""
+    write_file(path, itertools.chain([header + "\n"], lines))
 
 
 def list_frames(path, suffixes, count=None):
@@ -199,10 +197,7 @@ def write_flow(path, flow):
     """Write an (H, W, 2) flow field in Middlebury .flo format."""
     flow = np.asarray(flow, dtype=np.float32)
     height, width = flow.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<f", FLOW_MAGIC))
-        fh.write(struct.pack("<ii", width, height))
-        fh.write(flow.astype("<f4").tobytes())
+    write_file(path, [struct.pack("<fii", FLOW_MAGIC, width, height), flow.astype("<f4").tobytes()])
 
 
 def load_mask(path, shape=None) -> np.ndarray:

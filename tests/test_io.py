@@ -39,8 +39,9 @@ def test_ppm_round_trip(tmp_path):
         (write_pgm, read_pnm, np.arange(12, dtype=np.uint8).reshape(3, 4)),
         (write_ppm, read_pnm, np.arange(36, dtype=np.uint8).reshape(3, 4, 3)),
         (write_mask, load_mask, np.arange(12).reshape(3, 4) % 3 == 0),
+        (write_flow, load_flow, np.arange(24, dtype=np.float32).reshape(3, 4, 2)),
     ],
-    ids=["pgm", "ppm", "mask"],
+    ids=["pgm", "ppm", "mask", "flow"],
 )
 def test_writers_create_missing_directories(tmp_path, write, read, image):
     flat, nested = tmp_path / "image.pnm", tmp_path / "a" / "b" / "image.pnm"
@@ -49,6 +50,15 @@ def test_writers_create_missing_directories(tmp_path, write, read, image):
     assert nested.read_bytes() == flat.read_bytes()
     assert np.array_equal(read(nested), image)
     assert sorted(p.name for p in nested.parent.iterdir()) == ["image.pnm"]
+
+
+@pytest.mark.parametrize("image", [np.array([[65536]], np.int32), np.array([[-1]], np.int16),
+                                   np.array([[-1]], np.int8)])
+def test_pgm_value_outside_maxval_raises(tmp_path, image):
+    path = tmp_path / "a.pgm"
+    with pytest.raises(DataError, match="PGM values must lie in 0.."):
+        write_pgm(path, image)
+    assert not path.exists()
 
 
 def test_pnm_comment_header(tmp_path):

@@ -213,6 +213,21 @@ def test_confidence_csv_golden_bytes(tmp_path):
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
+def test_confidence_csv_write_that_fails_leaves_path_as_it_was(tmp_path):
+    def values():  # the first frame's rows are written before the second frame raises
+        yield np.array([0.5, 0.25])
+        raise RuntimeError("second frame")
+
+    fresh, old = tmp_path / "new" / "conf.csv", tmp_path / "old.csv"
+    write_confidence_csv(old, {"object": ConfidenceField("object", [np.array([1.0])])})
+    before = old.read_bytes()
+    for path in (fresh, old):
+        with pytest.raises(RuntimeError, match="second frame"):
+            write_confidence_csv(path, {"object": ConfidenceField("object", values())})
+    assert not fresh.exists()
+    assert old.read_bytes() == before
+
+
 # The `vidseg synth` arguments of the clips whose outputs
 # tests/pinned_outputs.sha256 and tests/pinned_values.json pin: the default
 # clip at seed 7 (S) and a moving 20-frame clip with 4-pixel cells at seed 4

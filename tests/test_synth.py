@@ -84,6 +84,30 @@ def test_shape_exits_frame_rejected():
         generate(_small_cfg(velocity=(20, 0)))
 
 
+def test_frame_count_past_what_frame_names_sort_rejected():
+    SynthConfig(frame_count=10_000, velocity=(0, 0)).validate()
+    with pytest.raises(ValueError, match="frame_count must be <= 10000"):
+        SynthConfig(frame_count=10_001, velocity=(0, 0)).validate()
+
+
+def test_synth_cli_rejects_more_superpixels_than_a_pgm_holds_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    argv = ["synth", "--out", str(out), "--width", "300", "--height", "300", "--cell-size", "1",
+            "--frames", "2", "--velocity", "0", "0"]
+    assert main(argv) == 2
+    assert "90000 superpixels in a frame" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_proposal_jittered_out_of_frame_is_not_emitted(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--shape-size", "2", "2", "--start", "0", "0",
+                 "--velocity", "0", "0", "--frames", "3", "--confidence-base", "0.6"]) == 0
+    manifest = (data / "proposals" / "manifest.jsonl").read_text().splitlines()
+    assert len(manifest) == 2  # frame 0's box left the frame; frames 1 and 2 keep theirs
+    assert main(["pipeline", "--config", str(data / "config.json")]) == 0
+
+
 def test_class_id_that_breaks_csv_rows_rejected():
     with pytest.raises(ValueError, match="comma or line break"):
         generate(_small_cfg(class_id="a,b"))
