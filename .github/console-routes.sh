@@ -3,8 +3,9 @@
 # written under the directory given as the one argument, which must not hold
 # earlier runs: the single-shot pipeline, the staged route (pool, adapt,
 # segment, eval), which must write the single-shot run's files byte for byte,
-# the ablation route, a one-frame clip, the default moving clip, a clip with
-# noisy dense flow and a corner clip whose jitter pushes a proposal out of frame.
+# the ablation route, a run without ground truth, a one-frame clip, the default
+# moving clip, a clip with noisy dense flow and a corner clip whose jitter
+# pushes a proposal out of frame.
 # A failing command, a differing file, a Python warning under PYTHONWARNINGS=error
 # or a temporary file left behind by a write fails the script.
 #
@@ -33,6 +34,11 @@ diff -r "$single/masks" "$out/seg/masks"
 diff -r "$single/overlays" "$out/seg/overlays"
 # the ablation route: no diffusion, graph dump
 vidseg pipeline --config "$cfg" --skip-adaptation --dump-graph --out "$out/ablation"
+# a run without ground truth scores nothing: its report is the header line alone. Its
+# config sits next to the demo's, so the relative paths in it still resolve.
+python -c 'import json, sys; cfg = json.load(open(sys.argv[1])); del cfg["gt_dir"]; json.dump(cfg, open(sys.argv[2], "w"))' "$cfg" "$tmp/demo/config_no_gt.json"
+PYTHONWARNINGS=error vidseg pipeline --config "$tmp/demo/config_no_gt.json" --out "$tmp/no_gt"
+printf 'video,class,iou_micro,iou_macro,mean_pixel_error\n' | cmp - "$tmp/no_gt/report.csv"
 # a one-frame clip: no flow and no temporal edges; any warning fails the script
 vidseg synth --out "$tmp/one" --frames 1 --seed 3 --confidence-base 0.6 --width 48 --height 48 --shape-size 16 16
 PYTHONWARNINGS=error vidseg pipeline --config "$tmp/one/config.json" --dump-graph

@@ -121,6 +121,9 @@ def _cmd_pipeline(args):
     cfg = _load_config(args, out_dir=args.out, skip_adaptation=args.skip_adaptation,
                        dump_graph=args.dump_graph)
     report = run_pipeline(cfg)
+    if not report.rows:
+        print("pipeline done: no ground truth, nothing scored")
+        return EXIT_OK
     summary = report.summary()
     print(
         f"pipeline done: iou_micro={summary['iou_micro']:.4f} "

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pnm import write_ppm
-from .video import DataError, write_rows
+from .pnm import write_file, write_ppm
+from .video import DataError
 
 OVERLAY_COLOR = (255, 64, 64)
 COLUMNS = ("video", "class", "iou_micro", "iou_macro", "mean_pixel_error")  # of report.csv
@@ -23,14 +23,16 @@ class EvalReport:
         self.rows.append(dict(zip(COLUMNS, values)))
 
     def summary(self):
-        if not self.rows:
-            return dict.fromkeys(COLUMNS[2:], 0.0)
+        """Mean of each score over the rows; a report with no rows has no summary."""
         return {key: float(np.mean([r[key] for r in self.rows])) for key in COLUMNS[2:]}
 
     def write_csv(self, path):
+        """The header, a row per scored class and, if there is one, their mean."""
         rows = [tuple(r[c] for c in COLUMNS) for r in self.rows]
-        rows.append(("mean", "", *self.summary().values()))
-        write_rows(path, ",".join(COLUMNS), ("%s,%s,%.17g,%.17g,%.17g\n" % row for row in rows))
+        if rows:
+            rows.append(("mean", "", *self.summary().values()))
+        lines = ("%s,%s,%.17g,%.17g,%.17g\n" % row for row in rows)
+        write_file(path, [",".join(COLUMNS) + "\n", *lines])
 
 
 def frame_counts(pred_masks, gt_masks, annotated=None):

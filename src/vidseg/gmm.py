@@ -38,10 +38,6 @@ class GaussianMixture:
     means: np.ndarray  # (K, 3)
     covariances: np.ndarray  # (K, 3, 3)
 
-    def log_likelihood(self, colors):
-        """(n,) log sum_k w_k N(color; ...) of (n, 3) colors, floored at log(1e-12)."""
-        return log_likelihoods([self], colors)[0]
-
 
 def _features(colors_t, weights=None):
     """(10, n) rows y_a y_b (a <= b), y_a and 1 of y = x - centre for (3, n) colors x,

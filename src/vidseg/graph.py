@@ -12,11 +12,13 @@ the function that uses it, so importing graph loads none.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .pnm import write_file
 from .video import (
     DataError,
     SuperpixelMap,
@@ -24,7 +26,6 @@ from .video import (
     VideoVolume,
     compute_superpixel_stats,
     warp_pixels,
-    write_rows,
 )
 
 if TYPE_CHECKING:
@@ -63,7 +64,7 @@ class SpaceTimeGraph:
         weights = np.concatenate([self.spatial_w, self.temporal_w])
         rows = zip(kinds, fi.tolist(), si.tolist(), fj.tolist(), sj.tolist(), weights.tolist())
         lines = ("%s,%d,%d,%d,%d,%.17g\n" % row for row in rows)
-        write_rows(path, "kind,frame_i,sp_i,frame_j,sp_j,weight", lines)
+        write_file(path, itertools.chain(["kind,frame_i,sp_i,frame_j,sp_j,weight\n"], lines))
 
 
 def _pair_counts(rows, cols, ncols):

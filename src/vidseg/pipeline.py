@@ -44,7 +44,6 @@ from .video import (
     load_video,
     write_file,
     write_mask,
-    write_rows,
 )
 
 _FRAME_INDEX_RE = re.compile(r"(\d+)\D*$")
@@ -306,7 +305,8 @@ def write_confidence_csv(path, confidence_fields):
 
     Each frame is one % over its rows' template, fed the ids and values interleaved.
     """
-    def frames():
+    def chunks():
+        yield CONFIDENCE_HEADER + "\n"
         for cls, fieldv in sorted(confidence_fields.items()):
             row = ",%d," + cls.replace("%", "%%") + ",%.17g\n"
             for t, values in enumerate(fieldv.values):
@@ -315,7 +315,7 @@ def write_confidence_csv(path, confidence_fields):
                 cells[1::2] = values.tolist()
                 yield (str(t) + row) * len(values) % tuple(cells)
 
-    write_rows(path, CONFIDENCE_HEADER, frames())
+    write_file(path, chunks())
 
 
 def _parse_confidence_rows(lines):

@@ -11,7 +11,6 @@ its file or directory.
 
 from __future__ import annotations
 
-import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -37,11 +36,6 @@ def check_id(kind, value):
     if text in ("", ".", "..") or any(ch in text for ch in "/\\"):
         raise DataError(f"{kind} {value!r} is not a single path component")
     return value
-
-
-def write_rows(path, header, lines):
-    """Write a CSV file with write_file: the header line, then the text of lines, streamed."""
-    write_file(path, itertools.chain([header + "\n"], lines))
 
 
 def list_frames(path, suffixes, count=None):

@@ -9,6 +9,7 @@ from vidseg.gmm import (
     _features,
     _m_step,
     fit_gmm,
+    log_likelihoods,
     responsibilities,
     sample_training_sets,
 )
@@ -97,7 +98,7 @@ def test_log_likelihood_at_mean_identity_covariance():
         means=np.array([[10.0, 20.0, 30.0]]),
         covariances=np.array([np.eye(3)]),
     )
-    assert gmm.log_likelihood([[10.0, 20.0, 30.0]])[0] == pytest.approx(
+    assert log_likelihoods([gmm], [[10.0, 20.0, 30.0]])[0][0] == pytest.approx(
         LOG_STANDARD_NORMAL_3D_PEAK, abs=1e-12
     )
 
@@ -108,7 +109,7 @@ def test_log_likelihood_floor():
         means=np.array([[0.0, 0.0, 0.0]]),
         covariances=np.array([np.eye(3)]),
     )
-    assert gmm.log_likelihood([[255.0, 255.0, 255.0]])[0] == pytest.approx(LOG_FLOOR)
+    assert log_likelihoods([gmm], [[255.0, 255.0, 255.0]])[0][0] == pytest.approx(LOG_FLOOR)
 
 
 def test_log_likelihood_duplicate_components_collapse():
@@ -123,7 +124,8 @@ def test_log_likelihood_duplicate_components_collapse():
         covariances=np.array([np.eye(3) * 2, np.eye(3) * 2]),
     )
     color = [[6.0, 4.0, 5.0]]
-    assert one.log_likelihood(color) == pytest.approx(two.log_likelihood(color), abs=1e-12)
+    lo, lt = log_likelihoods([one, two], color)
+    assert lo == pytest.approx(lt, abs=1e-12)
 
 
 def test_log_likelihood_permutation_invariant(rng):
@@ -134,7 +136,8 @@ def test_log_likelihood_permutation_invariant(rng):
     perm = np.array([2, 0, 1])
     gmm_p = GaussianMixture(weights[perm], means[perm], covs[perm])
     colors = rng.uniform(0, 255, size=(10, 3))
-    assert gmm.log_likelihood(colors) == pytest.approx(gmm_p.log_likelihood(colors), abs=1e-12)
+    ll, ll_p = log_likelihoods([gmm, gmm_p], colors)
+    assert ll == pytest.approx(ll_p, abs=1e-12)
 
 
 def test_em_loglik_monotone(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_from_edges
-from vidseg.gmm import GaussianMixture
+from vidseg.gmm import GaussianMixture, log_likelihoods
 from vidseg.mrf import (
     CERTIFICATE_RTOL,
     LAMBDA_SPATIAL,
@@ -74,7 +74,7 @@ def test_color_unary_matches_separate_log_likelihoods(rng):
 
     obj, bg = random_gmm(3), random_gmm(5)
     colors = rng.uniform(-50, 305, size=(500, 3))  # 25 of them floored by both models
-    lo, lb = obj.log_likelihood(colors), bg.log_likelihood(colors)
+    (lo,), (lb,) = log_likelihoods([obj], colors), log_likelihoods([bg], colors)
     denom = np.logaddexp(lo, lb)
     cost_obj, cost_bg = color_unary(obj, bg, colors)
     np.testing.assert_allclose(cost_obj, denom - lo, rtol=1e-12, atol=1e-12)

@@ -843,11 +843,12 @@ def test_frame_id_past_the_class_rows_exits_2(dataset, tmp_path, capsys, command
     assert not os.path.exists(out)
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(pipeline.__file__))
+
+
 def _scipy_loaded_after(code):
     """Run code in a fresh interpreter; the scipy modules it left in sys.modules."""
-    import vidseg
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vidseg.__file__)))
+    src = os.path.dirname(_PACKAGE_DIR)
     probe = code + "\nimport sys; print(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
@@ -857,9 +858,12 @@ def _scipy_loaded_after(code):
     return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
-@pytest.mark.parametrize("module", ["vidseg", "vidseg.cli"])
+@pytest.mark.parametrize("module", sorted(
+    "vidseg" + ("" if name == "__init__.py" else "." + name[:-3])
+    for name in os.listdir(_PACKAGE_DIR) if name.endswith(".py")
+))
 def test_import_loads_no_scipy(module):
-    # every CLI start would pay for importing it
+    # every module file: a route that imports one would pay for SciPy at start-up
     assert _scipy_loaded_after(f"import {module}") == set()
 
 
@@ -1169,4 +1173,8 @@ def test_several_classes_are_not_scored_against_one_gt_dir(tmp_path, capsys, gt_
     else:
         assert code == 0
         assert sorted(os.listdir(os.path.join(data, "out", "masks"))) == ["car", "object"]
+        # nothing was scored, so no score is reported, not a score of 0
+        with open(os.path.join(data, "out", "report.csv")) as fh:
+            assert fh.read() == "video,class,iou_micro,iou_macro,mean_pixel_error\n"
+        assert "iou_micro=" not in capsys.readouterr().out
 
