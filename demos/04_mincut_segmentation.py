@@ -1,14 +1,14 @@
-"""Exact binary labeling by min-cut, checked against brute force.
+"""Exact binary labeling by min-cut, checked by its certificate.
 
 Builds random object/background labeling problems, solves them with the
-s-t min-cut, and verifies each energy against exhaustive enumeration.
-Also shows the ties-to-background rule and the effect of huge coupling.
+s-t min-cut, and checks each labeling's energy against the max-flow value:
+a cut whose energy equals a flow's value is a minimum. Also shows the
+ties-to-background rule and the effect of huge coupling.
 """
 
 import numpy as np
 
 from vidseg.mrf import MRFProblem, mrf_energy, solve_binary
-from vidseg.synth import enumerate_labelings_oracle
 
 
 def random_problem(rng, n):
@@ -27,16 +27,16 @@ def random_problem(rng, n):
 
 def main():
     rng = np.random.default_rng(4)
-    print("25 random 12-node problems, min-cut vs. exhaustive enumeration:")
+    print("25 random 12-node problems, min-cut energy vs. max-flow value:")
+    worst = 0.0
     for k in range(25):
         problem = random_problem(rng, 12)
-        labels = solve_binary(problem).labels
-        _, best = enumerate_labelings_oracle(problem)
-        got = mrf_energy(problem, labels)
-        tag = "exact" if got == best else f"MISMATCH ({got} vs {best})"
-        if k < 5 or got != best:
-            print(f"  instance {k:2d}: energy {got:7.1f}  [{tag}]")
-    print("  ... all 25 match the brute-force minimum exactly.")
+        labeling = solve_binary(problem)
+        got = mrf_energy(problem, labeling.labels)
+        worst = max(worst, abs(got - labeling.flow_value))
+        if k < 5:
+            print(f"  instance {k:2d}: energy {got:7.1f} = max-flow value {labeling.flow_value:7.1f}")
+    print(f"  ... largest |energy - flow value| of the 25: {worst:.1e}; each cut is a global minimum.")
 
     print("\nTie-breaking: equal unary totals under strong coupling")
     tie = MRFProblem(

@@ -24,8 +24,9 @@ from .pipeline import (
     segment_stage,
     write_confidence_csv,
 )
+from .pnm import DataError, write_file
 from .propagation import ConvergenceError
-from .video import DataError, check_id, write_file
+from .video import check_id
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pnm import write_file, write_ppm
-from .video import DataError
+from .pnm import DataError, write_file, write_ppm
 
 OVERLAY_COLOR = (255, 64, 64)
 COLUMNS = ("video", "class", "iou_micro", "iou_macro", "mean_pixel_error")  # of report.csv

@@ -4,8 +4,8 @@ Object and background mixtures are trained on superpixel mean colors,
 each sample weighted by the (adapted) confidence c_i for the object set
 and 1 - c_i for the background set.
 
-One feature kernel serves the E-step, the M-step, `responsibilities` and
-`log_likelihoods` (hence the MRF color unaries). A Gaussian log-density is
+One feature kernel serves the E-step, the M-step and `log_likelihoods` (hence
+the MRF color unaries). A Gaussian log-density is
 linear in the 6 quadratic, 3 linear and 1 constant terms of a color (Bishop,
 PRML 2.4 and 9.2), so `_features` builds those once per color set as a
 (10, n) array centred on the (weighted) mean color, and `_coefficients`
@@ -70,13 +70,6 @@ def _log_normalize(log_joint):
     total = log_joint.sum(axis=0)
     log_joint /= total
     return log_joint, np.log(total) + shift
-
-
-def responsibilities(gmm: GaussianMixture, colors):
-    """E-step posteriors (n, K) and per-sample mixture log-likelihood (n,)."""
-    feats, center = _features(np.atleast_2d(np.asarray(colors, dtype=np.float64)).T)
-    post, log_norm = _log_normalize(_coefficients(gmm, center) @ feats)
-    return post.T, log_norm
 
 
 def log_likelihoods(models, colors):

@@ -18,9 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pnm import write_file
+from .pnm import DataError, write_file
 from .video import (
-    DataError,
     SuperpixelMap,
     SuperpixelStats,
     VideoVolume,

@@ -24,6 +24,7 @@ from . import gmm as gmm_mod
 from . import mrf as mrf_mod
 from .evaluation import EvalReport, render_overlay, score_masks
 from .graph import MOTION_COHERENCE_WEIGHT, build_graph
+from .pnm import DataError, write_file
 from .proposals import (
     CONFIDENCE_THRESHOLD,
     ConfidenceField,
@@ -34,7 +35,6 @@ from .proposals import (
 )
 from .propagation import ConvergenceError, PropagationConfig, adapt_confidence
 from .video import (
-    DataError,
     check_id,
     compute_superpixel_stats,
     list_frames,
@@ -42,7 +42,6 @@ from .video import (
     load_mask,
     load_superpixels,
     load_video,
-    write_file,
     write_mask,
 )
 

@@ -62,21 +62,6 @@ class PropagationResult:
     residual: float
 
 
-def energy(x, graph, c, mu):
-    """Smoothness + fit objective over the normalized graph.
-
-    The smoothness term is the full double sum over ordered pairs
-    sum_ij A_ij (x_i d_i^-1/2 - x_j d_j^-1/2)^2, with d^-1/2 taken as 0 on
-    isolated nodes; the fit term is mu * ||x - c||^2.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    active = graph.degrees > 0
-    smooth = 2.0 * (float(x[active] @ x[active]) - float(x @ graph.operator.dot(x)))
-    fit = mu * float(np.sum((x - c) ** 2))
-    return smooth + fit
-
-
 def stationarity_residual(x, graph, c, mu):
     """Max-norm residual of the optimality condition X - SX + mu (X - C)."""
     r = x - graph.operator.dot(x) + mu * (x - c)

@@ -15,7 +15,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .video import DataError, SuperpixelMap, check_id, load_mask
+from .pnm import DataError
+from .video import SuperpixelMap, check_id, load_mask
 
 CONFIDENCE_THRESHOLD = 0.01
 

@@ -1,10 +1,9 @@
-"""Deterministic synthetic video generator and brute-force oracles.
+"""Deterministic synthetic video generator.
 
 Generates a desk-scale moving-shape video with exact or noisy optical flow,
 boundary-respecting grid superpixels, motion cue masks, jittered box
 proposals with noisy classifier confidences, and ground truth, all in the
-formats the pipeline ingests. Also hosts the independent oracles used to
-verify the diffusion solvers and the min-cut labeler.
+formats the pipeline ingests.
 """
 
 from __future__ import annotations
@@ -16,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrf import Labeling, MRFProblem, mrf_energy
 from .pnm import DataError, write_file, write_pgm, write_ppm
 from .proposals import ScoredProposal
 from .video import SuperpixelMap, VideoVolume, check_id, write_flow, write_mask
 
-DENSE_ORACLE_LIMIT = 1000
-ENUMERATION_LIMIT = 16
 # frame_{t:04d} names sort in frame order up to 10,000 frames; a 16-bit PGM holds 65,536 ids
 MAX_FRAMES = 10_000
 MAX_SUPERPIXELS = 65_536
@@ -222,39 +218,3 @@ def write_dataset(ds: SynthDataset, out_dir):
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     write_file(paths["proposal_manifest"], lines)
     return paths
-
-
-def dense_solve_oracle(graph, c, mu):
-    """Reference solution of (I - (1 - eta) S) X = eta C by dense LU solve.
-
-    Independent of the sparse solvers; refuses graphs above 1000 nodes.
-    """
-    n = graph.n_nodes
-    if n > DENSE_ORACLE_LIMIT:
-        raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} nodes")
-    eta = mu / (1.0 + mu)
-    m = np.eye(n) - (1.0 - eta) * graph.operator.toarray()
-    return np.linalg.solve(m, eta * np.asarray(c, dtype=np.float64))
-
-
-def enumerate_labelings_oracle(problem: MRFProblem):
-    """Exhaustive minimum of the binary MRF energy.
-
-    Enumerates labelings in lexicographic order (background first), so the
-    first minimum reproduces the ties-to-background rule. Refuses more than
-    16 nodes.
-    """
-    n = problem.n_nodes
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration oracle limited to {ENUMERATION_LIMIT} nodes")
-    codes = np.arange(2**n, dtype=np.uint32)
-    # bit k encodes node k, most significant first: row order is lexicographic
-    bits = (codes[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    labels = bits.astype(bool)
-    energies = labels @ problem.cost_object + (~labels) @ problem.cost_background
-    if len(problem.edges):
-        disagree = labels[:, problem.edges[:, 0]] != labels[:, problem.edges[:, 1]]
-        energies = energies + disagree @ problem.edge_weight
-    best = int(np.argmin(energies))
-    labeling = Labeling(labels=labels[best].copy())
-    return labeling, float(mrf_energy(problem, labeling.labels))

@@ -5,8 +5,7 @@ immutable after construction; loaders validate dimensions up front so the
 rest of the pipeline can assume consistency. SuperpixelMap numbers each
 frame's superpixels 0..n-1 itself, so every map, loaded or built in memory,
 holds contiguous ids. Every per-frame directory is listed by list_frames, and
-every input error is a DataError (defined in pnm, re-exported here) that names
-its file or directory.
+every input error is a pnm.DataError that names its file or directory.
 """
 
 from __future__ import annotations

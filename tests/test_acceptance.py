@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from conftest import random_graph, tree_digest
+from oracles import dense_solve_oracle, enumerate_labelings_oracle
 from vidseg.gmm import fit_gmm, sample_training_sets
 from vidseg.graph import (
     histogram_entropy,
@@ -26,13 +27,7 @@ from vidseg.propagation import (
     propagate_iterative,
     stationarity_residual,
 )
-from vidseg.synth import (
-    SynthConfig,
-    dense_solve_oracle,
-    enumerate_labelings_oracle,
-    generate,
-    write_dataset,
-)
+from vidseg.synth import SynthConfig, generate, write_dataset
 from vidseg.video import SuperpixelMap, compute_superpixel_stats
 
 

@@ -7,8 +7,8 @@ from vidseg.evaluation import (
     mask_scores,
     render_overlay,
 )
-from vidseg.pnm import read_pnm
-from vidseg.video import DataError, VideoVolume
+from vidseg.pnm import DataError, read_pnm
+from vidseg.video import VideoVolume
 
 
 def _mask1d(width, lo, hi):

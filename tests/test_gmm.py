@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import responsibilities
 from vidseg.gmm import (
     COVARIANCE_FLOOR,
     GaussianMixture,
@@ -10,7 +11,6 @@ from vidseg.gmm import (
     _m_step,
     fit_gmm,
     log_likelihoods,
-    responsibilities,
     sample_training_sets,
 )
 from vidseg.proposals import ConfidenceField

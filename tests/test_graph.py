@@ -19,7 +19,8 @@ from vidseg.graph import (
     temporal_affinity,
     temporal_edges,
 )
-from vidseg.video import DataError, SuperpixelMap, VideoVolume
+from vidseg.pnm import DataError
+from vidseg.video import SuperpixelMap, VideoVolume
 
 LN2 = 0.6931471805599453
 LN32 = 3.4657359027997265
@@ -289,6 +290,21 @@ def test_motion_reliability_matches_full_histogram_oracle(rng):
     assert np.all(got[np.flatnonzero(occupied == 1)] == 1.0)
     static = np.zeros((height, width, 2), np.float32)
     assert all(motion_reliability(sp, t, static, w_c=w_c).tolist() == [1.0] * n for t in (0, 1))
+
+
+@pytest.mark.parametrize("vectors, bins, m", [
+    ([(1, 0), (1.5, 0.5)], [12, 12], 1.0),
+    ([(-1, 0), (-1.5, 0.5)], [8, 15], 0.25),  # mirrored x
+    ([(0, 1), (0.5, 1.5)], [14, 13], 0.25),  # transposed
+], ids=["as-is", "mirrored", "transposed"])
+def test_motion_reliability_of_a_vector_on_a_bin_boundary(vectors, bins, m):
+    # The orientation bins are half-open, so mirroring or transposing a flow
+    # that lies exactly on a bin edge can split a one-bin superpixel in two:
+    # pinned as it is, not as a symmetric binning would give.
+    sp = SuperpixelMap(np.zeros((2, 1, 2), np.int32))
+    flow = np.array([vectors], np.float32)
+    assert flow_bin_index(flow).ravel().tolist() == bins
+    assert motion_reliability(sp, 0, flow).tolist() == [m]
 
 
 def test_temporal_edges_collision_counts_a_shared_pixel_once():

@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from vidseg.pnm import read_pnm, write_pgm, write_ppm
-from vidseg.video import DataError, load_flow, load_mask, write_flow, write_mask
+from vidseg.pnm import DataError, read_pnm, write_pgm, write_ppm
+from vidseg.video import load_flow, load_mask, write_flow, write_mask
 
 
 def test_pgm8_round_trip(tmp_path):

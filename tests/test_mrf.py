@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_from_edges
+from oracles import enumerate_labelings_oracle
 from vidseg.gmm import GaussianMixture, log_likelihoods
 from vidseg.mrf import (
     CERTIFICATE_RTOL,
@@ -17,7 +18,6 @@ from vidseg.mrf import (
     semantic_unary,
     solve_binary,
 )
-from vidseg.synth import enumerate_labelings_oracle
 from vidseg.video import SuperpixelMap
 
 LOG_HALF = 0.6931471805599453

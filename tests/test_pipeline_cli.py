@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import io
@@ -23,10 +24,10 @@ from vidseg.pipeline import (
     segment_class,
     write_confidence_csv,
 )
-from vidseg.pnm import write_pgm
+from vidseg.pnm import DataError, write_pgm
 from vidseg.proposals import ConfidenceField
 from vidseg.synth import SynthConfig, generate, write_dataset
-from vidseg.video import DataError, check_id, load_mask, write_flow
+from vidseg.video import check_id, load_mask, write_flow
 
 
 def _dataset_config(root, **synth_kw):
@@ -846,8 +847,8 @@ def test_frame_id_past_the_class_rows_exits_2(dataset, tmp_path, capsys, command
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(pipeline.__file__))
 
 
-def _scipy_loaded_after(code):
-    """Run code in a fresh interpreter; the scipy modules it left in sys.modules."""
+def _loaded_after(code, package):
+    """Run code in a fresh interpreter; the modules of package it left in sys.modules."""
     src = os.path.dirname(_PACKAGE_DIR)
     probe = code + "\nimport sys; print(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
@@ -855,7 +856,7 @@ def _scipy_loaded_after(code):
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.splitlines()[-1].split()  # after what the code printed
     assert "vidseg" in loaded
-    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    return {m for m in loaded if m == package or m.startswith(package + ".")}
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -864,7 +865,56 @@ def _scipy_loaded_after(code):
 ))
 def test_import_loads_no_scipy(module):
     # every module file: a route that imports one would pay for SciPy at start-up
-    assert _scipy_loaded_after(f"import {module}") == set()
+    assert _loaded_after(f"import {module}", "scipy") == set()
+
+
+def test_import_synth_loads_only_the_modules_it_writes_with():
+    # the solver oracles live in tests/oracles.py, so the generator pulls in no solver
+    assert _loaded_after("import vidseg.synth", "vidseg") == {
+        "vidseg", "vidseg.pnm", "vidseg.proposals", "vidseg.synth", "vidseg.video",
+    }
+
+
+def _top_level_names(path):
+    """Names a module's top level defines itself: functions, classes and assignments."""
+    with open(path, encoding="utf-8") as fh:
+        body = ast.parse(fh.read()).body
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_each_name_is_imported_from_the_module_that_defines_it():
+    # one import path per name: no vidseg module passes on a name it imported
+    root = os.path.dirname(os.path.dirname(_PACKAGE_DIR))
+    files = [os.path.join(_PACKAGE_DIR, name) for name in os.listdir(_PACKAGE_DIR)]
+    for sub in ("tests", "demos", "perfbench"):
+        files += [os.path.join(root, sub, name) for name in os.listdir(os.path.join(root, sub))]
+    defined = {}
+    stray = []
+    for path in sorted(f for f in files if f.endswith(".py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        in_package = os.path.dirname(path) == _PACKAGE_DIR
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if in_package and node.level == 1:
+                module = node.module
+            elif node.level == 0 and node.module.startswith("vidseg."):
+                module = node.module[len("vidseg."):]
+            else:
+                continue
+            if module not in defined:
+                defined[module] = _top_level_names(os.path.join(_PACKAGE_DIR, module + ".py"))
+            stray += [f"{os.path.relpath(path, root)}:{node.lineno} {alias.name} from {module}"
+                      for alias in node.names if alias.name not in defined[module]]
+    assert stray == []
 
 
 def test_only_graph_routes_load_scipy(tmp_path):
@@ -879,7 +929,7 @@ def test_only_graph_routes_load_scipy(tmp_path):
                   "--out", str(out / "adapted.csv")],
     }
     loaded = {
-        name: _scipy_loaded_after(f"from vidseg.cli import main\nassert main({argv!r}) == 0")
+        name: _loaded_after(f"from vidseg.cli import main\nassert main({argv!r}) == 0", "scipy")
         for name, argv in routes.items()
     }
     assert {name: bool(mods) for name, mods in loaded.items()} == {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_from_edges, random_graph
+from oracles import dense_solve_oracle, energy
 from vidseg.graph import build_graph
 from vidseg.proposals import (
     ConfidenceField,
@@ -13,12 +14,11 @@ from vidseg.propagation import (
     ConvergenceError,
     PropagationConfig,
     adapt_confidence,
-    energy,
     propagate,
     propagate_iterative,
     stationarity_residual,
 )
-from vidseg.synth import SynthConfig, dense_solve_oracle, generate
+from vidseg.synth import SynthConfig, generate
 
 
 def two_node_graph():

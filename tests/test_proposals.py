@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vidseg.pnm import write_pgm
+from vidseg.pnm import DataError, write_pgm
 from vidseg.proposals import (
     ScoredProposal,
     context_score,
@@ -12,7 +12,6 @@ from vidseg.proposals import (
     normalize_and_combine,
     pool_frame,
 )
-from vidseg.video import DataError
 
 
 def _mask(shape, coords):

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from vidseg.mrf import Labeling, rasterize
-from vidseg.pnm import write_pgm, write_ppm
+from vidseg.pnm import DataError, write_pgm, write_ppm
 from vidseg.synth import SynthConfig, generate
 from vidseg.video import (
-    DataError,
     SuperpixelMap,
     VideoVolume,
     compute_superpixel_stats,
