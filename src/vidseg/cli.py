@@ -176,6 +176,7 @@ def _cmd_adapt(args):
 def _cmd_segment(args):
     cfg = _load_config(args, out_dir=args.out)
     inputs = load_inputs(cfg)
+    inputs.graph.operator = inputs.graph.degrees = None  # segmentation reads only the edges
     confidences = read_confidence_csv(args.confidence)
     segment_stage(cfg, inputs, confidences)
     print(f"masks and overlays written under {cfg.out_dir}")

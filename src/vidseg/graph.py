@@ -47,8 +47,10 @@ class SpaceTimeGraph:
     temporal_i: np.ndarray  # source node (frame t-1)
     temporal_j: np.ndarray  # target node (frame t)
     temporal_w: np.ndarray
-    degrees: np.ndarray  # row sums of A
-    operator: sparse.csr_matrix  # S = D^-1/2 A D^-1/2
+    # Only the diffusion reads these two; run_pipeline and `vidseg segment` set them
+    # to None before segmenting, which reads only the edge lists.
+    degrees: np.ndarray | None  # row sums of A
+    operator: sparse.csr_matrix | None  # S = D^-1/2 A D^-1/2
 
     @property
     def n_nodes(self):
@@ -267,8 +269,10 @@ def build_graph(
     mean_cent = cent_d.sum() / max(len(cent_d), 1)
     d_s = cent_d / mean_cent if mean_cent > 0 else np.zeros_like(cent_d)
     sw = spatial_affinity(d_c_s, d_s)
+    del d_c_s, cent_d, d_s  # the per-edge temporaries, freed before assemble's peak
 
     d_c_t = color_distance(colors, ti, tj)
     tw = temporal_affinity(d_c_t, rho, m[ti])
+    del d_c_t, rho, m
 
     return assemble(offsets, (si, sj, sw), (ti, tj, tw))

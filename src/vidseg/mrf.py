@@ -10,8 +10,11 @@ that reuse the graph affinities:
 With two labels and non-negative pairwise weights the energy is submodular,
 so a single s-t min-cut gives the exact global minimum; ties resolve to
 background (the minimal source side of the cut). solve_binary finds the cut
-with SciPy's compiled max-flow and certifies it against the energy. SciPy
-is imported inside the functions that use it, so importing mrf loads none.
+with SciPy's compiled max-flow and certifies it against the energy. The
+network holds two arcs per Potts edge (one each way) and two per node whose
+costs differ (its one terminal arc and that arc's zero-capacity reverse), as
+in Kolmogorov & Zabih, TPAMI 2004. SciPy is imported inside the functions
+that use it, so importing mrf loads none.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ def solve_binary(problem: MRFProblem) -> Labeling:
     """Exact global minimum of the binary Potts energy via s-t min-cut.
 
     Source side = object: source->i carries the background cost and i->sink
-    the object cost, both less their minimum (a shift shared by every cut);
+    the object cost, both less their minimum (a shift shared by every cut),
+    so each node has at most one terminal arc, the one of positive capacity;
     each Potts edge is an arc each way. SciPy's Dinic takes integer
     capacities, so rounds floor the float residual scaled to a cut's residual
     (a bound on the flow still missing) and subtract the integer flow, until
@@ -158,6 +162,8 @@ def solve_binary(problem: MRFProblem) -> Labeling:
     to_source, to_sink = problem.cost_background - base, problem.cost_object - base
     eps = MINCUT_EPS * min(to_source.sum(), to_sink.sum())
     cap, indices, indptr = _network(problem, to_source, to_sink)
+    offset = base.sum()
+    del base, to_source, to_sink  # not live while maximum_flow runs
 
     flow_value, rounds = 0.0, 0
     side = np.arange(n + 2) == source  # later the source side of a cut
@@ -168,7 +174,7 @@ def solve_binary(problem: MRFProblem) -> Labeling:
         bound = cap[np.repeat(side, np.diff(indptr)) & ~side[indices]].sum()
         # bound is now the labeling's energy less the flow; half the
         # tolerance is left for round-off in the energy
-        if not reached[sink] and bound <= 0.5 * CERTIFICATE_RTOL * max(flow_value + base.sum(), 1):
+        if not reached[sink] and bound <= 0.5 * CERTIFICATE_RTOL * max(flow_value + offset, 1):
             break
         if rounds == MAX_ROUNDS:
             message = f"min-cut uncertified after {rounds} rounds"
@@ -189,7 +195,7 @@ def solve_binary(problem: MRFProblem) -> Labeling:
         del graph, result, flow, icap
 
     labels = reached[:n].copy()
-    flow_value = float(flow_value + base.sum())
+    flow_value = float(flow_value + offset)
     energy = mrf_energy(problem, labels)
     if abs(energy - flow_value) > CERTIFICATE_RTOL * max(energy, 1.0):
         raise ConvergenceError(
@@ -202,21 +208,26 @@ def solve_binary(problem: MRFProblem) -> Labeling:
 def _network(problem, to_source, to_sink):
     """Capacities, indices and indptr of the CSR network; source n, sink n + 1.
 
+    Arcs: source->i for each node with to_source > 0, i->sink for each with
+    to_sink > 0 (a node with both 0 has no terminal arc), and i->j and j->i
+    for each Potts edge that is not a self-loop; repeated pairs are summed.
     Every arc's reverse is stored (terminal ones at capacity 0), so that
     maximum_flow returns its flow on exactly this pattern.
     """
     from scipy.sparse import csr_array
 
     n = problem.n_nodes
-    ids, s_ids, zeros = np.arange(n, dtype=np.int32), np.full(n, n, dtype=np.int32), np.zeros(n)
+    s = np.flatnonzero(to_source > 0).astype(np.int32)
+    t = np.flatnonzero(to_sink > 0).astype(np.int32)
+    s_ids, t_ids = np.full(len(s), n, dtype=np.int32), np.full(len(t), n + 1, dtype=np.int32)
     keep = problem.edges[:, 0] != problem.edges[:, 1]  # self-loops never cut
     i, j = problem.edges[keep].T.astype(np.int32)
     w = problem.edge_weight[keep]
     net = csr_array(
         (
-            np.concatenate([to_source, zeros, to_sink, zeros, w, w]),
-            (np.concatenate([s_ids, ids, ids, s_ids + 1, i, j]),
-             np.concatenate([ids, s_ids, s_ids + 1, ids, j, i])),
+            np.concatenate([to_source[s], np.zeros(len(s)), to_sink[t], np.zeros(len(t)), w, w]),
+            (np.concatenate([s_ids, s, t, t_ids, i, j]),
+             np.concatenate([s, s_ids, t_ids, t, j, i])),
         ),
         shape=(n + 2, n + 2),
     )

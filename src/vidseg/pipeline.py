@@ -9,7 +9,6 @@ confidence CSVs at full float precision, so the two routes write identical bytes
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -322,12 +321,16 @@ def _parse_confidence_rows(lines):
     with warnings.catch_warnings():
         # numpy 1.23-1.26 read "1.5" into an int64 field as 1, with a DeprecationWarning
         warnings.simplefilter("error", DeprecationWarning)
+        # no rows is an empty array: read_confidence_csv returns {} for a blank body
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(lines, _CONFIDENCE_ROW, delimiter=",", comments=None, ndmin=1)
 
 
-def _numbered_rows(body):
-    """(file line, text) of each non-blank line of body, the text after the header."""
-    return [(n, line) for n, line in enumerate(body.split("\n"), start=2) if line.strip()]
+def _numbered_rows(path):
+    """(file line, text) of each non-blank line after the header of the file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        return [(n, line) for n, line in enumerate(fh, start=2) if line.strip()]
 
 
 def read_confidence_csv(path):
@@ -335,19 +338,19 @@ def read_confidence_csv(path):
 
     Ids are ASCII decimal integers and values decimal floats; blank lines are
     skipped. Every error names the file line of its row, malformed rows first.
+    The rows are parsed straight from the open file; only an error reads the
+    file again, for its line numbers.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        body = fh.read()
-    if header != CONFIDENCE_HEADER:
-        raise DataError(f"unexpected confidence CSV header in {path}")
-    if not body.strip():
-        return {}
-    try:
-        rows = _parse_confidence_rows(io.StringIO(body))
-    except (ValueError, DeprecationWarning):
+        if fh.readline().strip() != CONFIDENCE_HEADER:
+            raise DataError(f"unexpected confidence CSV header in {path}")
+        try:
+            rows = _parse_confidence_rows(fh)
+        except (ValueError, DeprecationWarning):
+            rows = None
+    if rows is None:
         # a malformed row, or a whitespace-only line, which np.loadtxt rejects too
-        numbered = _numbered_rows(body)
+        numbered = _numbered_rows(path)
         try:
             rows = _parse_confidence_rows([line for _, line in numbered])
         except (ValueError, DeprecationWarning) as exc:
@@ -360,6 +363,8 @@ def read_confidence_csv(path):
                 except (ValueError, DeprecationWarning):
                     hi = mid
             raise DataError(f"malformed confidence row {numbered[lo][0]} in {path}") from exc
+    if not len(rows):
+        return {}
     frame, sp_id, cls, value = (rows[name] for name in _CONFIDENCE_ROW.names)
     # class codes in order of first appearance, one dict lookup per run of equal names
     starts = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1]])
@@ -379,7 +384,7 @@ def read_confidence_csv(path):
     failed = [(np.argmax(bad), i) for i, (_, bad) in enumerate(checks) if bad.any()]
     if failed:  # the first failing row; on one row, the first failing check
         k, i = min(failed)
-        raise DataError(f"{checks[i][0]} confidence row {_numbered_rows(body)[k][0]} in {path}")
+        raise DataError(f"{checks[i][0]} confidence row {_numbered_rows(path)[k][0]} in {path}")
     # within a (class, frame), the sorted ids must run 0, 1, 2, ...
     gap = s != np.r_[0, np.where(same_frame, s[:-1] + 1, 0)]
     value = value[order]
@@ -402,6 +407,8 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     """Execute all stages, writing every artifact under cfg.out_dir."""
     cfg.validate()
     inputs = load_inputs(cfg)
+    if cfg.skip_adaptation:  # only adaptation reads the operator and degrees
+        inputs.graph.operator = inputs.graph.degrees = None
     pooled = pool_stage(cfg, inputs)
     if cfg.gt_dir and len(pooled) > 1:  # gt_dir holds one class's masks
         raise DataError(f"gt_dir is scored against every class, but the run segments "
@@ -413,6 +420,7 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         confidences = pooled
     else:
         confidences = adapt_stage(cfg, inputs, pooled)
+        inputs.graph.operator = inputs.graph.degrees = None
         write_confidence_csv(os.path.join(cfg.out_dir, "adapted.csv"), confidences)
     segs = segment_stage(cfg, inputs, confidences)
     return eval_stage(cfg, inputs, {cls: seg["masks"] for cls, seg in segs.items()})

@@ -11,6 +11,7 @@ from vidseg.mrf import (
     MAX_ROUNDS,
     MRFProblem,
     Labeling,
+    _network,
     color_unary,
     mrf_energy,
     pairwise_weights,
@@ -326,6 +327,81 @@ def test_sub_threshold_arcs_still_certified():
     labeling = solve_binary(problem)
     assert labeling.labels.tolist() == [True] + [False] * (k + 1)
     assert labeling.flow_value == pytest.approx(k * 5e-10, rel=CERTIFICATE_RTOL)
+
+
+def _tied_problem(rng, n):
+    """Integer costs, equal on about a third of the nodes; random edges, so self-loops,
+    repeated pairs (either way round) and zero weights all occur."""
+    cost_obj = rng.integers(0, 20, size=n).astype(np.float64)
+    cost_bg = rng.integers(0, 20, size=n).astype(np.float64)
+    tied = rng.random(n) < 1 / 3
+    cost_bg[tied] = cost_obj[tied]
+    edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+    weights = rng.integers(0, 15, size=len(edges)).astype(np.float64)
+    return MRFProblem(cost_obj, cost_bg, edges, weights)
+
+
+def test_network_holds_one_terminal_arc_per_node_with_unequal_costs(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 17))
+        problem = _tied_problem(rng, n)
+        base = np.minimum(problem.cost_object, problem.cost_background)
+        to_source, to_sink = problem.cost_background - base, problem.cost_object - base
+        cap, indices, indptr = _network(problem, to_source, to_sink)
+        source, sink = n, n + 1
+        pairs = {tuple(sorted(e)) for e in problem.edges.tolist() if e[0] != e[1]}
+        expected = np.zeros((n + 2, n + 2))
+        for (i, j), w in zip(problem.edges.tolist(), problem.edge_weight):
+            if i != j:
+                expected[i, j] += w
+                expected[j, i] += w
+        arcs = {pair for i, j in pairs for pair in ((i, j), (j, i))}
+        for i in np.flatnonzero(to_source > 0).tolist():
+            expected[source, i] = to_source[i]
+            arcs |= {(source, i), (i, source)}
+        for i in np.flatnonzero(to_sink > 0).tolist():
+            expected[i, sink] = to_sink[i]
+            arcs |= {(i, sink), (sink, i)}
+        # 2 arcs per Potts pair and 2 per node whose costs differ, none for a tied node
+        terminal = np.count_nonzero(problem.cost_object != problem.cost_background)
+        assert len(cap) == len(indices) == 2 * len(pairs) + 2 * terminal
+        tails = np.repeat(np.arange(n + 2), np.diff(indptr))
+        assert set(zip(tails.tolist(), indices.tolist())) == arcs
+        dense = np.zeros((n + 2, n + 2))
+        dense[tails, indices] = cap
+        assert np.array_equal(dense, expected)
+
+
+def test_solve_with_tied_costs_matches_enumeration(rng):
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 17))
+        problem = _tied_problem(rng, n)
+        i, j = problem.edges.T
+        pairs = [tuple(sorted(e)) for e in problem.edges.tolist()]
+        seen |= {"tie"} if np.any(problem.cost_object == problem.cost_background) else set()
+        seen |= {"self-loop"} if np.any(i == j) else set()
+        seen |= {"repeated pair"} if len(set(pairs)) < len(pairs) else set()
+        seen |= {"zero weight"} if np.any(problem.edge_weight == 0) else set()
+        labeling = solve_binary(problem)
+        oracle, best = enumerate_labelings_oracle(problem)
+        # the oracle's first minimum in background-first order is the one whose object
+        # nodes every other minimum contains: ties go to background
+        assert np.array_equal(labeling.labels, oracle.labels)
+        assert mrf_energy(problem, labeling.labels) == best
+        assert labeling.flow_value == pytest.approx(best, rel=CERTIFICATE_RTOL, abs=1e-12)
+    assert seen == {"tie", "self-loop", "repeated pair", "zero weight"}
+
+
+def test_tied_nodes_get_no_terminal_arc_and_go_background():
+    problem = MRFProblem(
+        np.array([3.0, 0.0, 2.0]), np.array([3.0, 1.0, 2.0]), np.array([[2, 2]]), np.array([5.0])
+    )
+    cap, _, _ = _network(problem, np.array([0.0, 1.0, 0.0]), np.zeros(3))
+    assert len(cap) == 2  # node 1's source arc and its reverse; self-loops are never cut
+    labeling = solve_binary(problem)
+    assert labeling.labels.tolist() == [False, True, False]
+    assert labeling.flow_value == 5.0
 
 
 def test_rasterize():

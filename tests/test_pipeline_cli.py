@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vidseg import mrf, pipeline
+from vidseg import cli, mrf, pipeline
 from vidseg.cli import main
 from vidseg.pipeline import (
     PipelineConfig,
@@ -505,6 +505,36 @@ def test_run_pipeline_writes_the_confidence_csvs_with_segment_and_eval_stubbed(
     assert _files_under(cfg.out_dir) == ["adapted.csv", "pooled.csv"]
     for name in ("pooled.csv", "adapted.csv"):
         assert _digest(os.path.join(cfg.out_dir, name)) == _digest(os.path.join(out, name))
+
+
+def test_segmentation_runs_without_the_diffusion_operator(dataset, tmp_path, monkeypatch):
+    # only adaptation reads S and the degrees, so every route drops them before segmenting
+    root, config_path = dataset
+    out = os.path.join(root, "out")
+    if not os.path.isdir(out):
+        assert main(["pipeline", "--config", config_path]) == 0
+    segment_stage, routes = pipeline.segment_stage, []
+
+    def without_operator(cfg, inputs, confidences):
+        assert inputs.graph.operator is None and inputs.graph.degrees is None
+        routes.append(cfg.out_dir)
+        return segment_stage(cfg, inputs, confidences)
+
+    monkeypatch.setattr(pipeline, "segment_stage", without_operator)
+    monkeypatch.setattr(cli, "segment_stage", without_operator)
+    for skip in (False, True):
+        cfg = PipelineConfig.from_json(
+            config_path, {"out_dir": str(tmp_path / f"skip_{skip}"), "skip_adaptation": skip}
+        )
+        run_pipeline(cfg)
+    staged = str(tmp_path / "staged")
+    assert main(["segment", "--config", config_path, "--confidence",
+                 os.path.join(out, "adapted.csv"), "--out", staged]) == 0
+    assert routes == [str(tmp_path / "skip_False"), str(tmp_path / "skip_True"), staged]
+    for run in ("skip_False", "staged"):
+        assert _mask_digests(str(tmp_path / run / "masks")) == _mask_digests(
+            os.path.join(out, "masks")
+        )
 
 
 def _files_under(root, dirs=False):
