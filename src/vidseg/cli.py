@@ -22,6 +22,7 @@ from .pipeline import (
     read_confidence_csv,
     run_pipeline,
     segment_stage,
+    spend_graph,
     write_confidence_csv,
 )
 from .pnm import DataError, write_file
@@ -176,7 +177,8 @@ def _cmd_adapt(args):
 def _cmd_segment(args):
     cfg = _load_config(args, out_dir=args.out)
     inputs = load_inputs(cfg)
-    inputs.graph.operator = inputs.graph.degrees = None  # segmentation reads only the edges
+    inputs.motion_masks = None  # only pooling reads them
+    spend_graph(cfg, inputs)
     confidences = read_confidence_csv(args.confidence)
     segment_stage(cfg, inputs, confidences)
     print(f"masks and overlays written under {cfg.out_dir}")

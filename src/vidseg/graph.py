@@ -41,14 +41,17 @@ N_FLOW_BINS = ORIENTATION_BINS * (len(MAGNITUDE_EDGES) + 1)
 @dataclass
 class SpaceTimeGraph:
     frame_offsets: np.ndarray  # (T+1,) global node-id offsets
-    spatial_i: np.ndarray
-    spatial_j: np.ndarray
-    spatial_w: np.ndarray
-    temporal_i: np.ndarray  # source node (frame t-1)
-    temporal_j: np.ndarray  # target node (frame t)
-    temporal_w: np.ndarray
-    # Only the diffusion reads these two; run_pipeline and `vidseg segment` set them
-    # to None before segmenting, which reads only the edge lists.
+    # Edge lists: int64 node ids and float64 affinities. Segmentation reads them only
+    # through mrf.pairwise_weights, so pipeline.spend_graph builds that once and sets
+    # every field below to None; frame_offsets stays.
+    spatial_i: np.ndarray | None
+    spatial_j: np.ndarray | None
+    spatial_w: np.ndarray | None
+    temporal_i: np.ndarray | None  # source node (frame t-1)
+    temporal_j: np.ndarray | None  # target node (frame t)
+    temporal_w: np.ndarray | None
+    # Only the diffusion reads these two; under skip_adaptation run_pipeline drops them
+    # after ingest.
     degrees: np.ndarray | None  # row sums of A
     operator: sparse.csr_matrix | None  # S = D^-1/2 A D^-1/2
 

@@ -40,19 +40,22 @@ MAX_ROUNDS = 32  # each round shrinks the flow still missing ~2**29 / arcs-fold
 class MRFProblem:
     cost_object: np.ndarray  # (n,)
     cost_background: np.ndarray  # (n,)
-    edges: np.ndarray  # (m, 2) int
-    edge_weight: np.ndarray  # (m,) non-negative, Potts
+    # (m, 2) int32 and (m,) non-negative Potts weights; int32 and float64 input is
+    # kept, not copied, so every class's problem shares the run's pairwise_weights
+    edges: np.ndarray
+    edge_weight: np.ndarray
 
     def __post_init__(self):
         self.cost_object = np.asarray(self.cost_object, dtype=np.float64)
         self.cost_background = np.asarray(self.cost_background, dtype=np.float64)
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(self.edges).reshape(-1, 2)
         self.edge_weight = np.asarray(self.edge_weight, dtype=np.float64)
         n = len(self.cost_object)
-        if len(self.cost_background) != n or self.edge_weight.shape != (len(self.edges),):
+        if len(self.cost_background) != n or self.edge_weight.shape != (len(edges),):
             raise ValueError("MRF needs two costs per node and one weight per edge")
-        if len(self.edges) and (self.edges.min() < 0 or self.edges.max() >= n):
+        if len(edges) and (edges.min() < 0 or edges.max() >= n):  # before a cast could wrap
             raise ValueError(f"MRF edges must join node ids in [0, {n})")
+        self.edges = edges.astype(np.int32, copy=False)
         if np.any(self.edge_weight < 0):
             raise ValueError("pairwise weights must be non-negative")
         if not (
@@ -95,13 +98,11 @@ def color_unary(gmm_object, gmm_background, colors):
 
 
 def pairwise_weights(graph, lambda_spatial=LAMBDA_SPATIAL, lambda_temporal=LAMBDA_TEMPORAL):
-    """Potts edge list for the segmentation energy, reusing graph affinities."""
-    edges = np.concatenate(
-        [
-            np.stack([graph.spatial_i, graph.spatial_j], axis=1),
-            np.stack([graph.temporal_i, graph.temporal_j], axis=1),
-        ]
-    ).astype(np.int64)
+    """Potts terms of the segmentation energy, reusing graph affinities: (m, 2) int32 edges,
+    spatial then temporal, and their (m,) weights. No class enters them."""
+    edges = np.empty((len(graph.spatial_i) + len(graph.temporal_i), 2), dtype=np.int32)
+    edges[:, 0] = np.concatenate([graph.spatial_i, graph.temporal_i])
+    edges[:, 1] = np.concatenate([graph.spatial_j, graph.temporal_j])
     weights = np.concatenate(
         [lambda_spatial * graph.spatial_w, lambda_temporal * graph.temporal_w]
     )
@@ -109,19 +110,13 @@ def pairwise_weights(graph, lambda_spatial=LAMBDA_SPATIAL, lambda_temporal=LAMBD
 
 
 def build_problem(
-    graph,
-    confidence,
-    colors,
-    gmm_object,
-    gmm_background,
-    lambda_object=LAMBDA_OBJECT,
-    lambda_spatial=LAMBDA_SPATIAL,
-    lambda_temporal=LAMBDA_TEMPORAL,
+    potts, confidence, colors, gmm_object, gmm_background, lambda_object=LAMBDA_OBJECT
 ) -> MRFProblem:
-    """Assemble unaries and pairwise terms for one class."""
+    """Assemble one class's unaries over potts, the (edges, weights) of pairwise_weights,
+    whose arrays the problem shares."""
     sem_obj, sem_bg = semantic_unary(confidence)
     col_obj, col_bg = color_unary(gmm_object, gmm_background, colors)
-    edges, weights = pairwise_weights(graph, lambda_spatial, lambda_temporal)
+    edges, weights = potts
     return MRFProblem(
         cost_object=col_obj + lambda_object * sem_obj,
         cost_background=col_bg + lambda_object * sem_bg,
@@ -221,7 +216,7 @@ def _network(problem, to_source, to_sink):
     t = np.flatnonzero(to_sink > 0).astype(np.int32)
     s_ids, t_ids = np.full(len(s), n, dtype=np.int32), np.full(len(t), n + 1, dtype=np.int32)
     keep = problem.edges[:, 0] != problem.edges[:, 1]  # self-loops never cut
-    i, j = problem.edges[keep].T.astype(np.int32)
+    i, j = problem.edges[keep].T
     w = problem.edge_weight[keep]
     net = csr_array(
         (

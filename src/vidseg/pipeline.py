@@ -5,6 +5,13 @@ manifest) and adapt_stage class -> ConfidenceField. segment_stage returns class 
 segment_class's dict and writes masks, overlays and mixtures; eval_stage returns the
 EvalReport and writes report.csv. run_pipeline and the CLI subcommands write the
 confidence CSVs at full float precision, so the two routes write identical bytes.
+
+Segmentation holds only what it reads: the video (for overlays), the uint16
+superpixel labels, the mean colours (load_inputs drops the centroids once the graph
+is built), the confidences it segments, and the Potts terms that spend_graph builds
+once per run in place of the graph's edge lists and operator. run_pipeline lets the
+motion masks go after pooling and the pooled fields once the adapted ones exist;
+`vidseg segment` lets the motion masks go at once.
 """
 
 from __future__ import annotations
@@ -157,10 +164,11 @@ class PipelineConfig:
 class LoadedInputs:
     video: object
     superpixels: object
-    motion_masks: np.ndarray
+    motion_masks: np.ndarray | None  # None once pooled: pooling is their only reader
     gt_masks: dict  # frame index -> mask; empty when no ground truth
-    stats: object  # stats and graph are None when loaded without build
+    stats: object  # stats and graph are None when loaded without build; stats.centroid is None
     graph: object
+    potts: tuple | None = None  # (edges, weights) of mrf.pairwise_weights, set by spend_graph
 
 
 def load_mask_dir(path, frame_count=None, shape=None):
@@ -207,6 +215,7 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
                      in list_frames(cfg.flow_dir, ".flo", video.frame_count - 1))
             stats = compute_superpixel_stats(video, sp)
             graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
+            stats.centroid = None  # the graph build is its only reader
     return LoadedInputs(video, sp, motion, gt_masks, stats, graph)
 
 
@@ -242,9 +251,25 @@ def adapt_stage(cfg: PipelineConfig, inputs: LoadedInputs, pooled):
         }
 
 
+def spend_graph(cfg: PipelineConfig, inputs: LoadedInputs):
+    """Give inputs the run's Potts terms in place of its graph's edge lists and operator.
+
+    The terms do not depend on the class, so they are built once and every class's
+    MRFProblem shares their arrays; the graph keeps only its frame offsets.
+    """
+    graph = inputs.graph
+    inputs.potts = mrf_mod.pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
+    graph.spatial_i = graph.spatial_j = graph.spatial_w = None
+    graph.temporal_i = graph.temporal_j = graph.temporal_w = None
+    graph.operator = graph.degrees = None
+
+
 def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
     """Fit color models and min-cut one class, writing nothing; returns {"masks", "gmm_obj",
-    "gmm_bg", "problem", "labeling"}: masks, mixtures, and the MRF problem and its solve."""
+    "gmm_bg", "problem", "labeling"}: masks, mixtures, and the MRF problem and its solve.
+
+    Reads inputs.potts, or builds the Potts terms from inputs.graph if spend_graph has not.
+    """
     fieldv.check_counts(inputs.superpixels.counts)
     (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(
         fieldv, inputs.stats
@@ -255,15 +280,12 @@ def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
     gmm_bg = gmm_mod.fit_gmm(
         bg_colors, bg_w, cfg.gmm_components, seed=cfg.gmm_seed + 1
     )
+    del obj_colors, obj_w, bg_colors, bg_w  # not live through the solve
+    potts = inputs.potts
+    if potts is None:
+        potts = mrf_mod.pairwise_weights(inputs.graph, cfg.lambda_spatial, cfg.lambda_temporal)
     problem = mrf_mod.build_problem(
-        inputs.graph,
-        fieldv.flat(),
-        inputs.stats.mean_color,
-        gmm_obj,
-        gmm_bg,
-        cfg.lambda_object,
-        cfg.lambda_spatial,
-        cfg.lambda_temporal,
+        potts, fieldv.flat(), inputs.stats.mean_color, gmm_obj, gmm_bg, cfg.lambda_object
     )
     labeling = mrf_mod.solve_binary(problem)
     return {"masks": mrf_mod.rasterize(labeling, inputs.superpixels), "gmm_obj": gmm_obj,
@@ -410,6 +432,7 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     if cfg.skip_adaptation:  # only adaptation reads the operator and degrees
         inputs.graph.operator = inputs.graph.degrees = None
     pooled = pool_stage(cfg, inputs)
+    inputs.motion_masks = None  # pooling is their only reader
     if cfg.gt_dir and len(pooled) > 1:  # gt_dir holds one class's masks
         raise DataError(f"gt_dir is scored against every class, but the run segments "
                         f"{sorted(pooled)}; set classes to the one class gt_dir annotates")
@@ -420,7 +443,8 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         confidences = pooled
     else:
         confidences = adapt_stage(cfg, inputs, pooled)
-        inputs.graph.operator = inputs.graph.degrees = None
+        del pooled  # segmentation reads the adapted fields
         write_confidence_csv(os.path.join(cfg.out_dir, "adapted.csv"), confidences)
+    spend_graph(cfg, inputs)
     segs = segment_stage(cfg, inputs, confidences)
     return eval_stage(cfg, inputs, {cls: seg["masks"] for cls, seg in segs.items()})

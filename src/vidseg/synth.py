@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnm import DataError, write_file, write_pgm, write_ppm
+from .pnm import write_file, write_pgm, write_ppm
 from .proposals import ScoredProposal
 from .video import SuperpixelMap, VideoVolume, check_id, write_flow, write_mask
 
-# frame_{t:04d} names sort in frame order up to 10,000 frames; a 16-bit PGM holds 65,536 ids
+# frame_{t:04d} names sort in frame order up to 10,000 frames
 MAX_FRAMES = 10_000
-MAX_SUPERPIXELS = 65_536
 # SynthConfig field -> its least usable value; -inf admits every number but NaN
 SYNTH_MINIMA = {"width": 1, "height": 1, "frame_count": 1, "cell_size": 1, "shape_width": 1,
                 "shape_height": 1, "proposals_per_frame": 1, "jitter_px": 0,
@@ -183,12 +182,9 @@ def write_dataset(ds: SynthDataset, out_dir):
 
     Layout: frames/, superpixels/ (16-bit PGM), flow/ (.flo), motion/, gt/,
     proposals/manifest.jsonl with mask PGMs alongside. Returns the path map.
-    A frame with more superpixels than a 16-bit PGM holds is a DataError,
-    raised before any file is written.
+    Every label map fits a 16-bit PGM: generate's SuperpixelMap rejects a
+    frame with more superpixels, before any file is written.
     """
-    most = max(ds.superpixels.counts)
-    if most > MAX_SUPERPIXELS:
-        raise DataError(f"{most} superpixels in a frame; a 16-bit PGM holds {MAX_SUPERPIXELS}")
     paths = {
         "video_dir": os.path.join(out_dir, "frames"),
         "superpixel_dir": os.path.join(out_dir, "superpixels"),

@@ -21,6 +21,7 @@ from .pnm import DataError, read_pnm, write_file, write_pgm
 FLOW_MAGIC = 202021.25  # little-endian float header, b"PIEH"
 
 FRAME_SUFFIXES = (".ppm", ".pgm")
+MAX_SUPERPIXELS = 65_536  # ids per frame: as many as a 16-bit PGM holds
 
 
 def check_id(kind, value):
@@ -78,26 +79,35 @@ class VideoVolume:
 class SuperpixelMap:
     """Per-frame label images with contiguous 0-based superpixel ids.
 
-    labels: (T, H, W) non-negative ints, kept as an int32 copy in which each
-    frame's values are renumbered 0..n-1 in value order; counts[t] = number
-    of superpixels in frame t.
+    labels: (T, H, W) uint16, each frame's values renumbered 0..n-1 in value
+    order; counts[t] = number of superpixels in frame t. The input, integer
+    labels of any dtype as an array or a list of frames, is read one frame at
+    a time and left as it was. A frame holds at most MAX_SUPERPIXELS ids, as
+    many as a 16-bit PGM can; one with more is a DataError naming it.
     """
 
     labels: np.ndarray
     counts: list = field(init=False)
 
     def __post_init__(self):
-        self.labels = np.array(self.labels, dtype=np.int32)
-        if self.labels.ndim != 3 or self.labels.shape[0] < 1:
+        frames = [np.asarray(frame) for frame in self.labels]  # views; a list is never stacked
+        if not frames or any(f.ndim != 2 or f.shape != frames[0].shape for f in frames):
             raise DataError("labels must have shape (T, H, W) with at least one frame")
+        self.labels = np.empty((len(frames), *frames[0].shape), dtype=np.uint16)
         self.counts = []
-        for t, frame in enumerate(self.labels):
+        for t, frame in enumerate(frames):
+            if frame.dtype.kind not in "biu":
+                raise DataError(f"frame {t} has non-integer superpixel labels ({frame.dtype})")
             if frame.min() < 0:
                 raise DataError(f"frame {t} has a negative superpixel label")
             # the values present, numbered in sorted order: the np.unique remap without a sort
-            lookup = np.cumsum(np.bincount(frame.ravel()) > 0, dtype=np.int32) - 1
-            frame[...] = lookup[frame]
-            self.counts.append(int(lookup[-1]) + 1)
+            lookup = np.cumsum(np.bincount(frame.ravel()) > 0) - 1
+            count = int(lookup[-1]) + 1
+            if count > MAX_SUPERPIXELS:
+                raise DataError(f"{count} superpixels in a frame; a 16-bit PGM holds "
+                                f"{MAX_SUPERPIXELS} (frame {t})")
+            self.labels[t] = lookup.astype(np.uint16)[frame]
+            self.counts.append(count)
 
     @property
     def frame_count(self):
@@ -117,11 +127,12 @@ class SuperpixelStats:
     """Per-superpixel aggregates indexed by global node id (frame offset + label).
 
     mean_color: (N, 3) float, 0-255 scale; centroid: (N, 2) float as (x, y)
-    in pixel coordinates.
+    in pixel coordinates, a separate array, or None once the graph, its only
+    reader, is built (load_inputs drops it).
     """
 
     mean_color: np.ndarray
-    centroid: np.ndarray
+    centroid: np.ndarray | None
 
 
 def load_video(path) -> VideoVolume:
@@ -212,21 +223,23 @@ def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> Superpixe
     """Mean RGB colors and centroids of every superpixel, by global node id.
 
     Works one frame at a time: each frame's bincounts fill its rows of the
-    (N, 5) sums, so no temporary spans the clip's pixels. The sums are of
-    integers, hence exact in any order. The caller checks that video and sp
-    share their (T, H, W) shape.
+    two result arrays, so no temporary spans the clip's pixels. The sums are
+    of integers, hence exact in any order. The caller checks that video and
+    sp share their (T, H, W) shape.
     """
     offsets = sp.frame_offsets()
-    sums = np.empty((int(offsets[-1]), 5))  # r, g, b, x, y
-    counts = np.empty(len(sums), dtype=np.int64)
+    mean_color, centroid = np.empty((int(offsets[-1]), 3)), np.empty((int(offsets[-1]), 2))
+    counts = np.empty(len(mean_color), dtype=np.int64)
     ys, xs = np.indices(sp.labels.shape[1:], dtype=np.float64).reshape(2, -1)
     for t in range(sp.frame_count):
         labels, n, rows = sp.labels[t].ravel(), sp.counts[t], slice(offsets[t], offsets[t + 1])
         counts[rows] = np.bincount(labels, minlength=n)
-        for k, w in enumerate((*video.frames[t].reshape(-1, 3).T, xs, ys)):
-            sums[rows, k] = np.bincount(labels, weights=w, minlength=n)
-    sums /= counts[:, None]
-    return SuperpixelStats(mean_color=sums[:, :3], centroid=sums[:, 3:])
+        for sums, weights in ((mean_color, video.frames[t].reshape(-1, 3).T), (centroid, (xs, ys))):
+            for k, w in enumerate(weights):
+                sums[rows, k] = np.bincount(labels, weights=w, minlength=n)
+    mean_color /= counts[:, None]
+    centroid /= counts[:, None]
+    return SuperpixelStats(mean_color=mean_color, centroid=centroid)
 
 
 def warp_pixels(flow):

@@ -326,6 +326,22 @@ def test_propagation_speed_at_scale():
     )
 
 
+def test_diffusion_certificate_at_scale():
+    # adapt_confidence certifies L at the default tolerance and past the round-off floor
+    _, _, graph, pooled = _scale_l_clip()
+    for tolerance in (PropagationConfig.tolerance, 1e-17):
+        adapt_confidence(pooled, graph, PropagationConfig(tolerance=tolerance))
+    cfg = PropagationConfig()
+    c = pooled.flat()
+    residual = stationarity_residual(propagate(graph, c, cfg).x, graph, c, cfg.mu)
+    bound = (1 + cfg.mu) * cfg.tolerance * cfg.eta * np.linalg.norm(c)
+    _report(
+        "diffusion certificate at scale (stationarity residual within CG's bound)",
+        residual <= bound,
+        f"residual={residual:.2e} bound={bound:.2e}",
+    )
+
+
 def test_graph_build_speed_at_scale():
     # a fresh build of the L clip's graph, superpixel stats included
     from vidseg.graph import build_graph

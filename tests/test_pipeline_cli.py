@@ -74,6 +74,10 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _digest_arrays(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
 def _mask_digests(mask_dir):
     out = {}
     for dirpath, _, filenames in sorted(os.walk(mask_dir)):
@@ -150,6 +154,31 @@ def test_segment_nonconvergence_names_the_stage(dataset, tmp_path, capsys, monke
     assert main(["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "non-convergence" in err and "segment: no min-cut certificate" in err
+
+
+@pytest.mark.parametrize("command", ["pipeline", "adapt"])
+def test_an_uncertified_diffusion_exits_3(dataset, tmp_path, capsys, monkeypatch, command):
+    import vidseg.propagation
+
+    solve = vidseg.propagation.propagate
+
+    def off_by_a_millionth(graph, c, cfg):  # within CG's tolerance by its own account
+        result = solve(graph, c, cfg)
+        return dataclasses.replace(result, x=result.x + 1e-6)
+
+    monkeypatch.setattr(vidseg.propagation, "propagate", off_by_a_millionth)
+    root, config_path = dataset
+    argv = ["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]
+    if command == "adapt":
+        pooled = str(tmp_path / "pooled.csv")
+        assert main(["pool", "--config", config_path, "--out", pooled]) == 0
+        argv = ["adapt", "--config", config_path, "--confidence", pooled,
+                "--out", str(tmp_path / "adapted.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "non-convergence" in err and "adapt: diffusion uncertified: stationarity residual" in err
+    assert not os.path.exists(tmp_path / "adapted.csv")
+    assert not os.path.exists(tmp_path / "out" / "adapted.csv")
 
 
 def test_staged_equals_single_shot(tmp_path, dataset):
@@ -1223,6 +1252,49 @@ def test_unknown_class_rejected_before_writing(tmp_path, capsys):
     assert main(["pipeline", "--config", config_path]) == 2
     assert "pool: class 'car'" in capsys.readouterr().err
     assert _files_under(str(tmp_path), dirs=True) == before  # not even an empty out_dir
+
+
+def test_each_class_of_a_two_class_run_matches_its_one_class_run(tmp_path, monkeypatch):
+    # every class's MRFProblem shares the run's one set of Potts terms, so no class's
+    # solve may change what the next class reads
+    solve, solves = mrf.solve_binary, []
+
+    def recorded(problem):  # what each solve reads, and its energy, which the masks may hide
+        terms = _digest_arrays(problem.edges, problem.edge_weight)
+        labeling = solve(problem)
+        solves.append((terms, labeling.flow_value))
+        return labeling
+
+    monkeypatch.setattr(mrf, "solve_binary", recorded)
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
+                 "--height", "48", "--shape-size", "16", "16"]) == 0
+    manifest = os.path.join(data, "proposals", "manifest.jsonl")
+    with open(manifest) as fh:
+        lines = [json.loads(line) for line in fh]
+    for rec in lines:
+        rec["confidences"]["car"] = 0.2
+    with open(manifest, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in lines)
+    config_path = os.path.join(data, "config.json")
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    for run, classes in (("both", []), ("car", ["car"]), ("object", ["object"])):
+        cfg.update(classes=classes, gt_dir="", out_dir=f"out_{run}")
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["pipeline", "--config", config_path]) == 0
+    assert sorted(os.listdir(os.path.join(data, "out_both", "masks"))) == ["car", "object"]
+    assert solves[:2] == solves[2:]  # car, object together, then each alone
+    assert solves[0][0] == solves[1][0]
+    for cls in ("car", "object"):
+        both, alone = os.path.join(data, "out_both"), os.path.join(data, f"out_{cls}")
+        masks = _mask_digests(os.path.join(both, "masks", cls))
+        assert len(masks) == 4
+        assert masks == _mask_digests(os.path.join(alone, "masks", cls))
+        assert _digest(os.path.join(both, f"gmm_{cls}.json")) == _digest(
+            os.path.join(alone, f"gmm_{cls}.json")
+        )
 
 
 @pytest.mark.parametrize("gt_dir", ["gt", ""])

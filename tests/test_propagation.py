@@ -113,14 +113,19 @@ def test_solver_equivalence_and_oracle(rng):
         assert np.max(np.abs(x_lin - x_dense)) <= 1e-8
 
 
-def test_solver_equivalence_at_clip_scale():
-    # the S clip's graph (5,450 nodes) and pooled field: past the dense oracle's reach
+def _s_clip_pooled():
     synth = SynthConfig(seed=7)
     ds = generate(synth)
     graph = build_graph(ds.video, ds.superpixels, ds.flows)
     scored = score_proposals(ds.proposals, ds.motion_masks)
     pooled = pool_confidence(filter_by_confidence(scored, synth.class_id, 0.01),
                              synth.class_id, ds.superpixels)
+    return graph, pooled
+
+
+def test_solver_equivalence_at_clip_scale():
+    # the S clip's graph (5,450 nodes) and pooled field: past the dense oracle's reach
+    graph, pooled = _s_clip_pooled()
     c = pooled.flat()
     cfg = PropagationConfig(tolerance=1e-10)
     x_cg = propagate(graph, c, cfg).x
@@ -128,6 +133,40 @@ def test_solver_equivalence_at_clip_scale():
     assert np.max(np.abs(x_cg - x_it)) <= 10 * cfg.tolerance
     for x in (x_cg, x_it):
         assert stationarity_residual(x, graph, c, cfg.mu) <= 10 * cfg.tolerance
+
+
+def test_adapt_confidence_certifies_the_s_clip():
+    graph, pooled = _s_clip_pooled()
+    c = pooled.flat()
+    # CG's stopping rule alone bounds the residual (it read 0.09 of that bound)
+    cfg = PropagationConfig()
+    residual = stationarity_residual(propagate(graph, c, cfg).x, graph, c, cfg.mu)
+    assert residual <= (1 + cfg.mu) * cfg.tolerance * cfg.eta * np.linalg.norm(c)
+    adapt_confidence(pooled, graph, cfg)
+    # CG run on past the round-off floor: only the round-off slack certifies it
+    adapt_confidence(pooled, graph, PropagationConfig(tolerance=1e-17))
+
+
+def test_adapt_confidence_rejects_an_uncertified_solution(monkeypatch):
+    import vidseg.propagation
+
+    graph, pooled = _s_clip_pooled()
+    solve = vidseg.propagation.propagate
+
+    def off_by(delta):
+        def solve_off(graph, c, cfg):
+            result = solve(graph, c, cfg)
+            result.x[0] += delta
+            return result
+        return solve_off
+
+    cfg = PropagationConfig()
+    monkeypatch.setattr(vidseg.propagation, "propagate", off_by(1e-9))  # within the bound
+    adapt_confidence(pooled, graph, cfg)
+    monkeypatch.setattr(vidseg.propagation, "propagate", off_by(1e-6))
+    with pytest.raises(ConvergenceError, match="diffusion uncertified") as err:
+        adapt_confidence(pooled, graph, cfg)
+    assert err.value.residual > 1e-6 and err.value.iterations > 0
 
 
 def test_stationarity_residual_small(rng):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vidseg.graph import spatial_edges, temporal_edges
 from vidseg.mrf import Labeling, rasterize
 from vidseg.pnm import DataError, write_pgm, write_ppm
 from vidseg.synth import SynthConfig, generate
@@ -111,7 +112,7 @@ def test_load_superpixels_remap_matches_unique(tmp_path, raw):
     write_pgm(d / "f0.pgm", raw)
     write_pgm(d / "f1.pgm", raw[::-1].copy())
     sp = load_superpixels(d, expected_frames=2)
-    assert sp.labels.dtype == np.int32
+    assert sp.labels.dtype == np.uint16
     before = raw.copy()
     for t, frame in enumerate((raw, raw[::-1])):
         uniq, inverse = np.unique(frame, return_inverse=True)
@@ -119,9 +120,65 @@ def test_load_superpixels_remap_matches_unique(tmp_path, raw):
         assert np.array_equal(sp.labels[t], inverse.reshape(frame.shape))
         # an array passed in directly is renumbered the same way, and left as it was
         direct = SuperpixelMap(frame[None])
-        assert direct.labels.dtype == np.int32 and direct.counts == [uniq.size]
+        assert direct.labels.dtype == np.uint16 and direct.counts == [uniq.size]
         assert np.array_equal(direct.labels[0], sp.labels[t])
     assert np.array_equal(raw, before)
+
+
+def _reference_spatial_pairs(labels):
+    """Sorted distinct (min, max) label pairs of 4-neighbours, by int64 np.unique."""
+    labels = labels.astype(np.int64)
+    a = np.concatenate([labels[:, :-1].ravel(), labels[:-1].ravel()])
+    b = np.concatenate([labels[:, 1:].ravel(), labels[1:].ravel()])
+    differ = a != b
+    return np.unique(np.stack([np.minimum(a, b)[differ], np.maximum(a, b)[differ]], 1), axis=0)
+
+
+def _reference_temporal_pairs(src_labels, dst_labels, flow):
+    """(source, target, overlap ratio) rows of temporal_edges, by int64 np.unique."""
+    dest = warp_pixels(flow).ravel()
+    valid = dest >= 0
+    src = src_labels.astype(np.int64).ravel()[valid]
+    union = np.unique(np.stack([src, dest[valid]], 1), axis=0)  # each landing pixel once
+    warp_size = np.bincount(union[:, 0])
+    pairs, counts = np.unique(np.stack([union[:, 0], dst_labels.astype(np.int64).ravel()[
+        union[:, 1]]], 1), axis=0, return_counts=True)
+    return pairs, counts / warp_size[pairs[:, 0]]
+
+
+def test_a_frame_of_65536_ids_from_a_16_bit_pgm(tmp_path, rng):
+    # 256x256 at 1 px per superpixel: every id a 16-bit PGM can hold, in random places
+    d = tmp_path / "sp"
+    d.mkdir()
+    raw = [rng.permutation(65536).reshape(256, 256).astype(np.uint16) for _ in range(2)]
+    for t, frame in enumerate(raw):
+        write_pgm(d / f"f{t}.pgm", frame)
+    sp = load_superpixels(d, expected_frames=2)
+    assert sp.labels.dtype == np.uint16 and sp.counts == [65536, 65536]
+    for t in range(2):  # every value is present, so the value-order renumbering keeps it
+        assert np.array_equal(sp.labels[t], raw[t])
+    si, sj = spatial_edges(sp)
+    reference = np.concatenate([_reference_spatial_pairs(f) + 65536 * t for t, f in enumerate(raw)])
+    assert np.array_equal(np.stack([si, sj], 1), reference)
+    flow = rng.integers(-3, 4, size=(256, 256, 2)).astype(np.float32)
+    ti, tj, rho = temporal_edges(sp, 0, flow)
+    pairs, ratio = _reference_temporal_pairs(raw[0], raw[1], flow)
+    assert np.array_equal(np.stack([ti, tj - 65536], 1), pairs)
+    assert np.array_equal(rho, ratio)
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_superpixel_map_rejects_65537_ids_and_leaves_the_input(as_list):
+    labels = np.stack([np.zeros((1, 65537), np.int64), np.arange(65537)[None]])
+    before = labels.copy()
+    with pytest.raises(DataError, match=r"65537 superpixels in a frame; .* \(frame 1\)"):
+        SuperpixelMap(list(labels) if as_list else labels)
+    assert np.array_equal(labels, before)
+
+
+def test_superpixel_map_rejects_non_integer_labels():
+    with pytest.raises(DataError, match="frame 0 has non-integer superpixel labels"):
+        SuperpixelMap(np.zeros((1, 2, 2)))
 
 
 def _video_of(frame_arrays):
