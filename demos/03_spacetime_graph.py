@@ -8,6 +8,7 @@ reliability from flow-histogram entropy.
 import numpy as np
 
 from vidseg.graph import MOTION_COHERENCE_WEIGHT, build_graph, motion_reliability, temporal_edges
+from vidseg.propagation import diffusion_operator
 from vidseg.synth import SynthConfig, generate
 from vidseg.video import SuperpixelMap
 
@@ -34,7 +35,7 @@ def main():
           f"background)")
     print(f"spatial edges with affinity < 0.05: {weak} (across the color boundary)")
 
-    s = graph.operator
+    s = diffusion_operator(graph)
     eigs = np.linalg.eigvalsh(s.toarray()) if graph.n_nodes <= 1500 else None
     if eigs is not None:
         print(f"\nnormalized operator spectrum: [{eigs.min():.4f}, {eigs.max():.4f}] "

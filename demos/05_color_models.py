@@ -9,7 +9,6 @@ import numpy as np
 from vidseg.gmm import fit_gmm, sample_training_sets
 from vidseg.mrf import color_unary, semantic_unary
 from vidseg.proposals import ConfidenceField
-from vidseg.video import SuperpixelStats
 
 
 def main():
@@ -27,9 +26,8 @@ def main():
         ]
     )
     field = ConfidenceField("demo", [conf])
-    stats = SuperpixelStats(mean_color=colors, centroid=np.zeros((len(colors), 2)))
 
-    (oc, ow), (bc, bw) = sample_training_sets(field, stats)
+    (oc, ow), (bc, bw) = sample_training_sets(field, colors)
     print(f"object training set: {len(oc)} samples, total weight {ow.sum():.1f}")
     print(f"background set:      {len(bc)} samples, total weight {bw.sum():.1f}")
 

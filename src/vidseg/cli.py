@@ -22,9 +22,9 @@ from .pipeline import (
     read_confidence_csv,
     run_pipeline,
     segment_stage,
-    spend_graph,
     write_confidence_csv,
 )
+from .mrf import pairwise_weights
 from .pnm import DataError, write_file
 from .propagation import ConvergenceError
 from .video import check_id
@@ -157,8 +157,8 @@ def _cmd_synth(args):
 
 def _cmd_pool(args):
     cfg = _load_config(args)
-    inputs = load_inputs(cfg, build=False)
-    pooled = pool_stage(cfg, inputs)
+    inputs, motion, _ = load_inputs(cfg, build=False)
+    pooled = pool_stage(cfg, inputs, motion)
     write_confidence_csv(args.out, pooled)
     print(f"pooled confidences for {len(pooled)} class(es) -> {args.out}")
     return EXIT_OK
@@ -166,9 +166,9 @@ def _cmd_pool(args):
 
 def _cmd_adapt(args):
     cfg = _load_config(args)
-    inputs = load_inputs(cfg)
+    graph = load_inputs(cfg)[2]  # adaptation reads only the graph
     pooled = read_confidence_csv(args.confidence)
-    adapted = adapt_stage(cfg, inputs, pooled)
+    adapted = adapt_stage(cfg, graph, pooled)
     write_confidence_csv(args.out, adapted)
     print(f"adapted confidences for {len(adapted)} class(es) -> {args.out}")
     return EXIT_OK
@@ -176,11 +176,11 @@ def _cmd_adapt(args):
 
 def _cmd_segment(args):
     cfg = _load_config(args, out_dir=args.out)
-    inputs = load_inputs(cfg)
-    inputs.motion_masks = None  # only pooling reads them
-    spend_graph(cfg, inputs)
+    inputs, _, graph = load_inputs(cfg)  # only pooling reads the motion masks
+    potts = pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
+    del _, graph  # segmentation reads the Potts terms instead
     confidences = read_confidence_csv(args.confidence)
-    segment_stage(cfg, inputs, confidences)
+    segment_stage(cfg, inputs, potts, confidences)
     print(f"masks and overlays written under {cfg.out_dir}")
     return EXIT_OK
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .propagation import ConvergenceError
+
 DEFAULT_COMPONENTS = 5
 COVARIANCE_FLOOR = 1.0  # squared 8-bit units, on covariance eigenvalues
 LIKELIHOOD_FLOOR = 1e-12
@@ -79,17 +81,16 @@ def log_likelihoods(models, colors):
     return [np.maximum(_log_normalize(_coefficients(m, center) @ feats)[1], floor) for m in models]
 
 
-def sample_training_sets(field, stats):
+def sample_training_sets(field, colors):
     """Confidence-weighted color samples for the object and background models.
 
-    Every superpixel contributes its mean color to the object set with weight
-    c_i and to the background set with weight 1 - c_i; weights below 1e-3 are
-    omitted from that set.
+    Every superpixel contributes its mean color (a row of the (N, 3) colors) to
+    the object set with weight c_i and to the background set with weight
+    1 - c_i; weights below 1e-3 are omitted from that set.
     """
-    colors = stats.mean_color
     conf = field.flat()
     if len(conf) != len(colors):
-        raise ValueError("confidence field and stats cover different superpixels")
+        raise ValueError("confidence field and colors cover different superpixels")
     w_obj = conf
     w_bg = 1.0 - conf
     keep_obj = w_obj >= WEIGHT_CUTOFF
@@ -165,7 +166,9 @@ def fit_gmm(colors, weights, n_components=DEFAULT_COMPONENTS, seed=0, history=No
     iterations, and floors covariance eigenvalues at 1.0 to keep components
     non-singular on flat-color data. If fewer distinct samples than
     components exist, the component count is reduced to match. Appends the
-    per-iteration weighted log-likelihood to `history` when given.
+    per-iteration weighted log-likelihood to `history` when given. EM never
+    lowers it, so a fall of more than EM_TOLERANCE from one iteration to the
+    next raises ConvergenceError, carrying the model that gave it.
     """
     colors = np.asarray(colors, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -185,11 +188,14 @@ def fit_gmm(colors, weights, n_components=DEFAULT_COMPONENTS, seed=0, history=No
     floored = np.array([np.eye(3) * COVARIANCE_FLOOR] * k)
     model = GaussianMixture(np.full(k, 1.0 / k), _kmeanspp_init(colors_t, weights, k, rng), floored)
     prev_ll = -np.inf
-    for _ in range(EM_MAX_ITERATIONS):
+    for iteration in range(EM_MAX_ITERATIONS):
         post, log_norm = _log_normalize(_coefficients(model, center) @ feats)
         ll = float(weights @ log_norm)
         if history is not None:
             history.append(ll)
+        if prev_ll - ll > EM_TOLERANCE:
+            raise ConvergenceError(f"EM log-likelihood fell by {prev_ll - ll:.3e} at iteration "
+                                   f"{iteration}", model, prev_ll - ll, iteration)
         if ll - prev_ll < EM_TOLERANCE and np.isfinite(prev_ll):
             break
         prev_ll = ll

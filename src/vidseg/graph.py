@@ -4,17 +4,15 @@ Nodes are superpixels across all frames; spatial edges join 4-connected
 superpixels of one frame, temporal edges join superpixels of consecutive
 frames linked by flow-warped overlap. Affinities combine self-normalized
 color distances with centroid distances (spatial) or overlap ratio and
-motion reliability (temporal). The assembled graph carries the node
-degrees of the affinity matrix A and the symmetrically normalized operator
-S = D^-1/2 A D^-1/2 used by the diffusion solvers. SciPy is imported inside
-the function that uses it, so importing graph loads none.
+motion reliability (temporal). The graph is its edge lists: the diffusion
+reads them through propagation.diffusion_operator, the segmentation through
+mrf.pairwise_weights. Nothing here uses SciPy.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,9 +25,6 @@ from .video import (
     warp_pixels,
 )
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 MOTION_COHERENCE_WEIGHT = 2.0  # w_c in m = exp(-w_c * entropy)
 DISTANCE_CLAMP = 1e-6
 
@@ -41,19 +36,13 @@ N_FLOW_BINS = ORIENTATION_BINS * (len(MAGNITUDE_EDGES) + 1)
 @dataclass
 class SpaceTimeGraph:
     frame_offsets: np.ndarray  # (T+1,) global node-id offsets
-    # Edge lists: int64 node ids and float64 affinities. Segmentation reads them only
-    # through mrf.pairwise_weights, so pipeline.spend_graph builds that once and sets
-    # every field below to None; frame_offsets stays.
-    spatial_i: np.ndarray | None
-    spatial_j: np.ndarray | None
-    spatial_w: np.ndarray | None
-    temporal_i: np.ndarray | None  # source node (frame t-1)
-    temporal_j: np.ndarray | None  # target node (frame t)
-    temporal_w: np.ndarray | None
-    # Only the diffusion reads these two; under skip_adaptation run_pipeline drops them
-    # after ingest.
-    degrees: np.ndarray | None  # row sums of A
-    operator: sparse.csr_matrix | None  # S = D^-1/2 A D^-1/2
+    # edge lists: int64 node ids and float64 affinities
+    spatial_i: np.ndarray
+    spatial_j: np.ndarray
+    spatial_w: np.ndarray
+    temporal_i: np.ndarray  # source node (frame t-1)
+    temporal_j: np.ndarray  # target node (frame t)
+    temporal_w: np.ndarray
 
     @property
     def n_nodes(self):
@@ -179,17 +168,11 @@ def motion_reliability(sp: SuperpixelMap, t, flow, w_c=MOTION_COHERENCE_WEIGHT):
 
 
 def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
-    """Build the degrees of A and S from weighted spatial/temporal edge lists.
+    """Check weighted spatial/temporal edge lists and hold them as a graph.
 
-    spatial and temporal: (i, j, w) arrays, kept as given. A_ij = A_ji is the
-    sum of the weights of every listed (i, j) and (j, i), the rule the MRF
-    applies to a repeated pair too; self-loops are rejected, so diag(S) = 0.
-    Isolated nodes get zero rows in S.
+    spatial and temporal: (i, j, w) arrays, kept as given. Weights must be
+    finite and non-negative; self-loops are rejected.
     """
-    from scipy import sparse
-
-    frame_offsets = np.asarray(frame_offsets, dtype=np.int64)
-    n = int(frame_offsets[-1])
     pools = []
     for i, j, w in (spatial, temporal):
         i, j, w = np.asarray(i, np.int64), np.asarray(j, np.int64), np.asarray(w, np.float64)
@@ -199,28 +182,10 @@ def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
             raise DataError("self-loop edges are not allowed")
         pools.append((i, j, w))
     (si, sj, sw), (ti, tj, tw) = pools
-    upper = sparse.csr_matrix(
-        (np.concatenate([sw, tw]), (np.concatenate([si, ti]), np.concatenate([sj, tj]))),
-        shape=(n, n),
-    )
-    operator = upper + upper.T
-    del upper
-    degrees = np.asarray(operator.sum(axis=1)).ravel()
-    dinv = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
-    # A becomes S in place; entry-wise A_ij * (dinv_i * dinv_j) keeps S exactly symmetric
-    scale = np.repeat(dinv, np.diff(operator.indptr))
-    scale *= dinv[operator.indices]
-    operator.data *= scale
     return SpaceTimeGraph(
-        frame_offsets=frame_offsets,
-        spatial_i=si,
-        spatial_j=sj,
-        spatial_w=sw,
-        temporal_i=ti,
-        temporal_j=tj,
-        temporal_w=tw,
-        degrees=degrees,
-        operator=operator,
+        frame_offsets=np.asarray(frame_offsets, dtype=np.int64),
+        spatial_i=si, spatial_j=sj, spatial_w=sw,
+        temporal_i=ti, temporal_j=tj, temporal_w=tw,
     )
 
 
@@ -272,7 +237,7 @@ def build_graph(
     mean_cent = cent_d.sum() / max(len(cent_d), 1)
     d_s = cent_d / mean_cent if mean_cent > 0 else np.zeros_like(cent_d)
     sw = spatial_affinity(d_c_s, d_s)
-    del d_c_s, cent_d, d_s  # the per-edge temporaries, freed before assemble's peak
+    del d_c_s, cent_d, d_s  # the spatial per-edge temporaries, before the temporal ones
 
     d_c_t = color_distance(colors, ti, tj)
     tw = temporal_affinity(d_c_t, rho, m[ti])

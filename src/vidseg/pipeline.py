@@ -1,17 +1,16 @@
 """Pipeline orchestration: ingest -> pool -> adapt -> segment -> eval.
 
-load_inputs returns the clip and its graph, pool_stage (which reads the proposal
-manifest) and adapt_stage class -> ConfidenceField. segment_stage returns class ->
-segment_class's dict and writes masks, overlays and mixtures; eval_stage returns the
-EvalReport and writes report.csv. run_pipeline and the CLI subcommands write the
-confidence CSVs at full float precision, so the two routes write identical bytes.
+load_inputs returns the clip, its motion masks and its graph. pool_stage (which reads
+the proposal manifest) and adapt_stage return class -> ConfidenceField. segment_stage,
+given the run's Potts terms, returns class -> segment_class's dict and writes masks,
+overlays and mixtures; eval_stage returns the EvalReport and writes report.csv.
+run_pipeline and the CLI subcommands write the confidence CSVs at full float
+precision, so the two routes write identical bytes.
 
-Segmentation holds only what it reads: the video (for overlays), the uint16
-superpixel labels, the mean colours (load_inputs drops the centroids once the graph
-is built), the confidences it segments, and the Potts terms that spend_graph builds
-once per run in place of the graph's edge lists and operator. run_pipeline lets the
-motion masks go after pooling and the pooled fields once the adapted ones exist;
-`vidseg segment` lets the motion masks go at once.
+The motion masks, the graph and the pooled fields are locals of run_pipeline and the
+CLI commands, let go after their last reader. Segmentation holds only what it reads:
+the video (for overlays), the uint16 superpixel labels, the mean colours, the
+confidences it segments, and the Potts terms, built once per run.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .proposals import (
     pool_confidence,
     score_proposals,
 )
-from .propagation import ConvergenceError, PropagationConfig, adapt_confidence
+from .propagation import ConvergenceError, PropagationConfig, adapt_confidence, diffusion_operator
 from .video import (
     check_id,
     compute_superpixel_stats,
@@ -164,11 +163,8 @@ class PipelineConfig:
 class LoadedInputs:
     video: object
     superpixels: object
-    motion_masks: np.ndarray | None  # None once pooled: pooling is their only reader
     gt_masks: dict  # frame index -> mask; empty when no ground truth
-    stats: object  # stats and graph are None when loaded without build; stats.centroid is None
-    graph: object
-    potts: tuple | None = None  # (edges, weights) of mrf.pairwise_weights, set by spend_graph
+    colors: np.ndarray | None  # (N, 3) superpixel mean colours; None if loaded without build
 
 
 def load_mask_dir(path, frame_count=None, shape=None):
@@ -192,12 +188,13 @@ def load_mask_dir(path, frame_count=None, shape=None):
     return {idx: load_mask(os.path.join(path, name), shape) for idx, name in names.items()}
 
 
-def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
+def load_inputs(cfg: PipelineConfig, build=True):
     """Ingest stage: load and validate the inputs; with build, also the flow, stats and graph.
 
-    The flow files are counted up front, then each is read as build_graph reaches its
-    frame pair and freed before the next, so one flow field is resident at a time.
-    Pooling reads neither the flow nor the stats, so `vidseg pool` loads without build.
+    Returns (LoadedInputs, motion masks, graph); the graph is None without build. The
+    flow files are counted up front, then each is read as build_graph reaches its frame
+    pair and freed before the next, so one flow field is resident at a time. Pooling
+    reads neither the flow nor the stats, so `vidseg pool` loads without build.
     """
     with _stage("ingest"):
         video = load_video(cfg.video_dir)
@@ -209,24 +206,24 @@ def load_inputs(cfg: PipelineConfig, build=True) -> LoadedInputs:
         motion = np.stack([load_mask(mask_path, shape) for mask_path
                            in list_frames(cfg.motion_dir, ".pgm", video.frame_count)])
         gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape) if cfg.gt_dir else {}
-        stats = graph = None
+        colors = graph = None
         if build:
             flows = (load_flow(flow_path) for flow_path
                      in list_frames(cfg.flow_dir, ".flo", video.frame_count - 1))
             stats = compute_superpixel_stats(video, sp)
             graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
-            stats.centroid = None  # the graph build is its only reader
-    return LoadedInputs(video, sp, motion, gt_masks, stats, graph)
+            colors = stats.mean_color
+    return LoadedInputs(video, sp, gt_masks, colors), motion, graph
 
 
-def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
+def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs, motion):
     """Score, filter, and pool proposals into per-class confidence fields."""
     with _stage("pool"):
         video = inputs.video
         proposals = load_proposal_manifest(
             cfg.proposal_manifest, video.frame_count, (video.height, video.width)
         )
-        scored = score_proposals(proposals, inputs.motion_masks)
+        scored = score_proposals(proposals, motion)
         offered = {c for p in proposals for c in p.class_confidences}
         classes = cfg.classes or sorted(offered)
         if not classes:
@@ -241,38 +238,25 @@ def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs):
         return pooled
 
 
-def adapt_stage(cfg: PipelineConfig, inputs: LoadedInputs, pooled):
-    """Diffuse each class's pooled field over the space-time graph."""
+def adapt_stage(cfg: PipelineConfig, graph, pooled):
+    """Diffuse each class's pooled field with the graph's diffusion operator, built once."""
     with _stage("adapt"):
         prop_cfg = cfg.propagation_config()
+        counts = np.diff(graph.frame_offsets)
+        s = diffusion_operator(graph)
         return {
-            cls: adapt_confidence(fieldv, inputs.graph, prop_cfg)
+            cls: adapt_confidence(fieldv, s, counts, prop_cfg)
             for cls, fieldv in sorted(pooled.items())
         }
 
 
-def spend_graph(cfg: PipelineConfig, inputs: LoadedInputs):
-    """Give inputs the run's Potts terms in place of its graph's edge lists and operator.
-
-    The terms do not depend on the class, so they are built once and every class's
-    MRFProblem shares their arrays; the graph keeps only its frame offsets.
-    """
-    graph = inputs.graph
-    inputs.potts = mrf_mod.pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
-    graph.spatial_i = graph.spatial_j = graph.spatial_w = None
-    graph.temporal_i = graph.temporal_j = graph.temporal_w = None
-    graph.operator = graph.degrees = None
-
-
-def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
-    """Fit color models and min-cut one class, writing nothing; returns {"masks", "gmm_obj",
-    "gmm_bg", "problem", "labeling"}: masks, mixtures, and the MRF problem and its solve.
-
-    Reads inputs.potts, or builds the Potts terms from inputs.graph if spend_graph has not.
-    """
+def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, potts, fieldv):
+    """Fit color models and min-cut one class over the Potts terms potts, writing nothing;
+    returns {"masks", "gmm_obj", "gmm_bg", "problem", "labeling"}: masks, mixtures, and
+    the MRF problem and its solve."""
     fieldv.check_counts(inputs.superpixels.counts)
     (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(
-        fieldv, inputs.stats
+        fieldv, inputs.colors
     )
     gmm_obj = gmm_mod.fit_gmm(
         obj_colors, obj_w, cfg.gmm_components, seed=cfg.gmm_seed
@@ -281,23 +265,20 @@ def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, fieldv):
         bg_colors, bg_w, cfg.gmm_components, seed=cfg.gmm_seed + 1
     )
     del obj_colors, obj_w, bg_colors, bg_w  # not live through the solve
-    potts = inputs.potts
-    if potts is None:
-        potts = mrf_mod.pairwise_weights(inputs.graph, cfg.lambda_spatial, cfg.lambda_temporal)
     problem = mrf_mod.build_problem(
-        potts, fieldv.flat(), inputs.stats.mean_color, gmm_obj, gmm_bg, cfg.lambda_object
+        potts, fieldv.flat(), inputs.colors, gmm_obj, gmm_bg, cfg.lambda_object
     )
     labeling = mrf_mod.solve_binary(problem)
     return {"masks": mrf_mod.rasterize(labeling, inputs.superpixels), "gmm_obj": gmm_obj,
             "gmm_bg": gmm_bg, "problem": problem, "labeling": labeling}
 
 
-def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, confidences):
+def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, potts, confidences):
     """Segment and write each class (masks, overlays, mixtures); class -> segment_class's dict."""
     with _stage("segment"):
         segs = {}
         for cls, fieldv in sorted(confidences.items()):
-            seg = segs[cls] = segment_class(cfg, inputs, fieldv)
+            seg = segs[cls] = segment_class(cfg, inputs, potts, fieldv)
             for t, mask in enumerate(seg["masks"]):
                 write_mask(os.path.join(cfg.out_dir, "masks", cls, f"frame_{t:04d}.pgm"), mask)
             render_overlay(inputs.video, seg["masks"], os.path.join(cfg.out_dir, "overlays", cls))
@@ -428,23 +409,22 @@ def read_confidence_csv(path):
 def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     """Execute all stages, writing every artifact under cfg.out_dir."""
     cfg.validate()
-    inputs = load_inputs(cfg)
-    if cfg.skip_adaptation:  # only adaptation reads the operator and degrees
-        inputs.graph.operator = inputs.graph.degrees = None
-    pooled = pool_stage(cfg, inputs)
-    inputs.motion_masks = None  # pooling is their only reader
+    inputs, motion, graph = load_inputs(cfg)
+    potts = mrf_mod.pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
+    pooled = pool_stage(cfg, inputs, motion)
+    del motion  # pooling is their only reader
     if cfg.gt_dir and len(pooled) > 1:  # gt_dir holds one class's masks
         raise DataError(f"gt_dir is scored against every class, but the run segments "
                         f"{sorted(pooled)}; set classes to the one class gt_dir annotates")
     if cfg.dump_graph:
-        inputs.graph.dump_csv(os.path.join(cfg.out_dir, "graph.csv"))
+        graph.dump_csv(os.path.join(cfg.out_dir, "graph.csv"))
     write_confidence_csv(os.path.join(cfg.out_dir, "pooled.csv"), pooled)
     if cfg.skip_adaptation:
         confidences = pooled
     else:
-        confidences = adapt_stage(cfg, inputs, pooled)
+        confidences = adapt_stage(cfg, graph, pooled)
         del pooled  # segmentation reads the adapted fields
         write_confidence_csv(os.path.join(cfg.out_dir, "adapted.csv"), confidences)
-    spend_graph(cfg, inputs)
-    segs = segment_stage(cfg, inputs, confidences)
+    del graph  # segmentation reads the Potts terms instead
+    segs = segment_stage(cfg, inputs, potts, confidences)
     return eval_stage(cfg, inputs, {cls: seg["masks"] for cls, seg in segs.items()})

@@ -10,7 +10,8 @@ with conjugate gradients. The paper's damped diffusion iteration
     X_{k+1} = alpha * S @ X_k + (1 - alpha) * C
 
 with alpha = 1 / (1 + mu) has the same fixed point; it is kept as the
-reference the solve is checked against.
+reference the solve is checked against. Both take S, which
+diffusion_operator builds from the graph's edge lists (and imports SciPy).
 """
 
 from __future__ import annotations
@@ -65,20 +66,45 @@ class PropagationResult:
     residual: float
 
 
-def stationarity_residual(x, graph, c, mu):
+def diffusion_operator(graph):
+    """S = D^-1/2 A D^-1/2 of a graph's edge lists, as a CSR matrix.
+
+    A_ij = A_ji is the sum of the weights of every listed (i, j) and (j, i),
+    the rule the MRF applies to a repeated pair too; assemble rejects
+    self-loops, so diag(S) = 0. Isolated nodes get zero rows.
+    """
+    from scipy import sparse
+
+    upper = sparse.csr_matrix(
+        (np.concatenate([graph.spatial_w, graph.temporal_w]),
+         (np.concatenate([graph.spatial_i, graph.temporal_i]),
+          np.concatenate([graph.spatial_j, graph.temporal_j]))),
+        shape=(graph.n_nodes,) * 2,
+    )
+    operator = upper + upper.T
+    del upper
+    degrees = np.asarray(operator.sum(axis=1)).ravel()
+    dinv = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
+    # A becomes S in place; entry-wise A_ij * (dinv_i * dinv_j) keeps S exactly symmetric
+    scale = np.repeat(dinv, np.diff(operator.indptr))
+    scale *= dinv[operator.indices]
+    operator.data *= scale
+    return operator
+
+
+def stationarity_residual(x, s, c, mu):
     """Max-norm residual of the optimality condition X - SX + mu (X - C)."""
-    r = x - graph.operator.dot(x) + mu * (x - c)
+    r = x - s.dot(x) + mu * (x - c)
     return float(np.max(np.abs(r), initial=0.0))
 
 
-def propagate_iterative(graph, c, cfg: PropagationConfig) -> PropagationResult:
+def propagate_iterative(s, c, cfg: PropagationConfig) -> PropagationResult:
     """Run the diffusion iteration from X0 = C to its fixed point.
 
     Converged when the max-norm of successive iterates is within tolerance;
     raises ConvergenceError (carrying the last iterate) past max_iterations.
     """
     c = np.asarray(c, dtype=np.float64)
-    s = graph.operator
     alpha = cfg.alpha
     x = c.copy()
     residual = np.inf
@@ -97,7 +123,7 @@ def propagate_iterative(graph, c, cfg: PropagationConfig) -> PropagationResult:
     )
 
 
-def propagate(graph, c, cfg: PropagationConfig) -> PropagationResult:
+def propagate(s, c, cfg: PropagationConfig) -> PropagationResult:
     """Solve (I - (1 - eta) S) X = eta C by conjugate gradients.
 
     The system matrix is symmetric positive definite (the spectrum of S lies
@@ -106,7 +132,6 @@ def propagate(graph, c, cfg: PropagationConfig) -> PropagationResult:
     and Jacobi scaling would be the identity: CG runs unpreconditioned.
     """
     c = np.asarray(c, dtype=np.float64)
-    s = graph.operator
     eta = cfg.eta
     gamma = 1.0 - eta
     b = eta * c
@@ -139,19 +164,21 @@ def propagate(graph, c, cfg: PropagationConfig) -> PropagationResult:
     )
 
 
-def adapt_confidence(field: ConfidenceField, graph, cfg: PropagationConfig) -> ConfidenceField:
-    """Diffuse a pooled confidence field over the graph; clamp into [0, 1].
+def adapt_confidence(field: ConfidenceField, s, counts, cfg: PropagationConfig) -> ConfidenceField:
+    """Diffuse a pooled confidence field with S; clamp into [0, 1].
+
+    counts[t] is the number of superpixels of frame t, which the field must
+    match frame by frame.
 
     The unclipped solution is certified first. Its stationarity residual is
     (1 + mu) times CG's residual, so CG's stopping rule bounds it by
     (1 + mu) * tolerance * ||eta c||_2, plus STATIONARITY_ROUNDOFF for
     round-off; past that, ConvergenceError is raised.
     """
-    counts = np.diff(graph.frame_offsets)
     field.check_counts(counts)
     c = field.flat()
-    result = propagate(graph, c, cfg)
-    residual = stationarity_residual(result.x, graph, c, cfg.mu)
+    result = propagate(s, c, cfg)
+    residual = stationarity_residual(result.x, s, c, cfg.mu)
     roundoff = STATIONARITY_ROUNDOFF * np.finfo(np.float64).eps * np.max(np.abs(c), initial=0.0)
     bound = (1.0 + cfg.mu) * (cfg.tolerance * cfg.eta * float(np.linalg.norm(c)) + roundoff)
     if not residual <= bound:  # NaN fails too

@@ -127,12 +127,11 @@ class SuperpixelStats:
     """Per-superpixel aggregates indexed by global node id (frame offset + label).
 
     mean_color: (N, 3) float, 0-255 scale; centroid: (N, 2) float as (x, y)
-    in pixel coordinates, a separate array, or None once the graph, its only
-    reader, is built (load_inputs drops it).
+    in pixel coordinates, a separate array.
     """
 
     mean_color: np.ndarray
-    centroid: np.ndarray | None
+    centroid: np.ndarray
 
 
 def load_video(path) -> VideoVolume:

@@ -3,13 +3,15 @@
 None of these is on a vidseg route: the dense solve shares its fixed point
 with the diffusion iteration and the CG solve, enumeration finds the exact
 minimum the min-cut must reach, `energy` is the objective the diffusion
-minimizes, and `responsibilities` exposes the E-step posteriors.
+minimizes, `degrees` sums the affinities the diffusion normalizes by, and
+`responsibilities` exposes the E-step posteriors.
 """
 
 import numpy as np
 
 from vidseg.gmm import GaussianMixture, _coefficients, _features, _log_normalize
 from vidseg.mrf import Labeling, MRFProblem, mrf_energy
+from vidseg.propagation import diffusion_operator
 
 DENSE_ORACLE_LIMIT = 1000
 ENUMERATION_LIMIT = 16
@@ -24,7 +26,7 @@ def dense_solve_oracle(graph, c, mu):
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} nodes")
     eta = mu / (1.0 + mu)
-    m = np.eye(n) - (1.0 - eta) * graph.operator.toarray()
+    m = np.eye(n) - (1.0 - eta) * diffusion_operator(graph).toarray()
     return np.linalg.solve(m, eta * np.asarray(c, dtype=np.float64))
 
 
@@ -51,6 +53,15 @@ def enumerate_labelings_oracle(problem: MRFProblem):
     return labeling, float(mrf_energy(problem, labeling.labels))
 
 
+def degrees(graph):
+    """Row sums of the affinity matrix A, summed straight from the graph's edge lists."""
+    n = graph.n_nodes
+    i = np.concatenate([graph.spatial_i, graph.temporal_i])
+    j = np.concatenate([graph.spatial_j, graph.temporal_j])
+    w = np.concatenate([graph.spatial_w, graph.temporal_w])
+    return np.bincount(i, w, n) + np.bincount(j, w, n)
+
+
 def energy(x, graph, c, mu):
     """Smoothness + fit objective over the normalized graph.
 
@@ -60,8 +71,8 @@ def energy(x, graph, c, mu):
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    active = graph.degrees > 0
-    smooth = 2.0 * (float(x[active] @ x[active]) - float(x @ graph.operator.dot(x)))
+    active = degrees(graph) > 0
+    smooth = 2.0 * (float(x[active] @ x[active]) - float(x @ diffusion_operator(graph).dot(x)))
     fit = mu * float(np.sum((x - c) ** 2))
     return smooth + fit
 

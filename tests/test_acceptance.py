@@ -23,6 +23,7 @@ from vidseg.proposals import ScoredProposal, pool_frame
 from vidseg.propagation import (
     PropagationConfig,
     adapt_confidence,
+    diffusion_operator,
     propagate,
     propagate_iterative,
     stationarity_residual,
@@ -45,15 +46,16 @@ def test_solver_equivalence_and_stationarity():
     for _ in range(50):
         graph = random_graph(rng, max_nodes=200)
         c = rng.random(graph.n_nodes)
-        x_it = propagate_iterative(graph, c, cfg).x
-        x_lin = propagate(graph, c, cfg).x
+        s = diffusion_operator(graph)
+        x_it = propagate_iterative(s, c, cfg).x
+        x_lin = propagate(s, c, cfg).x
         x_dense = dense_solve_oracle(graph, c, cfg.mu)
         max_it_lin = max(max_it_lin, np.max(np.abs(x_it - x_lin)))
         max_lin_dense = max(max_lin_dense, np.max(np.abs(x_lin - x_dense)))
         max_it_dense = max(max_it_dense, np.max(np.abs(x_it - x_dense)))
         for x in (x_it, x_lin):
             max_stationarity = max(
-                max_stationarity, stationarity_residual(x, graph, c, cfg.mu)
+                max_stationarity, stationarity_residual(x, s, c, cfg.mu)
             )
     elapsed = time.monotonic() - start
     _report(
@@ -290,8 +292,8 @@ def test_pipeline_determinism(tmp_path):
 
 @functools.cache
 def _scale_l_clip():
-    """The L clip: 100 static frames at ~1000 superpixels per frame, its graph
-    and its pooled confidence."""
+    """The L clip: 100 static frames at ~1000 superpixels per frame, the
+    diffusion operator of its graph and its pooled confidence."""
     from vidseg.graph import build_graph
     from vidseg.proposals import pool_confidence, score_proposals, filter_by_confidence
 
@@ -305,35 +307,35 @@ def _scale_l_clip():
         seed=5,
     )
     ds = generate(cfg)
-    graph = build_graph(ds.video, ds.superpixels, ds.flows)
+    s = diffusion_operator(build_graph(ds.video, ds.superpixels, ds.flows))
     scored = score_proposals(ds.proposals, ds.motion_masks)
     retained = filter_by_confidence(scored, cfg.class_id, 0.01)
     pooled = pool_confidence(retained, cfg.class_id, ds.superpixels)
-    return cfg, ds, graph, pooled
+    return cfg, ds, s, pooled
 
 
 def test_propagation_speed_at_scale():
-    cfg, ds, graph, pooled = _scale_l_clip()
+    cfg, ds, s, pooled = _scale_l_clip()
     per_frame = ds.superpixels.total_count / cfg.frame_count
     start = time.monotonic()
-    adapted = adapt_confidence(pooled, graph, PropagationConfig())
+    adapted = adapt_confidence(pooled, s, ds.superpixels.counts, PropagationConfig())
     elapsed = time.monotonic() - start
     values = adapted.flat()
     _report(
         "propagation speed (100 frames, ~1000 superpixels/frame, <= 30 s)",
         elapsed <= 30.0 and per_frame >= 1000 and np.all(np.isfinite(values)),
-        f"nodes={graph.n_nodes} ({per_frame:.0f}/frame) adapt time={elapsed:.2f}s",
+        f"nodes={s.shape[0]} ({per_frame:.0f}/frame) adapt time={elapsed:.2f}s",
     )
 
 
 def test_diffusion_certificate_at_scale():
     # adapt_confidence certifies L at the default tolerance and past the round-off floor
-    _, _, graph, pooled = _scale_l_clip()
+    _, ds, s, pooled = _scale_l_clip()
     for tolerance in (PropagationConfig.tolerance, 1e-17):
-        adapt_confidence(pooled, graph, PropagationConfig(tolerance=tolerance))
+        adapt_confidence(pooled, s, ds.superpixels.counts, PropagationConfig(tolerance=tolerance))
     cfg = PropagationConfig()
     c = pooled.flat()
-    residual = stationarity_residual(propagate(graph, c, cfg).x, graph, c, cfg.mu)
+    residual = stationarity_residual(propagate(s, c, cfg).x, s, c, cfg.mu)
     bound = (1 + cfg.mu) * cfg.tolerance * cfg.eta * np.linalg.norm(c)
     _report(
         "diffusion certificate at scale (stationarity residual within CG's bound)",
@@ -360,10 +362,10 @@ def test_graph_build_speed_at_scale():
 
 def test_gmm_fit_speed_at_scale():
     # both color models of the L clip, as segment_class fits them
-    _, ds, graph, pooled = _scale_l_clip()
-    adapted = adapt_confidence(pooled, graph, PropagationConfig())
+    _, ds, s, pooled = _scale_l_clip()
+    adapted = adapt_confidence(pooled, s, ds.superpixels.counts, PropagationConfig())
     stats = compute_superpixel_stats(ds.video, ds.superpixels)
-    (obj_colors, obj_w), (bg_colors, bg_w) = sample_training_sets(adapted, stats)
+    (obj_colors, obj_w), (bg_colors, bg_w) = sample_training_sets(adapted, stats.mean_color)
     histories = ([], [])
     start = time.monotonic()
     fit_gmm(obj_colors, obj_w, seed=0, history=histories[0])

@@ -4,6 +4,7 @@ import pytest
 from oracles import responsibilities
 from vidseg.gmm import (
     COVARIANCE_FLOOR,
+    EM_TOLERANCE,
     GaussianMixture,
     _count_distinct,
     _coefficients,
@@ -14,16 +15,14 @@ from vidseg.gmm import (
     sample_training_sets,
 )
 from vidseg.proposals import ConfidenceField
-from vidseg.video import SuperpixelStats
+from vidseg.propagation import ConvergenceError
 
 LOG_STANDARD_NORMAL_3D_PEAK = -2.756815599614018  # log((2*pi)**-1.5)
 LOG_FLOOR = -27.631021115928547  # log(1e-12)
 
 
-def _stats(colors):
-    colors = np.asarray(colors, dtype=np.float64)
-    n = len(colors)
-    return SuperpixelStats(mean_color=colors, centroid=np.zeros((n, 2)))
+def _colors(colors):
+    return np.asarray(colors, dtype=np.float64)
 
 
 def _field(confidences):
@@ -32,12 +31,12 @@ def _field(confidences):
 
 def test_training_sets_all_object_degenerate():
     with pytest.raises(ValueError, match="degenerate training set"):
-        sample_training_sets(_field([1.0, 1.0]), _stats([[0, 0, 0], [1, 1, 1]]))
+        sample_training_sets(_field([1.0, 1.0]), _colors([[0, 0, 0], [1, 1, 1]]))
 
 
 def test_training_sets_half_confidence():
     (oc, ow), (bc, bw) = sample_training_sets(
-        _field([0.5, 0.5]), _stats([[0, 0, 0], [9, 9, 9]])
+        _field([0.5, 0.5]), _colors([[0, 0, 0], [9, 9, 9]])
     )
     assert len(oc) == len(bc) == 2
     assert np.allclose(ow, 0.5) and np.allclose(bw, 0.5)
@@ -45,7 +44,7 @@ def test_training_sets_half_confidence():
 
 def test_training_sets_complement_weights():
     (oc, ow), (bc, bw) = sample_training_sets(
-        _field([0.9, 0.1]), _stats([[0, 0, 0], [9, 9, 9]])
+        _field([0.9, 0.1]), _colors([[0, 0, 0], [9, 9, 9]])
     )
     assert np.allclose(ow, [0.9, 0.1])
     assert np.allclose(bw, [0.1, 0.9])
@@ -53,7 +52,7 @@ def test_training_sets_complement_weights():
 
 def test_training_sets_weight_cutoff():
     (oc, ow), (bc, bw) = sample_training_sets(
-        _field([1e-4, 0.8]), _stats([[0, 0, 0], [9, 9, 9]])
+        _field([1e-4, 0.8]), _colors([[0, 0, 0], [9, 9, 9]])
     )
     assert len(oc) == 1 and ow[0] == 0.8  # first superpixel dropped from object set
     assert len(bc) == 2
@@ -149,6 +148,29 @@ def test_em_loglik_monotone(rng):
         fit_gmm(colors, weights, n_components=3, seed=seed, history=history)
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-9)
+
+
+def test_em_raises_when_the_log_likelihood_falls(rng, monkeypatch):
+    import vidseg.gmm
+
+    step, calls = vidseg.gmm._m_step, []
+
+    def drifting(*args):  # the third M-step moves every mean 50 units off
+        model = step(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            model = GaussianMixture(model.weights, model.means + 50.0, model.covariances)
+        return model
+
+    monkeypatch.setattr(vidseg.gmm, "_m_step", drifting)
+    a, b = _two_cluster_data(rng, n=80)
+    colors = np.concatenate([a, b])
+    history = []
+    with pytest.raises(ConvergenceError, match="EM log-likelihood fell by") as err:
+        fit_gmm(colors, np.ones(len(colors)), n_components=3, seed=0, history=history)
+    assert len(history) == 4 and err.value.iterations == 3
+    assert err.value.residual == history[2] - history[3] > EM_TOLERANCE
+    assert isinstance(err.value.x, GaussianMixture)
 
 
 def test_fit_deterministic(rng):

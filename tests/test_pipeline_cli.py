@@ -156,14 +156,34 @@ def test_segment_nonconvergence_names_the_stage(dataset, tmp_path, capsys, monke
     assert "non-convergence" in err and "segment: no min-cut certificate" in err
 
 
+def test_a_falling_em_log_likelihood_exits_3(dataset, tmp_path, capsys, monkeypatch):
+    import vidseg.gmm
+
+    step, calls = vidseg.gmm._m_step, []
+
+    def drifting(*args):  # the third M-step of the run moves every mean 50 units off
+        model = step(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            model = dataclasses.replace(model, means=model.means + 50.0)
+        return model
+
+    monkeypatch.setattr(vidseg.gmm, "_m_step", drifting)
+    _, config_path = dataset
+    assert main(["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "non-convergence" in err and "segment: EM log-likelihood fell by" in err
+    assert not os.path.exists(tmp_path / "out" / "masks")
+
+
 @pytest.mark.parametrize("command", ["pipeline", "adapt"])
 def test_an_uncertified_diffusion_exits_3(dataset, tmp_path, capsys, monkeypatch, command):
     import vidseg.propagation
 
     solve = vidseg.propagation.propagate
 
-    def off_by_a_millionth(graph, c, cfg):  # within CG's tolerance by its own account
-        result = solve(graph, c, cfg)
+    def off_by_a_millionth(s, c, cfg):  # within CG's tolerance by its own account
+        result = solve(s, c, cfg)
         return dataclasses.replace(result, x=result.x + 1e-6)
 
     monkeypatch.setattr(vidseg.propagation, "propagate", off_by_a_millionth)
@@ -496,9 +516,10 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
     if not os.path.isdir(out):
         assert main(["pipeline", "--config", config_path]) == 0
     cfg = PipelineConfig.from_json(config_path, {"out_dir": str(tmp_path / "unused")})
-    inputs = load_inputs(cfg)
+    inputs, _, graph = load_inputs(cfg)
+    potts = mrf.pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
     fieldv = read_confidence_csv(os.path.join(out, "adapted.csv"))["object"]
-    seg = segment_class(cfg, inputs, fieldv)
+    seg = segment_class(cfg, inputs, potts, fieldv)
     assert sorted(seg) == ["gmm_bg", "gmm_obj", "labeling", "masks", "problem"]
     assert not os.path.exists(cfg.out_dir)
     for t, name in enumerate(sorted(os.listdir(os.path.join(out, "masks", "object")))):
@@ -536,31 +557,37 @@ def test_run_pipeline_writes_the_confidence_csvs_with_segment_and_eval_stubbed(
         assert _digest(os.path.join(cfg.out_dir, name)) == _digest(os.path.join(out, name))
 
 
-def test_segmentation_runs_without_the_diffusion_operator(dataset, tmp_path, monkeypatch):
-    # only adaptation reads S and the degrees, so every route drops them before segmenting
+def test_only_adaptation_builds_the_diffusion_operator(dataset, tmp_path, monkeypatch):
+    # S is built once per adaptation, for every class at once, and by no other route
     root, config_path = dataset
     out = os.path.join(root, "out")
     if not os.path.isdir(out):
         assert main(["pipeline", "--config", config_path]) == 0
-    segment_stage, routes = pipeline.segment_stage, []
+    build, calls = pipeline.diffusion_operator, []
 
-    def without_operator(cfg, inputs, confidences):
-        assert inputs.graph.operator is None and inputs.graph.degrees is None
-        routes.append(cfg.out_dir)
-        return segment_stage(cfg, inputs, confidences)
+    def counted(graph):
+        calls.append(graph.n_nodes)
+        return build(graph)
 
-    monkeypatch.setattr(pipeline, "segment_stage", without_operator)
-    monkeypatch.setattr(cli, "segment_stage", without_operator)
-    for skip in (False, True):
-        cfg = PipelineConfig.from_json(
-            config_path, {"out_dir": str(tmp_path / f"skip_{skip}"), "skip_adaptation": skip}
-        )
-        run_pipeline(cfg)
-    staged = str(tmp_path / "staged")
-    assert main(["segment", "--config", config_path, "--confidence",
-                 os.path.join(out, "adapted.csv"), "--out", staged]) == 0
-    assert routes == [str(tmp_path / "skip_False"), str(tmp_path / "skip_True"), staged]
-    for run in ("skip_False", "staged"):
+    monkeypatch.setattr(pipeline, "diffusion_operator", counted)
+    two_classes = _two_class_config(str(tmp_path / "two"))
+    routes = {
+        "adapted": ["pipeline", "--config", config_path, "--out", str(tmp_path / "adapted")],
+        "skip": ["pipeline", "--config", config_path, "--out", str(tmp_path / "skip"),
+                 "--skip-adaptation"],
+        "two classes": ["pipeline", "--config", two_classes],
+        "staged": ["segment", "--config", config_path, "--confidence",
+                   os.path.join(out, "adapted.csv"), "--out", str(tmp_path / "staged")],
+    }
+    builds = {}
+    for name, argv in routes.items():
+        before = len(calls)
+        assert main(argv) == 0
+        builds[name] = len(calls) - before
+    assert builds == {"adapted": 1, "skip": 0, "two classes": 1, "staged": 0}
+    masks = os.path.join(tmp_path, "two", "out", "masks")
+    assert sorted(os.listdir(masks)) == ["car", "object"]
+    for run in ("adapted", "staged"):
         assert _mask_digests(str(tmp_path / run / "masks")) == _mask_digests(
             os.path.join(out, "masks")
         )
@@ -927,6 +954,16 @@ def test_import_loads_no_scipy(module):
     assert _loaded_after(f"import {module}", "scipy") == set()
 
 
+def test_graph_build_loads_no_scipy():
+    # the graph is its edge lists; SciPy comes in only with the diffusion operator
+    code = ("from vidseg.graph import build_graph\n"
+            "from vidseg.synth import SynthConfig, generate\n"
+            "ds = generate(SynthConfig())\n"
+            "graph = build_graph(ds.video, ds.superpixels, ds.flows)\n"
+            "assert len(graph.spatial_i) and len(graph.temporal_i)")
+    assert _loaded_after(code, "scipy") == set()
+
+
 def test_import_synth_loads_only_the_modules_it_writes_with():
     # the solver oracles live in tests/oracles.py, so the generator pulls in no solver
     assert _loaded_after("import vidseg.synth", "vidseg") == {
@@ -1254,6 +1291,27 @@ def test_unknown_class_rejected_before_writing(tmp_path, capsys):
     assert _files_under(str(tmp_path), dirs=True) == before  # not even an empty out_dir
 
 
+def _two_class_config(data):
+    """Write a 4-frame clip whose proposals also offer class "car" at 0.2, and a config
+    that segments both classes without ground truth; returns the config path."""
+    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
+                 "--height", "48", "--shape-size", "16", "16"]) == 0
+    manifest = os.path.join(data, "proposals", "manifest.jsonl")
+    with open(manifest) as fh:
+        lines = [json.loads(line) for line in fh]
+    for rec in lines:
+        rec["confidences"]["car"] = 0.2
+    with open(manifest, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in lines)
+    config_path = os.path.join(data, "config.json")
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    cfg.update(classes=[], gt_dir="")
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    return config_path
+
+
 def test_each_class_of_a_two_class_run_matches_its_one_class_run(tmp_path, monkeypatch):
     # every class's MRFProblem shares the run's one set of Potts terms, so no class's
     # solve may change what the next class reads
@@ -1267,20 +1325,11 @@ def test_each_class_of_a_two_class_run_matches_its_one_class_run(tmp_path, monke
 
     monkeypatch.setattr(mrf, "solve_binary", recorded)
     data = str(tmp_path / "data")
-    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
-                 "--height", "48", "--shape-size", "16", "16"]) == 0
-    manifest = os.path.join(data, "proposals", "manifest.jsonl")
-    with open(manifest) as fh:
-        lines = [json.loads(line) for line in fh]
-    for rec in lines:
-        rec["confidences"]["car"] = 0.2
-    with open(manifest, "w") as fh:
-        fh.writelines(json.dumps(rec) + "\n" for rec in lines)
-    config_path = os.path.join(data, "config.json")
+    config_path = _two_class_config(data)
     with open(config_path) as fh:
         cfg = json.load(fh)
     for run, classes in (("both", []), ("car", ["car"]), ("object", ["object"])):
-        cfg.update(classes=classes, gt_dir="", out_dir=f"out_{run}")
+        cfg.update(classes=classes, out_dir=f"out_{run}")
         with open(config_path, "w") as fh:
             json.dump(cfg, fh)
         assert main(["pipeline", "--config", config_path]) == 0

@@ -14,6 +14,7 @@ from vidseg.propagation import (
     ConvergenceError,
     PropagationConfig,
     adapt_confidence,
+    diffusion_operator,
     propagate,
     propagate_iterative,
     stationarity_residual,
@@ -23,6 +24,10 @@ from vidseg.synth import SynthConfig, generate
 
 def two_node_graph():
     return graph_from_edges(2, spatial=[(0, 1, 1.0)])
+
+
+def operator_from_edges(n, spatial):
+    return diffusion_operator(graph_from_edges(n, spatial=spatial))
 
 
 def test_config_eta_alpha():
@@ -58,46 +63,46 @@ def test_energy_double_counted_sum():
 
 
 def test_iterative_single_step():
-    g = two_node_graph()
+    s = diffusion_operator(two_node_graph())
     c = np.array([1.0, 0.0])
     cfg = PropagationConfig(mu=0.5, tolerance=1e-300, max_iterations=1)
     with pytest.raises(ConvergenceError) as err:
-        propagate_iterative(g, c, cfg)
+        propagate_iterative(s, c, cfg)
     assert np.allclose(err.value.x, [1 / 3, 2 / 3], atol=1e-15)
 
 
 def test_two_node_fixed_point_both_routes():
-    g = two_node_graph()
+    s = diffusion_operator(two_node_graph())
     c = np.array([1.0, 0.0])
     cfg = PropagationConfig(mu=0.5, tolerance=1e-12)
     for solve in (propagate_iterative, propagate):
-        res = solve(g, c, cfg)
+        res = solve(s, c, cfg)
         assert np.allclose(res.x, [0.6, 0.4], atol=1e-10)
 
 
 def test_isolated_node_solution():
-    g = graph_from_edges(3, spatial=[(0, 1, 1.0)])
+    s = operator_from_edges(3, spatial=[(0, 1, 1.0)])
     c = np.array([0.0, 0.0, 0.9])
     cfg = PropagationConfig(mu=0.5, tolerance=1e-12)
-    res = propagate(g, c, cfg)
+    res = propagate(s, c, cfg)
     assert res.x[2] == pytest.approx(0.3, abs=1e-12)  # eta * C on zero rows
 
 
 def test_zero_input_zero_output():
-    g = two_node_graph()
+    s = diffusion_operator(two_node_graph())
     cfg = PropagationConfig()
     for solve in (propagate_iterative, propagate):
-        res = solve(g, np.zeros(2), cfg)
+        res = solve(s, np.zeros(2), cfg)
         assert np.all(res.x == 0)
 
 
 def test_uniform_input_on_regular_graph():
     # 4-cycle: every node has degree 2, S row sums are 1
-    g = graph_from_edges(
+    s = operator_from_edges(
         4, spatial=[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
     )
     c = np.full(4, 0.7)
-    res = propagate(g, c, PropagationConfig(tolerance=1e-12))
+    res = propagate(s, c, PropagationConfig(tolerance=1e-12))
     assert np.allclose(res.x, 0.7, atol=1e-10)
 
 
@@ -106,8 +111,9 @@ def test_solver_equivalence_and_oracle(rng):
     for _ in range(10):
         g = random_graph(rng, max_nodes=60)
         c = rng.random(g.n_nodes)
-        x_it = propagate_iterative(g, c, cfg).x
-        x_lin = propagate(g, c, cfg).x
+        s = diffusion_operator(g)
+        x_it = propagate_iterative(s, c, cfg).x
+        x_lin = propagate(s, c, cfg).x
         x_dense = dense_solve_oracle(g, c, cfg.mu)
         assert np.max(np.abs(x_it - x_lin)) <= 1e-6
         assert np.max(np.abs(x_lin - x_dense)) <= 1e-8
@@ -116,66 +122,66 @@ def test_solver_equivalence_and_oracle(rng):
 def _s_clip_pooled():
     synth = SynthConfig(seed=7)
     ds = generate(synth)
-    graph = build_graph(ds.video, ds.superpixels, ds.flows)
+    s = diffusion_operator(build_graph(ds.video, ds.superpixels, ds.flows))
     scored = score_proposals(ds.proposals, ds.motion_masks)
     pooled = pool_confidence(filter_by_confidence(scored, synth.class_id, 0.01),
                              synth.class_id, ds.superpixels)
-    return graph, pooled
+    return s, ds.superpixels.counts, pooled
 
 
 def test_solver_equivalence_at_clip_scale():
     # the S clip's graph (5,450 nodes) and pooled field: past the dense oracle's reach
-    graph, pooled = _s_clip_pooled()
+    s, _, pooled = _s_clip_pooled()
     c = pooled.flat()
     cfg = PropagationConfig(tolerance=1e-10)
-    x_cg = propagate(graph, c, cfg).x
-    x_it = propagate_iterative(graph, c, cfg).x
+    x_cg = propagate(s, c, cfg).x
+    x_it = propagate_iterative(s, c, cfg).x
     assert np.max(np.abs(x_cg - x_it)) <= 10 * cfg.tolerance
     for x in (x_cg, x_it):
-        assert stationarity_residual(x, graph, c, cfg.mu) <= 10 * cfg.tolerance
+        assert stationarity_residual(x, s, c, cfg.mu) <= 10 * cfg.tolerance
 
 
 def test_adapt_confidence_certifies_the_s_clip():
-    graph, pooled = _s_clip_pooled()
+    s, counts, pooled = _s_clip_pooled()
     c = pooled.flat()
     # CG's stopping rule alone bounds the residual (it read 0.09 of that bound)
     cfg = PropagationConfig()
-    residual = stationarity_residual(propagate(graph, c, cfg).x, graph, c, cfg.mu)
+    residual = stationarity_residual(propagate(s, c, cfg).x, s, c, cfg.mu)
     assert residual <= (1 + cfg.mu) * cfg.tolerance * cfg.eta * np.linalg.norm(c)
-    adapt_confidence(pooled, graph, cfg)
+    adapt_confidence(pooled, s, counts, cfg)
     # CG run on past the round-off floor: only the round-off slack certifies it
-    adapt_confidence(pooled, graph, PropagationConfig(tolerance=1e-17))
+    adapt_confidence(pooled, s, counts, PropagationConfig(tolerance=1e-17))
 
 
 def test_adapt_confidence_rejects_an_uncertified_solution(monkeypatch):
     import vidseg.propagation
 
-    graph, pooled = _s_clip_pooled()
+    s, counts, pooled = _s_clip_pooled()
     solve = vidseg.propagation.propagate
 
     def off_by(delta):
-        def solve_off(graph, c, cfg):
-            result = solve(graph, c, cfg)
+        def solve_off(s, c, cfg):
+            result = solve(s, c, cfg)
             result.x[0] += delta
             return result
         return solve_off
 
     cfg = PropagationConfig()
     monkeypatch.setattr(vidseg.propagation, "propagate", off_by(1e-9))  # within the bound
-    adapt_confidence(pooled, graph, cfg)
+    adapt_confidence(pooled, s, counts, cfg)
     monkeypatch.setattr(vidseg.propagation, "propagate", off_by(1e-6))
     with pytest.raises(ConvergenceError, match="diffusion uncertified") as err:
-        adapt_confidence(pooled, graph, cfg)
+        adapt_confidence(pooled, s, counts, cfg)
     assert err.value.residual > 1e-6 and err.value.iterations > 0
 
 
 def test_stationarity_residual_small(rng):
     cfg = PropagationConfig(tolerance=1e-12)
     for _ in range(5):
-        g = random_graph(rng, max_nodes=50)
-        c = rng.random(g.n_nodes)
-        x = propagate(g, c, cfg).x
-        assert stationarity_residual(x, g, c, cfg.mu) <= 1e-7
+        s = diffusion_operator(random_graph(rng, max_nodes=50))
+        c = rng.random(s.shape[0])
+        x = propagate(s, c, cfg).x
+        assert stationarity_residual(x, s, c, cfg.mu) <= 1e-7
 
 
 def test_optimality_of_linear_solution(rng):
@@ -183,7 +189,7 @@ def test_optimality_of_linear_solution(rng):
     cfg = PropagationConfig(tolerance=1e-14)
     g = random_graph(rng, max_nodes=30)
     c = rng.random(g.n_nodes)
-    x = propagate(g, c, cfg).x
+    x = propagate(diffusion_operator(g), c, cfg).x
 
     def objective(v):
         return 0.5 * energy(v, g, c, mu=0.0) + cfg.mu * float(np.sum((v - c) ** 2))
@@ -196,10 +202,9 @@ def test_optimality_of_linear_solution(rng):
 
 
 def test_iteration_residual_contracts(rng):
-    g = random_graph(rng, max_nodes=40)
-    c = rng.random(g.n_nodes)
+    s = diffusion_operator(random_graph(rng, max_nodes=40))
+    c = rng.random(s.shape[0])
     cfg = PropagationConfig(mu=0.5)
-    s = g.operator
     x_prev = c.copy()
     x = cfg.alpha * s.dot(x_prev) + (1 - cfg.alpha) * c
     prev_res = np.max(np.abs(x - x_prev))
@@ -213,47 +218,47 @@ def test_iteration_residual_contracts(rng):
 def test_maximum_principle(rng):
     cfg = PropagationConfig(tolerance=1e-12)
     for _ in range(10):
-        g = random_graph(rng, max_nodes=50)
-        c = rng.random(g.n_nodes)
-        x = propagate(g, c, cfg).x
+        s = diffusion_operator(random_graph(rng, max_nodes=50))
+        c = rng.random(s.shape[0])
+        x = propagate(s, c, cfg).x
         assert x.min() >= -1e-10
         assert x.max() <= 1.0 + 1e-10
 
 
 def test_convergence_error_carries_state():
-    g = graph_from_edges(3, spatial=[(0, 1, 1.0), (1, 2, 1.0)])
+    s = operator_from_edges(3, spatial=[(0, 1, 1.0), (1, 2, 1.0)])
     cfg = PropagationConfig(tolerance=1e-300, max_iterations=3)
     with pytest.raises(ConvergenceError) as err:
-        propagate_iterative(g, np.array([1.0, 0.0, 0.5]), cfg)
+        propagate_iterative(s, np.array([1.0, 0.0, 0.5]), cfg)
     assert err.value.iterations == 3
     assert err.value.residual > 0
     assert err.value.x.shape == (3,)
 
 
 def test_adapt_confidence_tags_and_clamps():
-    g = two_node_graph()
+    s = diffusion_operator(two_node_graph())
     field = ConfidenceField("cat", [np.array([1.0, 0.0])])
-    adapted = adapt_confidence(field, g, PropagationConfig(tolerance=1e-12))
+    adapted = adapt_confidence(field, s, [2], PropagationConfig(tolerance=1e-12))
     assert adapted.class_id == "cat"
     assert np.allclose(adapted.values[0], [0.6, 0.4], atol=1e-10)
 
 
 def test_adapt_confidence_dimension_guard():
-    g = two_node_graph()
+    s = diffusion_operator(two_node_graph())
     field = ConfidenceField("cat", [np.array([1.0, 0.0, 0.5])])
     with pytest.raises(ValueError, match="superpixels"):
-        adapt_confidence(field, g, PropagationConfig())
+        adapt_confidence(field, s, [2], PropagationConfig())
 
 
 def test_disconnected_components_solve_independently(rng):
     a = [(0, 1, 1.5), (1, 2, 0.5)]
     b = [(3, 4, 2.0)]
-    g_all = graph_from_edges(5, spatial=a + b)
-    g_a = graph_from_edges(3, spatial=a)
-    g_b = graph_from_edges(2, spatial=[(0, 1, 2.0)])
+    s_all = operator_from_edges(5, spatial=a + b)
+    s_a = operator_from_edges(3, spatial=a)
+    s_b = operator_from_edges(2, spatial=[(0, 1, 2.0)])
     c = rng.random(5)
     cfg = PropagationConfig(tolerance=1e-13)
-    x_all = propagate(g_all, c, cfg).x
-    x_a = propagate(g_a, c[:3], cfg).x
-    x_b = propagate(g_b, c[3:], cfg).x
+    x_all = propagate(s_all, c, cfg).x
+    x_a = propagate(s_a, c[:3], cfg).x
+    x_b = propagate(s_b, c[3:], cfg).x
     assert np.allclose(x_all, np.concatenate([x_a, x_b]), atol=1e-10)
