@@ -3,7 +3,8 @@
 Solves the smoothness+fit problem on a 6-node chain by (a) the damped
 diffusion iteration and (b) conjugate gradients on the stationarity system,
 and shows they agree and that the solution is stationary. Both read the
-graph through its normalized operator S = D^-1/2 A D^-1/2.
+graph through its normalized operator S = D^-1/2 A D^-1/2, which
+diffusion_operator keeps as the graph's edge list: S @ x is two bincounts.
 """
 
 import numpy as np

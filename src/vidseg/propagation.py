@@ -11,7 +11,8 @@ with conjugate gradients. The paper's damped diffusion iteration
 
 with alpha = 1 / (1 + mu) has the same fixed point; it is kept as the
 reference the solve is checked against. Both take S, which
-diffusion_operator builds from the graph's edge lists (and imports SciPy).
+diffusion_operator keeps as the graph's edge lists, so S @ x is two
+bincounts and nothing here uses SciPy.
 """
 
 from __future__ import annotations
@@ -61,35 +62,45 @@ class PropagationConfig:
 
 @dataclass
 class PropagationResult:
+    """An iterate, its iteration count and the residual that stopped the solve
+    (propagate's is CG's recurrence residual, not the true one)."""
+
     x: np.ndarray
     iterations: int
     residual: float
 
 
-def diffusion_operator(graph):
-    """S = D^-1/2 A D^-1/2 of a graph's edge lists, as a CSR matrix.
+@dataclass(frozen=True)
+class DiffusionOperator:
+    """S as an edge list: S_ij = S_ji sums s over every listed (i, j) and (j, i)."""
+
+    n_nodes: int
+    i: np.ndarray
+    j: np.ndarray
+    s: np.ndarray
+
+    def dot(self, x):
+        """S @ x: each edge adds s * x_j to row i and s * x_i to row j."""
+        return (np.bincount(self.i, self.s * x[self.j], self.n_nodes)
+                + np.bincount(self.j, self.s * x[self.i], self.n_nodes))
+
+
+def diffusion_operator(graph) -> DiffusionOperator:
+    """S = D^-1/2 A D^-1/2 of a graph's edge lists, as their concatenated edge list.
 
     A_ij = A_ji is the sum of the weights of every listed (i, j) and (j, i),
-    the rule the MRF applies to a repeated pair too; assemble rejects
-    self-loops, so diag(S) = 0. Isolated nodes get zero rows.
+    the rule the MRF applies to a repeated pair too; edge e carries
+    s_e = w_e * dinv_i * dinv_j. assemble rejects self-loops, so diag(S) = 0.
+    Isolated nodes get zero rows.
     """
-    from scipy import sparse
-
-    upper = sparse.csr_matrix(
-        (np.concatenate([graph.spatial_w, graph.temporal_w]),
-         (np.concatenate([graph.spatial_i, graph.temporal_i]),
-          np.concatenate([graph.spatial_j, graph.temporal_j]))),
-        shape=(graph.n_nodes,) * 2,
-    )
-    operator = upper + upper.T
-    del upper
-    degrees = np.asarray(operator.sum(axis=1)).ravel()
+    n = graph.n_nodes
+    i = np.concatenate([graph.spatial_i, graph.temporal_i])
+    j = np.concatenate([graph.spatial_j, graph.temporal_j])
+    s = np.concatenate([graph.spatial_w, graph.temporal_w])
+    degrees = np.bincount(i, s, n) + np.bincount(j, s, n)
     dinv = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
-    # A becomes S in place; entry-wise A_ij * (dinv_i * dinv_j) keeps S exactly symmetric
-    scale = np.repeat(dinv, np.diff(operator.indptr))
-    scale *= dinv[operator.indices]
-    operator.data *= scale
-    return operator
+    s *= dinv[i] * dinv[j]
+    return DiffusionOperator(n, i, j, s)
 
 
 def stationarity_residual(x, s, c, mu):
@@ -130,6 +141,10 @@ def propagate(s, c, cfg: PropagationConfig) -> PropagationResult:
     in [-1, 1] and 1 - eta < 1). Converged at relative 2-norm residual
     <= tolerance. The graph has no self-loops, so the system's diagonal is 1
     and Jacobi scaling would be the identity: CG runs unpreconditioned.
+
+    The residual reported is CG's recurrence residual ||r_k|| / ||b||. Below
+    about 1e-15 it no longer tracks the true residual of x, which stays at
+    round-off; adapt_confidence's certificate bounds the true one.
     """
     c = np.asarray(c, dtype=np.float64)
     eta = cfg.eta

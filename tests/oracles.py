@@ -3,8 +3,9 @@
 None of these is on a vidseg route: the dense solve shares its fixed point
 with the diffusion iteration and the CG solve, enumeration finds the exact
 minimum the min-cut must reach, `energy` is the objective the diffusion
-minimizes, `degrees` sums the affinities the diffusion normalizes by, and
-`responsibilities` exposes the E-step posteriors.
+minimizes, `degrees` sums the affinities the diffusion normalizes by,
+`dense_operator` spells out S as a matrix, and `responsibilities` exposes the
+E-step posteriors.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ def dense_solve_oracle(graph, c, mu):
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to {DENSE_ORACLE_LIMIT} nodes")
     eta = mu / (1.0 + mu)
-    m = np.eye(n) - (1.0 - eta) * diffusion_operator(graph).toarray()
+    m = np.eye(n) - (1.0 - eta) * dense_operator(diffusion_operator(graph))
     return np.linalg.solve(m, eta * np.asarray(c, dtype=np.float64))
 
 
@@ -51,6 +52,14 @@ def enumerate_labelings_oracle(problem: MRFProblem):
     best = int(np.argmin(energies))
     labeling = Labeling(labels=labels[best].copy())
     return labeling, float(mrf_energy(problem, labeling.labels))
+
+
+def dense_operator(s):
+    """S as a dense (n, n) array: U + U.T, with U summing each listed (i, j)'s s,
+    so the result is exactly symmetric."""
+    upper = np.zeros((s.n_nodes, s.n_nodes))
+    np.add.at(upper, (s.i, s.j), s.s)
+    return upper + upper.T
 
 
 def degrees(graph):

@@ -324,7 +324,7 @@ def test_propagation_speed_at_scale():
     _report(
         "propagation speed (100 frames, ~1000 superpixels/frame, <= 30 s)",
         elapsed <= 30.0 and per_frame >= 1000 and np.all(np.isfinite(values)),
-        f"nodes={s.shape[0]} ({per_frame:.0f}/frame) adapt time={elapsed:.2f}s",
+        f"nodes={s.n_nodes} ({per_frame:.0f}/frame) adapt time={elapsed:.2f}s",
     )
 
 

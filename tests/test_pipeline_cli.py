@@ -955,7 +955,7 @@ def test_import_loads_no_scipy(module):
 
 
 def test_graph_build_loads_no_scipy():
-    # the graph is its edge lists; SciPy comes in only with the diffusion operator
+    # the graph is its edge lists; SciPy comes in only with the min-cut
     code = ("from vidseg.graph import build_graph\n"
             "from vidseg.synth import SynthConfig, generate\n"
             "ds = generate(SynthConfig())\n"
@@ -1013,25 +1013,42 @@ def test_each_name_is_imported_from_the_module_that_defines_it():
     assert stray == []
 
 
-def test_only_graph_routes_load_scipy(tmp_path):
+def test_only_min_cut_routes_load_scipy(tmp_path):
     data, out = tmp_path / "data", tmp_path / "out"
     cfg = str(data / "config.json")
     routes = {
         "synth": ["synth", "--out", str(data)],
         "pool": ["pool", "--config", cfg, "--out", str(out / "pooled.csv")],
         "eval": ["eval", "--pred", str(data / "gt"), "--gt", str(data / "gt")],
-        # the probe sees SciPy when a route loads it
         "adapt": ["adapt", "--config", cfg, "--confidence", str(out / "pooled.csv"),
                   "--out", str(out / "adapted.csv")],
+        # the probe sees SciPy when a route loads it
+        "segment": ["segment", "--config", cfg, "--confidence", str(out / "adapted.csv"),
+                    "--out", str(out / "seg")],
     }
     loaded = {
         name: _loaded_after(f"from vidseg.cli import main\nassert main({argv!r}) == 0", "scipy")
         for name, argv in routes.items()
     }
     assert {name: bool(mods) for name, mods in loaded.items()} == {
-        "synth": False, "pool": False, "eval": False, "adapt": True,
+        "synth": False, "pool": False, "eval": False, "adapt": False, "segment": True,
     }
-    assert "scipy.sparse" in loaded["adapt"]
+    assert "scipy.sparse.csgraph" in loaded["segment"]
+
+
+def test_adapt_stage_loads_no_scipy():
+    # the diffusion operator is the graph's edge lists; S @ x is two bincounts
+    code = ("from vidseg.graph import build_graph\n"
+            "from vidseg.pipeline import PipelineConfig, adapt_stage\n"
+            "from vidseg.proposals import filter_by_confidence, pool_confidence, score_proposals\n"
+            "from vidseg.synth import SynthConfig, generate\n"
+            "ds = generate(SynthConfig())\n"
+            "graph = build_graph(ds.video, ds.superpixels, ds.flows)\n"
+            "scored = filter_by_confidence(score_proposals(ds.proposals, ds.motion_masks), 'object')\n"
+            "pooled = {'object': pool_confidence(scored, 'object', ds.superpixels)}\n"
+            "adapted = adapt_stage(PipelineConfig(), graph, pooled)\n"
+            "assert adapted['object'].flat().shape == (graph.n_nodes,)")
+    assert _loaded_after(code, "scipy") == set()
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_from_edges, random_graph
-from oracles import dense_solve_oracle, energy
+from oracles import dense_operator, dense_solve_oracle, energy
 from vidseg.graph import build_graph
 from vidseg.proposals import (
     ConfidenceField,
@@ -42,6 +42,42 @@ def test_config_validation():
         PropagationConfig(mu=-1)
     with pytest.raises(ValueError):
         PropagationConfig(tolerance=0)
+
+
+def _dense_normalized_affinity(n, edges):
+    """D^-1/2 A D^-1/2 built entry by entry from (i, j, w) triples."""
+    a = np.zeros((n, n))
+    for i, j, w in edges:
+        a[i, j] += w
+        a[j, i] += w
+    d = a.sum(axis=1)
+    dinv = np.array([1.0 / np.sqrt(v) if v > 0 else 0.0 for v in d])
+    return dinv[:, None] * a * dinv[None, :]
+
+
+def test_operator_matches_a_dense_normalized_affinity(rng):
+    for _ in range(30):
+        n = int(rng.integers(4, 40))
+        # node 0 has no edge and node 1 only a zero-weight one: both rows of S are zero
+        edges = [(1, 2, 0.0)]
+        for _ in range(int(rng.integers(1, 3 * n))):
+            i, j = (int(v) for v in rng.choice(np.arange(2, n), size=2, replace=False))
+            edges.append((i, j, 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 3.0))))
+        # repeated pairs, in the same and in the reversed order
+        edges += edges[1:3] + [(j, i, w) for i, j, w in edges[1:4]]
+        order = rng.permutation(len(edges))
+        half = len(edges) // 2
+        g = graph_from_edges(n, spatial=[edges[k] for k in order[:half]],
+                             temporal=[edges[k] for k in order[half:]])
+        s = diffusion_operator(g)
+        want_s = _dense_normalized_affinity(n, edges)
+        x = rng.standard_normal(n)
+        got, want = s.dot(x), want_s @ x
+        assert np.all(got[:2] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        dense = dense_operator(s)
+        assert np.array_equal(dense, dense.T) and np.all(np.diag(dense) == 0.0)
+        assert np.allclose(dense, want_s, rtol=1e-15, atol=0.0)
 
 
 def test_energy_zero_at_fit_without_edges():
@@ -179,7 +215,7 @@ def test_stationarity_residual_small(rng):
     cfg = PropagationConfig(tolerance=1e-12)
     for _ in range(5):
         s = diffusion_operator(random_graph(rng, max_nodes=50))
-        c = rng.random(s.shape[0])
+        c = rng.random(s.n_nodes)
         x = propagate(s, c, cfg).x
         assert stationarity_residual(x, s, c, cfg.mu) <= 1e-7
 
@@ -203,7 +239,7 @@ def test_optimality_of_linear_solution(rng):
 
 def test_iteration_residual_contracts(rng):
     s = diffusion_operator(random_graph(rng, max_nodes=40))
-    c = rng.random(s.shape[0])
+    c = rng.random(s.n_nodes)
     cfg = PropagationConfig(mu=0.5)
     x_prev = c.copy()
     x = cfg.alpha * s.dot(x_prev) + (1 - cfg.alpha) * c
@@ -219,7 +255,7 @@ def test_maximum_principle(rng):
     cfg = PropagationConfig(tolerance=1e-12)
     for _ in range(10):
         s = diffusion_operator(random_graph(rng, max_nodes=50))
-        c = rng.random(s.shape[0])
+        c = rng.random(s.n_nodes)
         x = propagate(s, c, cfg).x
         assert x.min() >= -1e-10
         assert x.max() <= 1.0 + 1e-10
