@@ -4,7 +4,8 @@ Solves the smoothness+fit problem on a 6-node chain by (a) the damped
 diffusion iteration and (b) conjugate gradients on the stationarity system,
 and shows they agree and that the solution is stationary. Both read the
 graph through its normalized operator S = D^-1/2 A D^-1/2, which
-diffusion_operator keeps as the graph's edge list: S @ x is two bincounts.
+diffusion_operator returns as the graph itself with normalized weights:
+S @ x is two bincounts over the one edge list.
 """
 
 import numpy as np
@@ -20,12 +21,9 @@ from vidseg.propagation import (
 
 
 def chain_graph(n):
+    """n nodes in one frame, joined in a path by n - 1 unit-weight spatial edges."""
     i = np.arange(n - 1)
-    return assemble(
-        np.array([0, n]),
-        (i, i + 1, np.ones(n - 1)),
-        (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
-    )
+    return assemble(np.array([0, n]), i, i + 1, np.ones(n - 1), n - 1)
 
 
 def main():

@@ -3,7 +3,8 @@
 Builds the graph for a short synthetic clip and inspects its parts: spatial
 adjacency, flow-linked temporal edges with overlap ratios, and motion
 reliability from flow-histogram entropy; then the spectrum of the diffusion
-operator S, spelled out as a dense matrix from its edge list.
+operator S, the graph's one edge list with normalized weights, spelled out as
+a dense matrix.
 """
 
 import numpy as np
@@ -22,25 +23,26 @@ def main():
           f"({sp.counts[0]} in frame 0)")
 
     graph = build_graph(ds.video, ds.superpixels, ds.flows)
-    print(f"\nspatial edges:  {len(graph.spatial_i):5d}  "
-          f"weights {graph.spatial_w.min():.3g} .. {graph.spatial_w.max():.3g}")
-    print(f"temporal edges: {len(graph.temporal_i):5d}  "
-          f"weights {graph.temporal_w.min():.3g} .. {graph.temporal_w.max():.3g}")
+    spatial, temporal = graph.w[: graph.n_spatial], graph.w[graph.n_spatial :]
+    print(f"\nspatial edges:  {len(spatial):5d}  "
+          f"weights {spatial.min():.3g} .. {spatial.max():.3g}")
+    print(f"temporal edges: {len(temporal):5d}  "
+          f"weights {temporal.min():.3g} .. {temporal.max():.3g}")
     rho = np.concatenate([temporal_edges(sp, t, flow)[2] for t, flow in enumerate(ds.flows)])
     print(f"overlap ratios rho: {rho.min():.2f} .. {rho.max():.2f}")
 
     # same-region edges keep near-unit color affinity; boundary edges collapse
-    strong = (graph.spatial_w > 0.5).sum()
-    weak = (graph.spatial_w < 0.05).sum()
+    strong = (spatial > 0.5).sum()
+    weak = (spatial < 0.05).sum()
     print(f"\nspatial edges with affinity > 0.5: {strong} (inside object or inside "
           f"background)")
     print(f"spatial edges with affinity < 0.05: {weak} (across the color boundary)")
 
     s = diffusion_operator(graph)
     if graph.n_nodes <= 1500:
-        # S is an edge list; spelled out as a matrix, it is U + U.T
+        # S is the graph with normalized weights; spelled out as a matrix, it is U + U.T
         upper = np.zeros((s.n_nodes, s.n_nodes))
-        np.add.at(upper, (s.i, s.j), s.s)
+        np.add.at(upper, (s.i, s.j), s.w)
         eigs = np.linalg.eigvalsh(upper + upper.T)
         print(f"\nnormalized operator spectrum: [{eigs.min():.4f}, {eigs.max():.4f}] "
               "(inside [-1, 1], so diffusion converges)")

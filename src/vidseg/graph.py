@@ -4,9 +4,11 @@ Nodes are superpixels across all frames; spatial edges join 4-connected
 superpixels of one frame, temporal edges join superpixels of consecutive
 frames linked by flow-warped overlap. Affinities combine self-normalized
 color distances with centroid distances (spatial) or overlap ratio and
-motion reliability (temporal). The graph is its edge lists: the diffusion
-reads them through propagation.diffusion_operator, the segmentation through
-mrf.pairwise_weights. Nothing here uses SciPy.
+motion reliability (temporal). The graph is one edge list, spatial edges
+first, whose dot is A @ x; mrf.pairwise_weights reads the Potts terms from it.
+propagation.diffusion_operator returns S as the same graph with normalized
+weights, sharing i, j and frame_offsets: no caller may write them in place.
+Nothing here uses SciPy.
 """
 
 from __future__ import annotations
@@ -36,26 +38,33 @@ N_FLOW_BINS = ORIENTATION_BINS * (len(MAGNITUDE_EDGES) + 1)
 @dataclass
 class SpaceTimeGraph:
     frame_offsets: np.ndarray  # (T+1,) global node-id offsets
-    # edge lists: int64 node ids and float64 affinities
-    spatial_i: np.ndarray
-    spatial_j: np.ndarray
-    spatial_w: np.ndarray
-    temporal_i: np.ndarray  # source node (frame t-1)
-    temporal_j: np.ndarray  # target node (frame t)
-    temporal_w: np.ndarray
+    # one edge list of int64 node ids and float64 affinities: the first n_spatial edges
+    # join two nodes of one frame, each later one i in frame t to j in frame t+1
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    n_spatial: int
+
+    # read-only views, kept for the edge counter of perfbench/layers.py:77
+    spatial_i = property(lambda self: self.i[: self.n_spatial])
+    temporal_i = property(lambda self: self.i[self.n_spatial :])
 
     @property
     def n_nodes(self):
         return int(self.frame_offsets[-1])
 
+    def dot(self, x):
+        """A @ x: each edge adds w * x_j to row i and w * x_i to row j."""
+        return (np.bincount(self.i, self.w * x[self.j], self.n_nodes)
+                + np.bincount(self.j, self.w * x[self.i], self.n_nodes))
+
     def dump_csv(self, path):
         """Debug dump: kind, frame_i, sp_i, frame_j, sp_j, weight per edge."""
-        ends = np.hstack([(self.spatial_i, self.spatial_j), (self.temporal_i, self.temporal_j)])
+        ends = np.stack([self.i, self.j])
         frames = np.searchsorted(self.frame_offsets, ends, side="right") - 1
         (fi, fj), (si, sj) = frames, ends - self.frame_offsets[frames]
-        kinds = ["spatial"] * len(self.spatial_i) + ["temporal"] * len(self.temporal_i)
-        weights = np.concatenate([self.spatial_w, self.temporal_w])
-        rows = zip(kinds, fi.tolist(), si.tolist(), fj.tolist(), sj.tolist(), weights.tolist())
+        kinds = ["spatial"] * self.n_spatial + ["temporal"] * (len(self.i) - self.n_spatial)
+        rows = zip(kinds, fi.tolist(), si.tolist(), fj.tolist(), sj.tolist(), self.w.tolist())
         lines = ("%s,%d,%d,%d,%d,%.17g\n" % row for row in rows)
         write_file(path, itertools.chain(["kind,frame_i,sp_i,frame_j,sp_j,weight\n"], lines))
 
@@ -167,26 +176,20 @@ def motion_reliability(sp: SuperpixelMap, t, flow, w_c=MOTION_COHERENCE_WEIGHT):
     return m
 
 
-def assemble(frame_offsets, spatial, temporal) -> SpaceTimeGraph:
-    """Check weighted spatial/temporal edge lists and hold them as a graph.
+def assemble(frame_offsets, i, j, w, n_spatial) -> SpaceTimeGraph:
+    """Check a weighted edge list, spatial edges first, and hold it as a graph.
 
-    spatial and temporal: (i, j, w) arrays, kept as given. Weights must be
-    finite and non-negative; self-loops are rejected.
+    The arrays are kept as given, of one length of at least n_spatial. Weights
+    must be finite and non-negative; self-loops are rejected.
     """
-    pools = []
-    for i, j, w in (spatial, temporal):
-        i, j, w = np.asarray(i, np.int64), np.asarray(j, np.int64), np.asarray(w, np.float64)
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise DataError("edge weights must be finite and non-negative")
-        if np.any(i == j):
-            raise DataError("self-loop edges are not allowed")
-        pools.append((i, j, w))
-    (si, sj, sw), (ti, tj, tw) = pools
-    return SpaceTimeGraph(
-        frame_offsets=np.asarray(frame_offsets, dtype=np.int64),
-        spatial_i=si, spatial_j=sj, spatial_w=sw,
-        temporal_i=ti, temporal_j=tj, temporal_w=tw,
-    )
+    i, j, w = np.asarray(i, np.int64), np.asarray(j, np.int64), np.asarray(w, np.float64)
+    if not len(i) == len(j) == len(w) >= n_spatial >= 0:
+        raise DataError(f"i, j and w of {len(i)}, {len(j)}, {len(w)} edges, {n_spatial} spatial")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise DataError("edge weights must be finite and non-negative")
+    if np.any(i == j):
+        raise DataError("self-loop edges are not allowed")
+    return SpaceTimeGraph(np.asarray(frame_offsets, dtype=np.int64), i, j, w, int(n_spatial))
 
 
 def build_graph(
@@ -228,8 +231,15 @@ def build_graph(
         del flow  # before the next field is made
     if len(temporal) - 1 != pairs:
         raise DataError(f"expected {pairs} flow fields, got {len(temporal) - 1}")
-    ti, tj, rho = (np.concatenate(column) for column in zip(*temporal))
+    ti, tj, rho = zip(*temporal)
     del temporal
+    n_spatial = len(si)
+    i = np.concatenate([si, *ti])  # spatial edges first
+    del si, ti  # each join releases its pieces before the next
+    j = np.concatenate([sj, *tj])
+    del sj, tj
+    rho = np.concatenate(rho)
+    si, sj, ti, tj = i[:n_spatial], j[:n_spatial], i[n_spatial:], j[n_spatial:]
 
     d_c_s = color_distance(colors, si, sj)
     # np.linalg.norm(axis=1)'s value, without (m, 2) gathers
@@ -243,4 +253,4 @@ def build_graph(
     tw = temporal_affinity(d_c_t, rho, m[ti])
     del d_c_t, rho, m
 
-    return assemble(offsets, (si, sj, sw), (ti, tj, tw))
+    return assemble(offsets, i, j, np.concatenate([sw, tw]), n_spatial)

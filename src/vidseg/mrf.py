@@ -100,12 +100,10 @@ def color_unary(gmm_object, gmm_background, colors):
 def pairwise_weights(graph, lambda_spatial=LAMBDA_SPATIAL, lambda_temporal=LAMBDA_TEMPORAL):
     """Potts terms of the segmentation energy, reusing graph affinities: (m, 2) int32 edges,
     spatial then temporal, and their (m,) weights. No class enters them."""
-    edges = np.empty((len(graph.spatial_i) + len(graph.temporal_i), 2), dtype=np.int32)
-    edges[:, 0] = np.concatenate([graph.spatial_i, graph.temporal_i])
-    edges[:, 1] = np.concatenate([graph.spatial_j, graph.temporal_j])
-    weights = np.concatenate(
-        [lambda_spatial * graph.spatial_w, lambda_temporal * graph.temporal_w]
-    )
+    edges = np.empty((len(graph.i), 2), dtype=np.int32)
+    edges[:, 0], edges[:, 1] = graph.i, graph.j
+    ns = graph.n_spatial
+    weights = np.concatenate([lambda_spatial * graph.w[:ns], lambda_temporal * graph.w[ns:]])
     return edges, weights
 
 

@@ -10,15 +10,15 @@ with conjugate gradients. The paper's damped diffusion iteration
     X_{k+1} = alpha * S @ X_k + (1 - alpha) * C
 
 with alpha = 1 / (1 + mu) has the same fixed point; it is kept as the
-reference the solve is checked against. Both take S, which
-diffusion_operator keeps as the graph's edge lists, so S @ x is two
-bincounts and nothing here uses SciPy.
+reference the solve is checked against. Both take S: diffusion_operator
+returns the graph with normalized weights, sharing its i, j and frame_offsets
+(no caller may write them in place), so S @ x is two bincounts, without SciPy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,37 +70,13 @@ class PropagationResult:
     residual: float
 
 
-@dataclass(frozen=True)
-class DiffusionOperator:
-    """S as an edge list: S_ij = S_ji sums s over every listed (i, j) and (j, i)."""
-
-    n_nodes: int
-    i: np.ndarray
-    j: np.ndarray
-    s: np.ndarray
-
-    def dot(self, x):
-        """S @ x: each edge adds s * x_j to row i and s * x_i to row j."""
-        return (np.bincount(self.i, self.s * x[self.j], self.n_nodes)
-                + np.bincount(self.j, self.s * x[self.i], self.n_nodes))
-
-
-def diffusion_operator(graph) -> DiffusionOperator:
-    """S = D^-1/2 A D^-1/2 of a graph's edge lists, as their concatenated edge list.
-
-    A_ij = A_ji is the sum of the weights of every listed (i, j) and (j, i),
-    the rule the MRF applies to a repeated pair too; edge e carries
-    s_e = w_e * dinv_i * dinv_j. assemble rejects self-loops, so diag(S) = 0.
-    Isolated nodes get zero rows.
-    """
-    n = graph.n_nodes
-    i = np.concatenate([graph.spatial_i, graph.temporal_i])
-    j = np.concatenate([graph.spatial_j, graph.temporal_j])
-    s = np.concatenate([graph.spatial_w, graph.temporal_w])
-    degrees = np.bincount(i, s, n) + np.bincount(j, s, n)
+def diffusion_operator(graph):
+    """S = D^-1/2 A D^-1/2 as the graph with weights w_e * dinv_i * dinv_j, sharing its
+    i, j and frame_offsets, which no caller may write in place. assemble rejects
+    self-loops, so diag(S) = 0; isolated nodes get zero rows."""
+    degrees = graph.dot(np.ones(graph.n_nodes))
     dinv = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
-    s *= dinv[i] * dinv[j]
-    return DiffusionOperator(n, i, j, s)
+    return replace(graph, w=graph.w * (dinv[graph.i] * dinv[graph.j]))
 
 
 def stationarity_residual(x, s, c, mu):

@@ -8,15 +8,12 @@ from vidseg.graph import assemble
 
 
 def graph_from_edges(n, spatial=(), temporal=()):
-    """Single-frame graph over n nodes from explicit (i, j, w) edges."""
-    offsets = np.array([0, n], dtype=np.int64)
-    si = np.array([e[0] for e in spatial], dtype=np.int64)
-    sj = np.array([e[1] for e in spatial], dtype=np.int64)
-    sw = np.array([e[2] for e in spatial], dtype=np.float64)
-    ti = np.array([e[0] for e in temporal], dtype=np.int64)
-    tj = np.array([e[1] for e in temporal], dtype=np.int64)
-    tw = np.array([e[2] for e in temporal], dtype=np.float64)
-    return assemble(offsets, (si, sj, sw), (ti, tj, tw))
+    """Single-frame graph over n nodes from explicit (i, j, w) edges, the spatial ones first."""
+    edges = [*spatial, *temporal]
+    i = np.array([e[0] for e in edges], dtype=np.int64)
+    j = np.array([e[1] for e in edges], dtype=np.int64)
+    w = np.array([e[2] for e in edges], dtype=np.float64)
+    return assemble(np.array([0, n], dtype=np.int64), i, j, w, len(spatial))
 
 
 def random_graph(rng, max_nodes=200):

@@ -4,7 +4,7 @@ None of these is on a vidseg route: the dense solve shares its fixed point
 with the diffusion iteration and the CG solve, enumeration finds the exact
 minimum the min-cut must reach, `energy` is the objective the diffusion
 minimizes, `degrees` sums the affinities the diffusion normalizes by,
-`dense_operator` spells out S as a matrix, and `responsibilities` exposes the
+`dense_operator` spells out A or S as a matrix, and `responsibilities` exposes the
 E-step posteriors.
 """
 
@@ -55,20 +55,16 @@ def enumerate_labelings_oracle(problem: MRFProblem):
 
 
 def dense_operator(s):
-    """S as a dense (n, n) array: U + U.T, with U summing each listed (i, j)'s s,
-    so the result is exactly symmetric."""
+    """A graph's matrix (A, or S from diffusion_operator) as a dense (n, n) array:
+    U + U.T, with U summing each listed (i, j)'s w, so the result is exactly symmetric."""
     upper = np.zeros((s.n_nodes, s.n_nodes))
-    np.add.at(upper, (s.i, s.j), s.s)
+    np.add.at(upper, (s.i, s.j), s.w)
     return upper + upper.T
 
 
 def degrees(graph):
-    """Row sums of the affinity matrix A, summed straight from the graph's edge lists."""
-    n = graph.n_nodes
-    i = np.concatenate([graph.spatial_i, graph.temporal_i])
-    j = np.concatenate([graph.spatial_j, graph.temporal_j])
-    w = np.concatenate([graph.spatial_w, graph.temporal_w])
-    return np.bincount(i, w, n) + np.bincount(j, w, n)
+    """Row sums of the affinity matrix A: A @ 1 by the graph's own dot."""
+    return graph.dot(np.ones(graph.n_nodes))
 
 
 def energy(x, graph, c, mu):

@@ -352,7 +352,7 @@ def test_graph_build_speed_at_scale():
     start = time.monotonic()
     graph = build_graph(ds.video, ds.superpixels, ds.flows)
     elapsed = time.monotonic() - start
-    edges = len(graph.spatial_i) + len(graph.temporal_i)
+    edges = len(graph.i)
     _report(
         "graph build speed at scale (102,400 nodes, 299,776 edges, < 1.5 s)",
         graph.n_nodes == 102_400 and edges == 299_776 and elapsed < 1.5,

@@ -10,6 +10,7 @@ from oracles import degrees, dense_operator
 from vidseg.graph import (
     MAGNITUDE_EDGES,
     _pair_counts,
+    assemble,
     build_graph,
     color_distance,
     flow_bin_index,
@@ -20,8 +21,10 @@ from vidseg.graph import (
     temporal_affinity,
     temporal_edges,
 )
+from vidseg.mrf import pairwise_weights
 from vidseg.pnm import DataError
 from vidseg.propagation import diffusion_operator
+from vidseg.synth import SynthConfig, generate
 from vidseg.video import SuperpixelMap, VideoVolume
 
 LN2 = 0.6931471805599453
@@ -390,6 +393,17 @@ def test_assemble_rejects_bad_weights():
         graph_from_edges(2, spatial=[(0, 1, float("inf"))])
 
 
+@pytest.mark.parametrize("i, j, w, n_spatial", [
+    ([0, 1], [1], [1.0, 1.0], 1),  # one j short
+    ([0], [1], [1.0, 2.0], 1),  # one weight too many
+    ([0], [1], [1.0], 2),  # more spatial edges than edges
+    ([0], [1], [1.0], -1),
+])
+def test_assemble_rejects_a_malformed_edge_list(i, j, w, n_spatial):
+    with pytest.raises(DataError, match="i, j and w of"):
+        assemble([0, 2], i, j, w, n_spatial)
+
+
 def test_assemble_sums_duplicate_pairs():
     # pair (0, 1) is listed three times, once reversed and once in the other pool
     g = graph_from_edges(3, spatial=[(0, 1, 1.0), (1, 0, 2.0), (1, 2, 0.25)],
@@ -415,7 +429,7 @@ def test_operator_spectrum_bounded(rng):
 
 def test_affinities_strictly_positive(rng):
     g = random_graph(rng, max_nodes=30)
-    assert np.all(g.spatial_w > 0) and np.all(g.temporal_w > 0)
+    assert np.all(g.w > 0)
 
 
 def _tiny_scene():
@@ -433,9 +447,9 @@ def test_build_graph_deterministic():
     video, sp, flows = _tiny_scene()
     g1 = build_graph(video, sp, flows)
     g2 = build_graph(video, sp, flows)
-    assert np.array_equal(g1.spatial_i, g2.spatial_i)
-    assert np.array_equal(g1.spatial_w, g2.spatial_w)
-    assert np.array_equal(g1.temporal_w, g2.temporal_w)
+    assert g1.n_spatial == g2.n_spatial
+    assert np.array_equal(g1.i, g2.i)
+    assert np.array_equal(g1.w, g2.w)
     assert np.array_equal(dense_operator(diffusion_operator(g1)),
                           dense_operator(diffusion_operator(g2)))
 
@@ -449,7 +463,7 @@ def test_build_graph_dump_csv(tmp_path):
     assert text.endswith("\n") and "\r" not in text
     header, *rows = text[:-1].split("\n")
     assert header == "kind,frame_i,sp_i,frame_j,sp_j,weight"
-    offsets = g.frame_offsets.tolist()
+    offsets, ns = g.frame_offsets.tolist(), g.n_spatial
 
     def local(node):
         frame = max(t for t in range(len(offsets) - 1) if offsets[t] <= node)
@@ -458,8 +472,8 @@ def test_build_graph_dump_csv(tmp_path):
     expected = [
         (kind, *local(i), *local(j), w)
         for kind, ii, jj, ww in (
-            ("spatial", g.spatial_i, g.spatial_j, g.spatial_w),
-            ("temporal", g.temporal_i, g.temporal_j, g.temporal_w),
+            ("spatial", g.i[:ns], g.j[:ns], g.w[:ns]),
+            ("temporal", g.i[ns:], g.j[ns:], g.w[ns:]),
         )
         for i, j, w in zip(ii.tolist(), jj.tolist(), ww.tolist())
     ]
@@ -467,14 +481,28 @@ def test_build_graph_dump_csv(tmp_path):
     for row in rows:
         kind, fi, si, fj, sj, w = row.split(",")
         parsed.append((kind, int(fi), int(si), int(fj), int(sj), float(w)))
-    assert len(g.temporal_i) and {r[1] for r in parsed} == {0, 1, 2}
+    assert len(g.i) > ns and {r[1] for r in parsed} == {0, 1, 2}
     assert parsed == expected
 
 
 def test_build_graph_operator_has_zero_diagonal():
     video, sp, flows = _tiny_scene()
     g = build_graph(video, sp, flows)
-    assert len(g.temporal_i) and np.all(np.diag(dense_operator(diffusion_operator(g))) == 0.0)
+    assert len(g.i) > g.n_spatial and np.all(np.diag(dense_operator(diffusion_operator(g))) == 0.0)
+
+
+def test_build_graph_lists_spatial_edges_then_temporal_ones_frame_by_frame():
+    ds = generate(SynthConfig(velocity=(1, 1)))
+    g = build_graph(ds.video, ds.superpixels, ds.flows)
+    ns = g.n_spatial
+    fi, fj = np.searchsorted(g.frame_offsets, np.stack([g.i, g.j]), side="right") - 1
+    assert 0 < ns < len(g.i)
+    assert np.array_equal(fi[:ns], fj[:ns])  # spatial: both ends in one frame
+    assert np.array_equal(fi[ns:] + 1, fj[ns:])  # temporal: i in frame t, j in frame t+1
+    assert np.unique(fi[ns:]).tolist() == list(range(ds.config.frame_count - 1))
+    edges, weights = pairwise_weights(g, lambda_spatial=1000.0, lambda_temporal=2000.0)
+    assert np.array_equal(edges, np.stack([g.i, g.j], axis=1))
+    assert np.array_equal(weights, np.concatenate([1000.0 * g.w[:ns], 2000.0 * g.w[ns:]]))
 
 
 def _noisy_flow(t):
@@ -496,8 +524,8 @@ def test_build_graph_holds_one_flow_field_at_a_time():
 
     streamed = build_graph(video, sp, fields())
     listed = build_graph(video, sp, [_noisy_flow(t) for t in range(2)])
-    assert len(refs) == 2 and len(streamed.temporal_i) > 0
-    for name in ("temporal_i", "temporal_j", "temporal_w"):
+    assert len(refs) == 2 and len(streamed.i) > streamed.n_spatial == listed.n_spatial
+    for name in ("i", "j", "w"):
         assert np.array_equal(getattr(streamed, name), getattr(listed, name))
     assert np.array_equal(degrees(streamed), degrees(listed))
     assert np.array_equal(dense_operator(diffusion_operator(streamed)),
@@ -528,8 +556,9 @@ def test_build_graph_with_an_empty_pool(clip):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = build_graph(video, sp, flows)
-    for suffix, dtype in (("_i", np.int64), ("_j", np.int64), ("_w", np.float64)):
-        arr = getattr(g, empty + suffix)
-        assert arr.shape == (0,) and arr.dtype == dtype
-        assert len(getattr(g, full + suffix)) > 0
+    pools = {"spatial": slice(None, g.n_spatial), "temporal": slice(g.n_spatial, None)}
+    for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
+        arr = getattr(g, name)
+        assert arr[pools[empty]].shape == (0,) and arr.dtype == dtype
+        assert len(arr[pools[full]]) > 0
     assert np.all(degrees(g) > 0) and dense_operator(diffusion_operator(g)).shape == (g.n_nodes, g.n_nodes)

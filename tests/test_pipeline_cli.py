@@ -955,12 +955,12 @@ def test_import_loads_no_scipy(module):
 
 
 def test_graph_build_loads_no_scipy():
-    # the graph is its edge lists; SciPy comes in only with the min-cut
+    # the graph is its edge list; SciPy comes in only with the min-cut
     code = ("from vidseg.graph import build_graph\n"
             "from vidseg.synth import SynthConfig, generate\n"
             "ds = generate(SynthConfig())\n"
             "graph = build_graph(ds.video, ds.superpixels, ds.flows)\n"
-            "assert len(graph.spatial_i) and len(graph.temporal_i)")
+            "assert 0 < graph.n_spatial < len(graph.i)")
     assert _loaded_after(code, "scipy") == set()
 
 

@@ -72,6 +72,9 @@ def test_operator_matches_a_dense_normalized_affinity(rng):
         s = diffusion_operator(g)
         want_s = _dense_normalized_affinity(n, edges)
         x = rng.standard_normal(n)
+        # the unnormalized graph's own dot is A @ x
+        got_a, want_a = g.dot(x), dense_operator(g) @ x
+        assert np.max(np.abs(got_a - want_a)) <= 1e-15 * np.max(np.abs(want_a))
         got, want = s.dot(x), want_s @ x
         assert np.all(got[:2] == 0.0)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
