@@ -8,7 +8,6 @@ import numpy as np
 
 from vidseg.gmm import fit_gmm, sample_training_sets
 from vidseg.mrf import color_unary, semantic_unary
-from vidseg.proposals import ConfidenceField
 
 
 def main():
@@ -25,9 +24,8 @@ def main():
             np.clip(0.1 + rng.normal(0, 0.1, n_bg), 0, 1),
         ]
     )
-    field = ConfidenceField("demo", [conf])
 
-    (oc, ow), (bc, bw) = sample_training_sets(field, colors)
+    (oc, ow), (bc, bw) = sample_training_sets(conf, colors)
     print(f"object training set: {len(oc)} samples, total weight {ow.sum():.1f}")
     print(f"background set:      {len(bc)} samples, total weight {bw.sum():.1f}")
 

@@ -180,6 +180,8 @@ def _cmd_segment(args):
     potts = pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
     del _, graph  # segmentation reads the Potts terms instead
     confidences = read_confidence_csv(args.confidence)
+    if not confidences:
+        raise DataError(f"no confidence rows in {args.confidence}")
     segment_stage(cfg, inputs, potts, confidences)
     print(f"masks and overlays written under {cfg.out_dir}")
     return EXIT_OK

@@ -81,14 +81,13 @@ def log_likelihoods(models, colors):
     return [np.maximum(_log_normalize(_coefficients(m, center) @ feats)[1], floor) for m in models]
 
 
-def sample_training_sets(field, colors):
+def sample_training_sets(conf, colors):
     """Confidence-weighted color samples for the object and background models.
 
     Every superpixel contributes its mean color (a row of the (N, 3) colors) to
     the object set with weight c_i and to the background set with weight
     1 - c_i; weights below 1e-3 are omitted from that set.
     """
-    conf = field.flat()
     if len(conf) != len(colors):
         raise ValueError("confidence field and colors cover different superpixels")
     w_obj = conf

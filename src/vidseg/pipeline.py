@@ -1,9 +1,10 @@
 """Pipeline orchestration: ingest -> pool -> adapt -> segment -> eval.
 
 load_inputs returns the clip, its motion masks and its graph. pool_stage (which reads
-the proposal manifest) and adapt_stage return class -> ConfidenceField. segment_stage,
-given the run's Potts terms, returns class -> segment_class's dict and writes masks,
-overlays and mixtures; eval_stage returns the EvalReport and writes report.csv.
+the proposal manifest) and adapt_stage return class -> ConfidenceField, one array by
+global node id. segment_stage, given the run's Potts terms, returns class ->
+segment_class's dict and writes masks, overlays and mixtures; eval_stage returns the
+EvalReport and writes report.csv. write_confidence_csv alone reads a field by frame.
 run_pipeline and the CLI subcommands write the confidence CSVs at full float
 precision, so the two routes write identical bytes.
 
@@ -242,10 +243,9 @@ def adapt_stage(cfg: PipelineConfig, graph, pooled):
     """Diffuse each class's pooled field with the graph's diffusion operator, built once."""
     with _stage("adapt"):
         prop_cfg = cfg.propagation_config()
-        counts = np.diff(graph.frame_offsets)
         s = diffusion_operator(graph)
         return {
-            cls: adapt_confidence(fieldv, s, counts, prop_cfg)
+            cls: adapt_confidence(fieldv, s, prop_cfg)
             for cls, fieldv in sorted(pooled.items())
         }
 
@@ -256,7 +256,7 @@ def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, potts, fieldv):
     the MRF problem and its solve."""
     fieldv.check_counts(inputs.superpixels.counts)
     (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(
-        fieldv, inputs.colors
+        fieldv.flat, inputs.colors
     )
     gmm_obj = gmm_mod.fit_gmm(
         obj_colors, obj_w, cfg.gmm_components, seed=cfg.gmm_seed
@@ -266,7 +266,7 @@ def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, potts, fieldv):
     )
     del obj_colors, obj_w, bg_colors, bg_w  # not live through the solve
     problem = mrf_mod.build_problem(
-        potts, fieldv.flat(), inputs.colors, gmm_obj, gmm_bg, cfg.lambda_object
+        potts, fieldv.flat, inputs.colors, gmm_obj, gmm_bg, cfg.lambda_object
     )
     labeling = mrf_mod.solve_binary(problem)
     return {"masks": mrf_mod.rasterize(labeling, inputs.superpixels), "gmm_obj": gmm_obj,
@@ -402,7 +402,7 @@ def read_confidence_csv(path):
         if gap[lo:hi].any():
             t = f[lo:hi][gap[lo:hi]].min()
             raise DataError(f"non-contiguous superpixel ids for frame {t} in {path}")
-        out[name] = ConfidenceField.from_flat(name, value[lo:hi], np.bincount(f[lo:hi]))
+        out[name] = ConfidenceField(name, value[lo:hi], np.bincount(f[lo:hi]))
     return out
 
 

@@ -13,6 +13,7 @@ with alpha = 1 / (1 + mu) has the same fixed point; it is kept as the
 reference the solve is checked against. Both take S: diffusion_operator
 returns the graph with normalized weights, sharing its i, j and frame_offsets
 (no caller may write them in place), so S @ x is two bincounts, without SciPy.
+C and X are a ConfidenceField's one (N,) array, indexed by S's node ids.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ class PropagationConfig:
         for name in ("mu", "tolerance", "max_iterations"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails both
                 raise ValueError(f"{name} must be positive and finite")
+        if 1.0 - self.eta == 1.0:  # the fit term would round away
+            raise ValueError(f"mu {self.mu!r} is too small: 1 - mu / (1 + mu) rounds to 1")
 
     @property
     def eta(self):
@@ -155,19 +158,16 @@ def propagate(s, c, cfg: PropagationConfig) -> PropagationResult:
     )
 
 
-def adapt_confidence(field: ConfidenceField, s, counts, cfg: PropagationConfig) -> ConfidenceField:
-    """Diffuse a pooled confidence field with S; clamp into [0, 1].
-
-    counts[t] is the number of superpixels of frame t, which the field must
-    match frame by frame.
+def adapt_confidence(field: ConfidenceField, s, cfg: PropagationConfig) -> ConfidenceField:
+    """Diffuse a pooled confidence field with S, whose frames it must match; clamp into [0, 1].
 
     The unclipped solution is certified first. Its stationarity residual is
     (1 + mu) times CG's residual, so CG's stopping rule bounds it by
     (1 + mu) * tolerance * ||eta c||_2, plus STATIONARITY_ROUNDOFF for
     round-off; past that, ConvergenceError is raised.
     """
-    field.check_counts(counts)
-    c = field.flat()
+    field.check_counts(np.diff(s.frame_offsets))
+    c = field.flat
     result = propagate(s, c, cfg)
     residual = stationarity_residual(result.x, s, c, cfg.mu)
     roundoff = STATIONARITY_ROUNDOFF * np.finfo(np.float64).eps * np.max(np.abs(c), initial=0.0)
@@ -179,5 +179,4 @@ def adapt_confidence(field: ConfidenceField, s, counts, cfg: PropagationConfig) 
             residual,
             result.iterations,
         )
-    adapted = np.clip(result.x, 0.0, 1.0)
-    return ConfidenceField.from_flat(field.class_id, adapted, counts)
+    return ConfidenceField(field.class_id, np.clip(result.x, 0.0, 1.0), field.counts)

@@ -2,7 +2,7 @@
 
 Proposals arrive pre-scored for appearance; this module adds the motion
 context score, normalizes per frame, gates on classifier confidence, and
-pools the survivors into per-superpixel confidence fields.
+pools the survivors into one node-indexed confidence array per class.
 """
 
 from __future__ import annotations
@@ -33,28 +33,25 @@ class ScoredProposal:
 
 @dataclass
 class ConfidenceField:
-    """Per-superpixel confidence in [0, 1] for one class over all frames."""
+    """Per-superpixel confidence in [0, 1] for one class over all frames, by global node id."""
 
     class_id: str
-    values: list  # per frame, (n_t,) float arrays
+    flat: np.ndarray  # (N,) float64
+    counts: list | np.ndarray  # (F,) superpixels per frame, summing to N
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([np.asarray(v, dtype=np.float64) for v in self.values])
+    @property
+    def values(self):
+        """Per-frame views of flat."""
+        return np.split(self.flat, np.cumsum(self.counts)[:-1])
 
     def check_counts(self, counts):
         """Raise DataError naming the first frame t that does not hold counts[t] values."""
-        have = [len(v) for v in self.values]
-        for t, (got, want) in enumerate(zip_longest(have, counts, fillvalue=0)):
+        for t, (got, want) in enumerate(zip_longest(self.counts, counts, fillvalue=0)):
             if got != want:
                 raise DataError(
                     f"class {self.class_id!r}: frame {t} has {got} confidence values "
                     f"for {want} superpixels"
                 )
-
-    @staticmethod
-    def from_flat(class_id, flat, counts):
-        bounds = np.cumsum(counts)[:-1]
-        return ConfidenceField(class_id, np.split(np.asarray(flat, dtype=np.float64), bounds))
 
 
 def context_score(mask, motion) -> float:
@@ -145,13 +142,11 @@ def pool_confidence(proposals, class_id, sp: SuperpixelMap) -> ConfidenceField:
     by_frame = {}
     for p in proposals:
         by_frame.setdefault(p.frame, []).append(p)
-    values = []
+    flat, offsets = np.empty(sp.total_count), sp.frame_offsets()
     for t in range(sp.frame_count):
-        frame_vals, _ = pool_frame(
-            by_frame.get(t, []), class_id, sp.labels[t], sp.counts[t]
-        )
-        values.append(frame_vals)
-    return ConfidenceField(class_id, values)
+        rows = slice(offsets[t], offsets[t + 1])
+        flat[rows], _ = pool_frame(by_frame.get(t, []), class_id, sp.labels[t], sp.counts[t])
+    return ConfidenceField(class_id, flat, sp.counts)
 
 
 def load_proposal_manifest(path, frame_count, shape):

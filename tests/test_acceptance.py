@@ -318,9 +318,9 @@ def test_propagation_speed_at_scale():
     cfg, ds, s, pooled = _scale_l_clip()
     per_frame = ds.superpixels.total_count / cfg.frame_count
     start = time.monotonic()
-    adapted = adapt_confidence(pooled, s, ds.superpixels.counts, PropagationConfig())
+    adapted = adapt_confidence(pooled, s, PropagationConfig())
     elapsed = time.monotonic() - start
-    values = adapted.flat()
+    values = adapted.flat
     _report(
         "propagation speed (100 frames, ~1000 superpixels/frame, <= 30 s)",
         elapsed <= 30.0 and per_frame >= 1000 and np.all(np.isfinite(values)),
@@ -332,9 +332,9 @@ def test_diffusion_certificate_at_scale():
     # adapt_confidence certifies L at the default tolerance and past the round-off floor
     _, ds, s, pooled = _scale_l_clip()
     for tolerance in (PropagationConfig.tolerance, 1e-17):
-        adapt_confidence(pooled, s, ds.superpixels.counts, PropagationConfig(tolerance=tolerance))
+        adapt_confidence(pooled, s, PropagationConfig(tolerance=tolerance))
     cfg = PropagationConfig()
-    c = pooled.flat()
+    c = pooled.flat
     residual = stationarity_residual(propagate(s, c, cfg).x, s, c, cfg.mu)
     bound = (1 + cfg.mu) * cfg.tolerance * cfg.eta * np.linalg.norm(c)
     _report(
@@ -363,9 +363,9 @@ def test_graph_build_speed_at_scale():
 def test_gmm_fit_speed_at_scale():
     # both color models of the L clip, as segment_class fits them
     _, ds, s, pooled = _scale_l_clip()
-    adapted = adapt_confidence(pooled, s, ds.superpixels.counts, PropagationConfig())
+    adapted = adapt_confidence(pooled, s, PropagationConfig())
     stats = compute_superpixel_stats(ds.video, ds.superpixels)
-    (obj_colors, obj_w), (bg_colors, bg_w) = sample_training_sets(adapted, stats.mean_color)
+    (obj_colors, obj_w), (bg_colors, bg_w) = sample_training_sets(adapted.flat, stats.mean_color)
     histories = ([], [])
     start = time.monotonic()
     fit_gmm(obj_colors, obj_w, seed=0, history=histories[0])

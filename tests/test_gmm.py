@@ -14,7 +14,6 @@ from vidseg.gmm import (
     log_likelihoods,
     sample_training_sets,
 )
-from vidseg.proposals import ConfidenceField
 from vidseg.propagation import ConvergenceError
 
 LOG_STANDARD_NORMAL_3D_PEAK = -2.756815599614018  # log((2*pi)**-1.5)
@@ -25,18 +24,18 @@ def _colors(colors):
     return np.asarray(colors, dtype=np.float64)
 
 
-def _field(confidences):
-    return ConfidenceField("c", [np.asarray(confidences, dtype=np.float64)])
+def _conf(confidences):
+    return np.asarray(confidences, dtype=np.float64)
 
 
 def test_training_sets_all_object_degenerate():
     with pytest.raises(ValueError, match="degenerate training set"):
-        sample_training_sets(_field([1.0, 1.0]), _colors([[0, 0, 0], [1, 1, 1]]))
+        sample_training_sets(_conf([1.0, 1.0]), _colors([[0, 0, 0], [1, 1, 1]]))
 
 
 def test_training_sets_half_confidence():
     (oc, ow), (bc, bw) = sample_training_sets(
-        _field([0.5, 0.5]), _colors([[0, 0, 0], [9, 9, 9]])
+        _conf([0.5, 0.5]), _colors([[0, 0, 0], [9, 9, 9]])
     )
     assert len(oc) == len(bc) == 2
     assert np.allclose(ow, 0.5) and np.allclose(bw, 0.5)
@@ -44,7 +43,7 @@ def test_training_sets_half_confidence():
 
 def test_training_sets_complement_weights():
     (oc, ow), (bc, bw) = sample_training_sets(
-        _field([0.9, 0.1]), _colors([[0, 0, 0], [9, 9, 9]])
+        _conf([0.9, 0.1]), _colors([[0, 0, 0], [9, 9, 9]])
     )
     assert np.allclose(ow, [0.9, 0.1])
     assert np.allclose(bw, [0.1, 0.9])
@@ -52,7 +51,7 @@ def test_training_sets_complement_weights():
 
 def test_training_sets_weight_cutoff():
     (oc, ow), (bc, bw) = sample_training_sets(
-        _field([1e-4, 0.8]), _colors([[0, 0, 0], [9, 9, 9]])
+        _conf([1e-4, 0.8]), _colors([[0, 0, 0], [9, 9, 9]])
     )
     assert len(oc) == 1 and ow[0] == 0.8  # first superpixel dropped from object set
     assert len(bc) == 2

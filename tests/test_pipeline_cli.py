@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_adapt_resumption_round_trip(dataset, tmp_path):
         assert main(["pipeline", "--config", config_path]) == 0
     fields = read_confidence_csv(os.path.join(out, "adapted.csv"))
     assert set(fields) == {"object"}
-    flat = fields["object"].flat()
+    flat = fields["object"].flat
     assert np.all((flat >= 0) & (flat <= 1))
     # writing what we read reproduces the bytes (full-precision round trip)
     clone = tmp_path / "clone.csv"
@@ -241,8 +242,8 @@ def test_adapt_resumption_round_trip(dataset, tmp_path):
 
 def test_confidence_csv_golden_bytes(tmp_path):
     fields = {
-        "car": ConfidenceField("car", [np.array([0.1, 1 / 3]), np.array([1e-300])]),
-        "bus": ConfidenceField("bus", [np.array([5e-324, 0.0]), np.array([1.0])]),
+        "car": ConfidenceField("car", np.array([0.1, 1 / 3, 1e-300]), [2, 1]),
+        "bus": ConfidenceField("bus", np.array([5e-324, 0.0, 1.0]), [2, 1]),
     }
     path = tmp_path / "conf.csv"
     write_confidence_csv(path, fields)
@@ -264,16 +265,16 @@ def test_confidence_csv_golden_bytes(tmp_path):
 
 
 def test_confidence_csv_write_that_fails_leaves_path_as_it_was(tmp_path):
-    def values():  # the first frame's rows are written before the second frame raises
+    def values():  # a stand-in field: its first frame's rows are written before the second raises
         yield np.array([0.5, 0.25])
         raise RuntimeError("second frame")
 
     fresh, old = tmp_path / "new" / "conf.csv", tmp_path / "old.csv"
-    write_confidence_csv(old, {"object": ConfidenceField("object", [np.array([1.0])])})
+    write_confidence_csv(old, {"object": ConfidenceField("object", np.array([1.0]), [1])})
     before = old.read_bytes()
     for path in (fresh, old):
         with pytest.raises(RuntimeError, match="second frame"):
-            write_confidence_csv(path, {"object": ConfidenceField("object", values())})
+            write_confidence_csv(path, {"object": SimpleNamespace(values=values())})
     assert not fresh.exists()
     assert old.read_bytes() == before
 
@@ -654,6 +655,17 @@ def test_segment_cli_rejects_path_class_in_confidence_csv(dataset, tmp_path, cap
     assert _files_under(str(tmp_path)) == ["adapted.csv"]
 
 
+def test_segment_cli_rejects_a_confidence_csv_of_no_rows(dataset, tmp_path, capsys):
+    _, config_path = dataset
+    csv_path = tmp_path / "adapted.csv"
+    csv_path.write_text("frame,superpixel_id,class,value\n")
+    out = tmp_path / "out"
+    argv = ["segment", "--config", config_path, "--confidence", str(csv_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"no confidence rows in {csv_path}" in capsys.readouterr().err
+    assert _files_under(str(tmp_path), dirs=True) == ["adapted.csv"]
+
+
 def test_eval_cli_rejects_ids_that_break_csv_rows(dataset, tmp_path, capsys):
     gt_dir = os.path.join(dataset[0], "gt")
     report = str(tmp_path / "report.csv")
@@ -768,7 +780,7 @@ def test_read_confidence_csv_reports_the_first_bad_row_of_a_large_file(tmp_path)
 
 def test_confidence_csv_round_trips_odd_class_ids_and_empty_frames(tmp_path):
     fields = {
-        cls: ConfidenceField(cls, [np.array([0.5, 0.25]), np.array([]), np.array([1 / 3])])
+        cls: ConfidenceField(cls, np.array([0.5, 0.25, 1 / 3]), [2, 0, 1])
         for cls in ('a#b"c', "100%d", "%s%%", "obj ect")
     }
     path = tmp_path / "conf.csv"
@@ -1047,7 +1059,7 @@ def test_adapt_stage_loads_no_scipy():
             "scored = filter_by_confidence(score_proposals(ds.proposals, ds.motion_masks), 'object')\n"
             "pooled = {'object': pool_confidence(scored, 'object', ds.superpixels)}\n"
             "adapted = adapt_stage(PipelineConfig(), graph, pooled)\n"
-            "assert adapted['object'].flat().shape == (graph.n_nodes,)")
+            "assert adapted['object'].flat.shape == (graph.n_nodes,)")
     assert _loaded_after(code, "scipy") == set()
 
 
@@ -1068,6 +1080,7 @@ def test_adapt_stage_loads_no_scipy():
         ("motion_coherence_weight", float("inf")),
         ("mu", float("inf")),
         ("tolerance", float("inf")),
+        ("mu", 1e-200),
     ],
 )
 def test_config_type_and_range_errors_name_the_key_before_writing(tmp_path, capsys, key, bad):

@@ -42,6 +42,9 @@ def test_config_validation():
         PropagationConfig(mu=-1)
     with pytest.raises(ValueError):
         PropagationConfig(tolerance=0)
+    with pytest.raises(ValueError, match="mu"):  # 1 - eta rounds to 1: no fit term
+        PropagationConfig(mu=1e-17)
+    PropagationConfig(mu=1e-15)
 
 
 def _dense_normalized_affinity(n, edges):
@@ -165,13 +168,13 @@ def _s_clip_pooled():
     scored = score_proposals(ds.proposals, ds.motion_masks)
     pooled = pool_confidence(filter_by_confidence(scored, synth.class_id, 0.01),
                              synth.class_id, ds.superpixels)
-    return s, ds.superpixels.counts, pooled
+    return s, pooled
 
 
 def test_solver_equivalence_at_clip_scale():
     # the S clip's graph (5,450 nodes) and pooled field: past the dense oracle's reach
-    s, _, pooled = _s_clip_pooled()
-    c = pooled.flat()
+    s, pooled = _s_clip_pooled()
+    c = pooled.flat
     cfg = PropagationConfig(tolerance=1e-10)
     x_cg = propagate(s, c, cfg).x
     x_it = propagate_iterative(s, c, cfg).x
@@ -181,21 +184,21 @@ def test_solver_equivalence_at_clip_scale():
 
 
 def test_adapt_confidence_certifies_the_s_clip():
-    s, counts, pooled = _s_clip_pooled()
-    c = pooled.flat()
+    s, pooled = _s_clip_pooled()
+    c = pooled.flat
     # CG's stopping rule alone bounds the residual (it read 0.09 of that bound)
     cfg = PropagationConfig()
     residual = stationarity_residual(propagate(s, c, cfg).x, s, c, cfg.mu)
     assert residual <= (1 + cfg.mu) * cfg.tolerance * cfg.eta * np.linalg.norm(c)
-    adapt_confidence(pooled, s, counts, cfg)
+    adapt_confidence(pooled, s, cfg)
     # CG run on past the round-off floor: only the round-off slack certifies it
-    adapt_confidence(pooled, s, counts, PropagationConfig(tolerance=1e-17))
+    adapt_confidence(pooled, s, PropagationConfig(tolerance=1e-17))
 
 
 def test_adapt_confidence_rejects_an_uncertified_solution(monkeypatch):
     import vidseg.propagation
 
-    s, counts, pooled = _s_clip_pooled()
+    s, pooled = _s_clip_pooled()
     solve = vidseg.propagation.propagate
 
     def off_by(delta):
@@ -207,10 +210,10 @@ def test_adapt_confidence_rejects_an_uncertified_solution(monkeypatch):
 
     cfg = PropagationConfig()
     monkeypatch.setattr(vidseg.propagation, "propagate", off_by(1e-9))  # within the bound
-    adapt_confidence(pooled, s, counts, cfg)
+    adapt_confidence(pooled, s, cfg)
     monkeypatch.setattr(vidseg.propagation, "propagate", off_by(1e-6))
     with pytest.raises(ConvergenceError, match="diffusion uncertified") as err:
-        adapt_confidence(pooled, s, counts, cfg)
+        adapt_confidence(pooled, s, cfg)
     assert err.value.residual > 1e-6 and err.value.iterations > 0
 
 
@@ -276,17 +279,17 @@ def test_convergence_error_carries_state():
 
 def test_adapt_confidence_tags_and_clamps():
     s = diffusion_operator(two_node_graph())
-    field = ConfidenceField("cat", [np.array([1.0, 0.0])])
-    adapted = adapt_confidence(field, s, [2], PropagationConfig(tolerance=1e-12))
+    field = ConfidenceField("cat", np.array([1.0, 0.0]), [2])
+    adapted = adapt_confidence(field, s, PropagationConfig(tolerance=1e-12))
     assert adapted.class_id == "cat"
     assert np.allclose(adapted.values[0], [0.6, 0.4], atol=1e-10)
 
 
 def test_adapt_confidence_dimension_guard():
     s = diffusion_operator(two_node_graph())
-    field = ConfidenceField("cat", [np.array([1.0, 0.0, 0.5])])
+    field = ConfidenceField("cat", np.array([1.0, 0.0, 0.5]), [3])
     with pytest.raises(ValueError, match="superpixels"):
-        adapt_confidence(field, s, [2], PropagationConfig())
+        adapt_confidence(field, s, PropagationConfig())
 
 
 def test_disconnected_components_solve_independently(rng):
