@@ -4,8 +4,9 @@
 # earlier runs: the single-shot pipeline, the staged route (pool, adapt,
 # segment, eval), which must write the single-shot run's files byte for byte,
 # the ablation route, a run without ground truth, a one-frame clip, the default
-# moving clip, a clip with noisy dense flow and a corner clip whose jitter
-# pushes a proposal out of frame.
+# moving clip, a clip with noisy dense flow, a corner clip whose jitter
+# pushes a proposal out of frame, and adapt and segment on a confidence CSV of
+# no rows, which each must reject with exit 2 before creating their --out path.
 # A failing command, a differing file, a Python warning under PYTHONWARNINGS=error
 # or a temporary file left behind by a write fails the script.
 #
@@ -53,6 +54,16 @@ PYTHONWARNINGS=error vidseg pipeline --config "$tmp/dense/config.json" --dump-gr
 # synth leaves it out of the manifest; any warning fails the script
 vidseg synth --out "$tmp/corner" --shape-size 2 2 --start 0 0 --velocity 0 0 --frames 3 --confidence-base 0.6
 PYTHONWARNINGS=error vidseg pipeline --config "$tmp/corner/config.json"
+# a confidence CSV of no rows: adapt and segment each exit 2 and create no --out path
+printf 'frame,superpixel_id,class,value\n' > "$tmp/no_rows.csv"
+for command in adapt segment; do
+  status=0
+  vidseg "$command" --config "$cfg" --confidence "$tmp/no_rows.csv" --out "$tmp/no_rows_$command" || status=$?
+  if [ "$status" -ne 2 ] || [ -e "$tmp/no_rows_$command" ]; then
+    echo "vidseg $command on a confidence CSV of no rows: exit $status" >&2
+    exit 1
+  fi
+done
 # every file is written to a temporary and renamed into place; none may remain
 leftover=$(find "$tmp" -name '*.tmp')
 if [ -n "$leftover" ]; then

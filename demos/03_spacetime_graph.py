@@ -12,7 +12,7 @@ import numpy as np
 from vidseg.graph import MOTION_COHERENCE_WEIGHT, build_graph, motion_reliability, temporal_edges
 from vidseg.propagation import diffusion_operator
 from vidseg.synth import SynthConfig, generate
-from vidseg.video import SuperpixelMap
+from vidseg.video import SuperpixelMap, compute_superpixel_stats
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
     print(f"{ds.config.frame_count} frames, {sp.total_count} superpixels total "
           f"({sp.counts[0]} in frame 0)")
 
-    graph = build_graph(ds.video, ds.superpixels, ds.flows)
+    graph = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp))
     spatial, temporal = graph.w[: graph.n_spatial], graph.w[graph.n_spatial :]
     print(f"\nspatial edges:  {len(spatial):5d}  "
           f"weights {spatial.min():.3g} .. {spatial.max():.3g}")

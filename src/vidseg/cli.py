@@ -119,6 +119,14 @@ def _load_config(args, **overrides):
     return PipelineConfig.from_json(args.config, overrides).validate()
 
 
+def _read_confidences(path):
+    """read_confidence_csv, rejecting a file of no rows: no stage runs on no classes."""
+    confidences = read_confidence_csv(path)
+    if not confidences:
+        raise DataError(f"no confidence rows in {path}")
+    return confidences
+
+
 def _cmd_pipeline(args):
     cfg = _load_config(args, out_dir=args.out, skip_adaptation=args.skip_adaptation,
                        dump_graph=args.dump_graph)
@@ -167,7 +175,7 @@ def _cmd_pool(args):
 def _cmd_adapt(args):
     cfg = _load_config(args)
     graph = load_inputs(cfg)[2]  # adaptation reads only the graph
-    pooled = read_confidence_csv(args.confidence)
+    pooled = _read_confidences(args.confidence)
     adapted = adapt_stage(cfg, graph, pooled)
     write_confidence_csv(args.out, adapted)
     print(f"adapted confidences for {len(adapted)} class(es) -> {args.out}")
@@ -179,10 +187,7 @@ def _cmd_segment(args):
     inputs, _, graph = load_inputs(cfg)  # only pooling reads the motion masks
     potts = pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
     del _, graph  # segmentation reads the Potts terms instead
-    confidences = read_confidence_csv(args.confidence)
-    if not confidences:
-        raise DataError(f"no confidence rows in {args.confidence}")
-    segment_stage(cfg, inputs, potts, confidences)
+    segment_stage(cfg, inputs, potts, _read_confidences(args.confidence))
     print(f"masks and overlays written under {cfg.out_dir}")
     return EXIT_OK
 

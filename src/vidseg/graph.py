@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import DataError, write_file
-from .video import (
-    SuperpixelMap,
-    SuperpixelStats,
-    VideoVolume,
-    compute_superpixel_stats,
-    warp_pixels,
-)
+from .video import SuperpixelMap, warp_pixels
 
 MOTION_COHERENCE_WEIGHT = 2.0  # w_c in m = exp(-w_c * entropy)
 DISTANCE_CLAMP = 1e-6
@@ -141,14 +135,16 @@ def flow_bin_index(flow_vectors):
 
     Vectors below 0.5 px magnitude all share bin 0 (orientation of
     near-static flow is noise); remaining magnitude bands are [0.5, 2),
-    [2, 8), and [8, inf).
+    [2, 8), and [8, inf). The orientation bins are centred on the axes and
+    diagonals, with edges at pi/8 + k*pi/4, so a mirrored or transposed flow
+    fills the mirrored or transposed bins.
     """
     v = np.asarray(flow_vectors, dtype=np.float64)
     mag = np.hypot(v[..., 0], v[..., 1])
     mag_bin = sum(mag >= edge for edge in MAGNITUDE_EDGES)  # np.digitize for finite mag
     # the angle of a static pixel is never used: it stays -pi, orientation 0
     angle = np.arctan2(v[..., 1], v[..., 0], out=np.full(mag.shape, -np.pi), where=mag_bin > 0)
-    orient = np.floor((angle + np.pi) / (2.0 * np.pi / ORIENTATION_BINS)).astype(np.int64)
+    orient = np.floor((angle + np.pi) / (2.0 * np.pi / ORIENTATION_BINS) + 0.5).astype(np.int64)
     # % ORIENTATION_BINS (a power of two) on 0..8, without an int64 division
     return mag_bin * ORIENTATION_BINS + (orient & (ORIENTATION_BINS - 1))
 
@@ -192,25 +188,17 @@ def assemble(frame_offsets, i, j, w, n_spatial) -> SpaceTimeGraph:
     return SpaceTimeGraph(np.asarray(frame_offsets, dtype=np.int64), i, j, w, int(n_spatial))
 
 
-def build_graph(
-    video: VideoVolume,
-    sp: SuperpixelMap,
-    flows,
-    w_c=MOTION_COHERENCE_WEIGHT,
-    stats: SuperpixelStats | None = None,
-) -> SpaceTimeGraph:
-    """Construct the full space-time graph for a video.
+def build_graph(sp: SuperpixelMap, flows, colors, centroids, w_c=MOTION_COHERENCE_WEIGHT):
+    """Construct the full space-time graph of a clip from its node arrays.
 
-    flows is any iterable of the T-1 flow fields, field t warping frame t to
-    frame t+1. It is consumed once, one frame pair at a time, and no field is
-    held past its own pair, so a generator that loads each field on demand
-    keeps one resident. Color distances are self-normalized separately over
-    the spatial and temporal adjacency pools; centroid distances over the
-    spatial pool.
+    colors (N, 3) and centroids (N, 2) are indexed by global node id, as
+    video.compute_superpixel_stats returns them. flows is any iterable of the
+    T-1 flow fields, field t warping frame t to frame t+1. It is consumed
+    once, one frame pair at a time, and no field is held past its own pair,
+    so a generator that loads each field on demand keeps one resident. Color
+    distances are self-normalized separately over the spatial and temporal
+    adjacency pools; centroid distances over the spatial pool.
     """
-    if stats is None:
-        stats = compute_superpixel_stats(video, sp)
-    colors, centroids = stats.mean_color, stats.centroid
     offsets = sp.frame_offsets()
     pairs, shape = sp.frame_count - 1, sp.labels.shape[1:]
 

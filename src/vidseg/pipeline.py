@@ -211,9 +211,8 @@ def load_inputs(cfg: PipelineConfig, build=True):
         if build:
             flows = (load_flow(flow_path) for flow_path
                      in list_frames(cfg.flow_dir, ".flo", video.frame_count - 1))
-            stats = compute_superpixel_stats(video, sp)
-            graph = build_graph(video, sp, flows, cfg.motion_coherence_weight, stats)
-            colors = stats.mean_color
+            colors, centroids = compute_superpixel_stats(video, sp)
+            graph = build_graph(sp, flows, colors, centroids, cfg.motion_coherence_weight)
     return LoadedInputs(video, sp, gt_masks, colors), motion, graph
 
 

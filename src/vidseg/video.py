@@ -122,18 +122,6 @@ class SuperpixelMap:
         return np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int64)
 
 
-@dataclass
-class SuperpixelStats:
-    """Per-superpixel aggregates indexed by global node id (frame offset + label).
-
-    mean_color: (N, 3) float, 0-255 scale; centroid: (N, 2) float as (x, y)
-    in pixel coordinates, a separate array.
-    """
-
-    mean_color: np.ndarray
-    centroid: np.ndarray
-
-
 def load_video(path) -> VideoVolume:
     """Load a directory of 8-bit PPM/PGM frames in lexicographic filename order.
 
@@ -218,13 +206,14 @@ def write_mask(path, mask):
     write_pgm(path, np.where(mask, np.uint8(255), np.uint8(0)))
 
 
-def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> SuperpixelStats:
-    """Mean RGB colors and centroids of every superpixel, by global node id.
+def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap):
+    """(mean_color, centroid) of every superpixel, by global node id.
 
-    Works one frame at a time: each frame's bincounts fill its rows of the
-    two result arrays, so no temporary spans the clip's pixels. The sums are
-    of integers, hence exact in any order. The caller checks that video and
-    sp share their (T, H, W) shape.
+    mean_color is (N, 3) float on the 0-255 scale, centroid (N, 2) float as
+    (x, y) in pixel coordinates. Works one frame at a time: each frame's
+    bincounts fill its rows of the two result arrays, so no temporary spans
+    the clip's pixels. The sums are of integers, hence exact in any order.
+    The caller checks that video and sp share their (T, H, W) shape.
     """
     offsets = sp.frame_offsets()
     mean_color, centroid = np.empty((int(offsets[-1]), 3)), np.empty((int(offsets[-1]), 2))
@@ -238,7 +227,7 @@ def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap) -> Superpixe
                 sums[rows, k] = np.bincount(labels, weights=w, minlength=n)
     mean_color /= counts[:, None]
     centroid /= counts[:, None]
-    return SuperpixelStats(mean_color=mean_color, centroid=centroid)
+    return mean_color, centroid
 
 
 def warp_pixels(flow):

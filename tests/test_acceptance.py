@@ -307,7 +307,8 @@ def _scale_l_clip():
         seed=5,
     )
     ds = generate(cfg)
-    s = diffusion_operator(build_graph(ds.video, ds.superpixels, ds.flows))
+    sp = ds.superpixels
+    s = diffusion_operator(build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp)))
     scored = score_proposals(ds.proposals, ds.motion_masks)
     retained = filter_by_confidence(scored, cfg.class_id, 0.01)
     pooled = pool_confidence(retained, cfg.class_id, ds.superpixels)
@@ -349,8 +350,9 @@ def test_graph_build_speed_at_scale():
     from vidseg.graph import build_graph
 
     _, ds, _, _ = _scale_l_clip()
+    sp = ds.superpixels
     start = time.monotonic()
-    graph = build_graph(ds.video, ds.superpixels, ds.flows)
+    graph = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp))
     elapsed = time.monotonic() - start
     edges = len(graph.i)
     _report(
@@ -364,8 +366,8 @@ def test_gmm_fit_speed_at_scale():
     # both color models of the L clip, as segment_class fits them
     _, ds, s, pooled = _scale_l_clip()
     adapted = adapt_confidence(pooled, s, PropagationConfig())
-    stats = compute_superpixel_stats(ds.video, ds.superpixels)
-    (obj_colors, obj_w), (bg_colors, bg_w) = sample_training_sets(adapted.flat, stats.mean_color)
+    colors, _ = compute_superpixel_stats(ds.video, ds.superpixels)
+    (obj_colors, obj_w), (bg_colors, bg_w) = sample_training_sets(adapted.flat, colors)
     histories = ([], [])
     start = time.monotonic()
     fit_gmm(obj_colors, obj_w, seed=0, history=histories[0])

@@ -33,6 +33,11 @@ def test_training_sets_all_object_degenerate():
         sample_training_sets(_conf([1.0, 1.0]), _colors([[0, 0, 0], [1, 1, 1]]))
 
 
+def test_training_sets_reject_a_field_and_colors_of_other_lengths():
+    with pytest.raises(ValueError, match="cover different superpixels"):
+        sample_training_sets(_conf([0.5, 0.5, 0.5]), _colors([[0, 0, 0], [9, 9, 9]]))
+
+
 def test_training_sets_half_confidence():
     (oc, ow), (bc, bw) = sample_training_sets(
         _conf([0.5, 0.5]), _colors([[0, 0, 0], [9, 9, 9]])
@@ -189,6 +194,11 @@ def test_responsibilities_sum_to_one(rng):
     gmm = fit_gmm(colors, np.ones(len(colors)), n_components=3, seed=2)
     resp, _ = responsibilities(gmm, colors)
     assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_fit_rejects_colors_that_are_not_rgb():
+    with pytest.raises(ValueError, match=r"colors must be \(n, 3\)"):
+        fit_gmm(np.zeros((4, 2)), np.ones(4))
 
 
 def test_fit_rejects_bad_weights():

@@ -25,7 +25,7 @@ from vidseg.mrf import pairwise_weights
 from vidseg.pnm import DataError
 from vidseg.propagation import diffusion_operator
 from vidseg.synth import SynthConfig, generate
-from vidseg.video import SuperpixelMap, VideoVolume
+from vidseg.video import SuperpixelMap, VideoVolume, compute_superpixel_stats
 
 LN2 = 0.6931471805599453
 LN32 = 3.4657359027997265
@@ -230,7 +230,7 @@ def _flow_bins_by_formula(vectors):
     v = np.asarray(vectors, dtype=np.float64)
     mag_bin = np.digitize(np.hypot(v[..., 0], v[..., 1]), MAGNITUDE_EDGES)
     angle = np.arctan2(v[..., 1], v[..., 0])
-    orient = np.floor((angle + np.pi) / (2.0 * np.pi / 8)).astype(np.int64) % 8
+    orient = np.floor((angle + np.pi) / (2.0 * np.pi / 8) + 0.5).astype(np.int64) % 8
     return np.where(mag_bin == 0, 0, mag_bin * 8 + orient)
 
 
@@ -242,7 +242,7 @@ def _entropy_by_formula(hist):
 
 
 def test_flow_bin_index_matches_formula_on_axes_edges_and_random(rng):
-    # exact axes and diagonals sit on orientation-bin boundaries
+    # exact axes and diagonals sit at orientation-bin centres, midway between two edges
     units = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
     axes = [(c * ux, c * uy) for c in (0.25, 0.5, 1, 2, 3, 8, 10) for ux, uy in units]
     below = [np.nextafter(edge, 0.0) for edge in MAGNITUDE_EDGES]
@@ -299,13 +299,13 @@ def test_motion_reliability_matches_full_histogram_oracle(rng):
 
 @pytest.mark.parametrize("vectors, bins, m", [
     ([(1, 0), (1.5, 0.5)], [12, 12], 1.0),
-    ([(-1, 0), (-1.5, 0.5)], [8, 15], 0.25),  # mirrored x
-    ([(0, 1), (0.5, 1.5)], [14, 13], 0.25),  # transposed
+    ([(-1, 0), (-1.5, 0.5)], [8, 8], 1.0),  # mirrored x
+    ([(0, 1), (0.5, 1.5)], [14, 14], 1.0),  # transposed
 ], ids=["as-is", "mirrored", "transposed"])
 def test_motion_reliability_of_a_vector_on_a_bin_boundary(vectors, bins, m):
-    # The orientation bins are half-open, so mirroring or transposing a flow
-    # that lies exactly on a bin edge can split a one-bin superpixel in two:
-    # pinned as it is, not as a symmetric binning would give.
+    # The orientation bins are centred on the axes, so a flow along an axis
+    # sits mid-bin: mirrored or transposed, a superpixel whose pixels move
+    # along (1, 0) and (1.5, 0.5) still fills one bin, m = 1.
     sp = SuperpixelMap(np.zeros((2, 1, 2), np.int32))
     flow = np.array([vectors], np.float32)
     assert flow_bin_index(flow).ravel().tolist() == bins
@@ -445,8 +445,8 @@ def _tiny_scene():
 
 def test_build_graph_deterministic():
     video, sp, flows = _tiny_scene()
-    g1 = build_graph(video, sp, flows)
-    g2 = build_graph(video, sp, flows)
+    g1 = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
+    g2 = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
     assert g1.n_spatial == g2.n_spatial
     assert np.array_equal(g1.i, g2.i)
     assert np.array_equal(g1.w, g2.w)
@@ -456,7 +456,7 @@ def test_build_graph_deterministic():
 
 def test_build_graph_dump_csv(tmp_path):
     video, sp, flows = _tiny_scene()
-    g = build_graph(video, sp, flows)
+    g = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
     path = tmp_path / "graph.csv"
     g.dump_csv(path)
     text = path.read_bytes().decode()
@@ -487,13 +487,14 @@ def test_build_graph_dump_csv(tmp_path):
 
 def test_build_graph_operator_has_zero_diagonal():
     video, sp, flows = _tiny_scene()
-    g = build_graph(video, sp, flows)
+    g = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
     assert len(g.i) > g.n_spatial and np.all(np.diag(dense_operator(diffusion_operator(g))) == 0.0)
 
 
 def test_build_graph_lists_spatial_edges_then_temporal_ones_frame_by_frame():
     ds = generate(SynthConfig(velocity=(1, 1)))
-    g = build_graph(ds.video, ds.superpixels, ds.flows)
+    sp = ds.superpixels
+    g = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp))
     ns = g.n_spatial
     fi, fj = np.searchsorted(g.frame_offsets, np.stack([g.i, g.j]), side="right") - 1
     assert 0 < ns < len(g.i)
@@ -522,8 +523,9 @@ def test_build_graph_holds_one_flow_field_at_a_time():
             del flow
         assert all(ref() is None for ref in refs), "the last field is still alive"
 
-    streamed = build_graph(video, sp, fields())
-    listed = build_graph(video, sp, [_noisy_flow(t) for t in range(2)])
+    stats = compute_superpixel_stats(video, sp)
+    streamed = build_graph(sp, fields(), *stats)
+    listed = build_graph(sp, [_noisy_flow(t) for t in range(2)], *stats)
     assert len(refs) == 2 and len(streamed.i) > streamed.n_spatial == listed.n_spatial
     for name in ("i", "j", "w"):
         assert np.array_equal(getattr(streamed, name), getattr(listed, name))
@@ -539,7 +541,7 @@ def test_build_graph_flow_count_error_is_the_same_for_an_iterator(count):
     messages = []
     for given in (flows, iter(flows), (flow for flow in flows)):
         with pytest.raises(DataError) as raised:
-            build_graph(video, sp, given)
+            build_graph(sp, given, *compute_superpixel_stats(video, sp))
         messages.append(str(raised.value))
     assert messages == [f"expected 2 flow fields, got {count}"] * 3
 
@@ -555,7 +557,7 @@ def test_build_graph_with_an_empty_pool(clip):
         empty, full = "spatial", "temporal"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = build_graph(video, sp, flows)
+        g = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
     pools = {"spatial": slice(None, g.n_spatial), "temporal": slice(g.n_spatial, None)}
     for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
         arr = getattr(g, name)

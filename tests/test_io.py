@@ -52,6 +52,20 @@ def test_writers_create_missing_directories(tmp_path, write, read, image):
     assert sorted(p.name for p in nested.parent.iterdir()) == ["image.pnm"]
 
 
+@pytest.mark.parametrize(
+    "write, image, message",
+    [
+        (write_pgm, np.zeros((2, 2, 3), np.uint8), "PGM image must be 2-D"),
+        (write_ppm, np.zeros((2, 2), np.uint8), r"PPM image must be \(H, W, 3\)"),
+    ],
+    ids=["pgm-of-3-d", "ppm-of-2-d"],
+)
+def test_writers_reject_an_image_of_the_other_kind(tmp_path, write, image, message):
+    with pytest.raises(DataError, match=message):
+        write(tmp_path / "image.pnm", image)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("image", [np.array([[65536]], np.int32), np.array([[-1]], np.int16),
                                    np.array([[-1]], np.int8)])
 def test_pgm_value_outside_maxval_raises(tmp_path, image):

@@ -211,8 +211,10 @@ def test_rejects_negative_weights():
         (np.zeros(3), [[0, 1], [1, 2]], [1.0]),
         (np.zeros(3), [[0, 1]], [1.0, 2.0]),
         (np.zeros(1), [[0, 1]], [1.0]),
+        (np.array([0.0, np.nan, 0.0]), [[0, 1]], [1.0]),
     ],
-    ids=["negative-id", "id-past-n", "too-few-weights", "too-many-weights", "short-costs"],
+    ids=["negative-id", "id-past-n", "too-few-weights", "too-many-weights", "short-costs",
+         "nan-cost"],
 )
 def test_rejects_malformed_problems(cost_bg, edges, weights):
     with pytest.raises(ValueError):
@@ -413,6 +415,12 @@ def test_rasterize():
     assert not empty.any()
     one = rasterize(Labeling(np.array([True, False])), sp)
     assert np.array_equal(one[0], [[True, True], [False, False]])
+
+
+def test_rasterize_rejects_a_labeling_short_of_the_superpixels():
+    sp = SuperpixelMap(np.array([[[0, 0], [1, 1]]], dtype=np.int32))
+    with pytest.raises(ValueError, match="labeling does not cover all superpixels"):
+        rasterize(Labeling(np.array([True])), sp)
 
 
 def test_rasterize_frames_with_unequal_superpixel_counts():

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -25,10 +26,10 @@ from vidseg.pipeline import (
     segment_class,
     write_confidence_csv,
 )
-from vidseg.pnm import DataError, write_pgm
+from vidseg.pnm import DataError, write_pgm, write_ppm
 from vidseg.proposals import ConfidenceField
 from vidseg.synth import SynthConfig, generate, write_dataset
-from vidseg.video import check_id, load_mask, write_flow
+from vidseg.video import FLOW_MAGIC, check_id, load_mask, write_flow
 
 
 def _dataset_config(root, **synth_kw):
@@ -175,6 +176,26 @@ def test_a_falling_em_log_likelihood_exits_3(dataset, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert "non-convergence" in err and "segment: EM log-likelihood fell by" in err
     assert not os.path.exists(tmp_path / "out" / "masks")
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("no rounds", "min-cut uncertified after 0 rounds"),
+    ("energy off by 1", "min-cut certificate failed: energy"),
+])
+def test_an_uncertified_min_cut_exits_3(tmp_path, capsys, monkeypatch, fault, message):
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--seed", "7"]) == 0  # the S clip
+    if fault == "no rounds":
+        monkeypatch.setattr(mrf, "MAX_ROUNDS", 0)
+    else:
+        energy = mrf.mrf_energy
+        monkeypatch.setattr(mrf, "mrf_energy", lambda problem, labels: energy(problem, labels) + 1)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", os.path.join(data, "config.json"), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "non-convergence" in err and f"segment: {message}" in err
+    assert not os.path.exists(os.path.join(out, "masks"))
 
 
 @pytest.mark.parametrize("command", ["pipeline", "adapt"])
@@ -430,6 +451,14 @@ def test_config_rejects_unknown_keys(tmp_path):
         PipelineConfig.from_json(str(path))
 
 
+def test_config_that_is_not_a_json_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps([{"video_dir": "frames"}]))
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert f"config {path} is not a JSON object" in capsys.readouterr().err
+    assert _files_under(str(tmp_path), dirs=True) == ["config.json"]
+
+
 def test_run_pipeline_validates_paths(tmp_path):
     cfg = PipelineConfig(
         video_dir=str(tmp_path / "nope"),
@@ -509,6 +538,18 @@ def test_eval_cli_rejects_a_missing_or_empty_mask_dir(dataset, tmp_path, capsys,
     dirs = {"--gt": gt_dir, "--pred": gt_dir, side: odd_dir}
     assert main(["eval", "--pred", dirs["--pred"], "--gt", dirs["--gt"]]) == 2
     assert message + odd_dir in capsys.readouterr().err
+
+
+def test_eval_cli_rejects_a_prediction_missing_an_annotated_frame(dataset, tmp_path, capsys):
+    root, _ = dataset
+    gt_dir = os.path.join(root, "gt")
+    pred_dir = str(tmp_path / "pred")
+    shutil.copytree(gt_dir, pred_dir)
+    os.remove(os.path.join(pred_dir, "frame_0001.pgm"))
+    report = str(tmp_path / "report.csv")
+    assert main(["eval", "--pred", pred_dir, "--gt", gt_dir, "--out", report]) == 2
+    assert "prediction missing annotated frames: [1]" in capsys.readouterr().err
+    assert not os.path.exists(report)
 
 
 def test_segment_class_writes_nothing(dataset, tmp_path):
@@ -655,15 +696,16 @@ def test_segment_cli_rejects_path_class_in_confidence_csv(dataset, tmp_path, cap
     assert _files_under(str(tmp_path)) == ["adapted.csv"]
 
 
-def test_segment_cli_rejects_a_confidence_csv_of_no_rows(dataset, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["adapt", "segment"])
+def test_segment_cli_rejects_a_confidence_csv_of_no_rows(dataset, tmp_path, capsys, command):
     _, config_path = dataset
-    csv_path = tmp_path / "adapted.csv"
+    csv_path = tmp_path / "confidence.csv"
     csv_path.write_text("frame,superpixel_id,class,value\n")
     out = tmp_path / "out"
-    argv = ["segment", "--config", config_path, "--confidence", str(csv_path), "--out", str(out)]
+    argv = [command, "--config", config_path, "--confidence", str(csv_path), "--out", str(out)]
     assert main(argv) == 2
     assert f"no confidence rows in {csv_path}" in capsys.readouterr().err
-    assert _files_under(str(tmp_path), dirs=True) == ["adapted.csv"]
+    assert _files_under(str(tmp_path), dirs=True) == ["confidence.csv"]
 
 
 def test_eval_cli_rejects_ids_that_break_csv_rows(dataset, tmp_path, capsys):
@@ -915,6 +957,16 @@ def test_negative_frame_in_confidence_csv_exits_2(dataset, tmp_path, capsys, com
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["adapt", "segment"])
+def test_confidence_csv_of_another_header_exits_2(dataset, tmp_path, capsys, command):
+    code, err, out, _ = _run_on_edited_pooled(
+        dataset, tmp_path, capsys, command, lambda lines: ["frame,id,class,value", *lines[1:]]
+    )
+    assert code == 2
+    assert f"unexpected confidence CSV header in {tmp_path / 'pooled.csv'}" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["adapt", "segment"])
 def test_non_finite_confidence_exits_2(dataset, tmp_path, capsys, command, value):
@@ -970,8 +1022,10 @@ def test_graph_build_loads_no_scipy():
     # the graph is its edge list; SciPy comes in only with the min-cut
     code = ("from vidseg.graph import build_graph\n"
             "from vidseg.synth import SynthConfig, generate\n"
+            "from vidseg.video import compute_superpixel_stats\n"
             "ds = generate(SynthConfig())\n"
-            "graph = build_graph(ds.video, ds.superpixels, ds.flows)\n"
+            "graph = build_graph(ds.superpixels, ds.flows,\n"
+            "                    *compute_superpixel_stats(ds.video, ds.superpixels))\n"
             "assert 0 < graph.n_spatial < len(graph.i)")
     assert _loaded_after(code, "scipy") == set()
 
@@ -1054,8 +1108,10 @@ def test_adapt_stage_loads_no_scipy():
             "from vidseg.pipeline import PipelineConfig, adapt_stage\n"
             "from vidseg.proposals import filter_by_confidence, pool_confidence, score_proposals\n"
             "from vidseg.synth import SynthConfig, generate\n"
+            "from vidseg.video import compute_superpixel_stats\n"
             "ds = generate(SynthConfig())\n"
-            "graph = build_graph(ds.video, ds.superpixels, ds.flows)\n"
+            "graph = build_graph(ds.superpixels, ds.flows,\n"
+            "                    *compute_superpixel_stats(ds.video, ds.superpixels))\n"
             "scored = filter_by_confidence(score_proposals(ds.proposals, ds.motion_masks), 'object')\n"
             "pooled = {'object': pool_confidence(scored, 'object', ds.superpixels)}\n"
             "adapted = adapt_stage(PipelineConfig(), graph, pooled)\n"
@@ -1081,6 +1137,7 @@ def test_adapt_stage_loads_no_scipy():
         ("mu", float("inf")),
         ("tolerance", float("inf")),
         ("mu", 1e-200),
+        ("confidence_threshold", 1.5),
     ],
 )
 def test_config_type_and_range_errors_name_the_key_before_writing(tmp_path, capsys, key, bad):
@@ -1194,6 +1251,26 @@ def _sixteen_bit_frame(directory):
     return path
 
 
+def _ppm_in_place(directory):
+    path = _last_file(directory)
+    write_ppm(path, np.zeros((48, 48, 3), dtype=np.uint8))
+    return path
+
+
+def _short_flow(directory):
+    path = _last_file(directory)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<fi", FLOW_MAGIC, 48))  # 8 bytes: no height
+    return path
+
+
+def _zero_width_flow(directory):
+    path = _last_file(directory)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<fii", FLOW_MAGIC, 0, 48))
+    return path
+
+
 def _remove_last(directory):
     os.remove(_last_file(directory))
     return directory
@@ -1213,6 +1290,10 @@ INGEST_FAULTS = {
     "superpixel map size": ("superpixels", _resize_last, "dimension mismatch"),
     "superpixel header": ("superpixels", _zero_size_header, "bad PNM dimensions or maxval"),
     "16-bit frame": ("frames", _sixteen_bit_frame, "is not 8-bit"),
+    "PPM motion mask": ("motion", _ppm_in_place, "is not a PGM"),
+    "PPM superpixel map": ("superpixels", _ppm_in_place, "is not a PGM label image"),
+    "flow of 8 bytes": ("flow", _short_flow, "truncated flow file"),
+    "flow of width 0": ("flow", _zero_width_flow, "bad flow dimensions"),
     "missing motion mask": ("motion", _remove_last, "file count mismatch"),
     "missing superpixel map": ("superpixels", _remove_last, "file count mismatch"),
     "missing flow file": ("flow", _remove_last, "file count mismatch"),
@@ -1319,6 +1400,23 @@ def test_unknown_class_rejected_before_writing(tmp_path, capsys):
     assert main(["pipeline", "--config", config_path]) == 2
     assert "pool: class 'car'" in capsys.readouterr().err
     assert _files_under(str(tmp_path), dirs=True) == before  # not even an empty out_dir
+
+
+def test_an_empty_manifest_and_no_classes_rejected_before_writing(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
+                 "--height", "48", "--shape-size", "16", "16"]) == 0
+    open(os.path.join(data, "proposals", "manifest.jsonl"), "w").close()
+    config_path = os.path.join(data, "config.json")
+    with open(config_path) as fh:
+        cfg = json.load(fh)
+    cfg["classes"] = []
+    with open(config_path, "w") as fh:
+        json.dump(cfg, fh)
+    before = _files_under(str(tmp_path), dirs=True)
+    assert main(["pipeline", "--config", config_path]) == 2
+    assert "pool: no classes found in proposals or config" in capsys.readouterr().err
+    assert _files_under(str(tmp_path), dirs=True) == before
 
 
 def _two_class_config(data):

@@ -20,6 +20,7 @@ from vidseg.propagation import (
     stationarity_residual,
 )
 from vidseg.synth import SynthConfig, generate
+from vidseg.video import compute_superpixel_stats
 
 
 def two_node_graph():
@@ -164,7 +165,8 @@ def test_solver_equivalence_and_oracle(rng):
 def _s_clip_pooled():
     synth = SynthConfig(seed=7)
     ds = generate(synth)
-    s = diffusion_operator(build_graph(ds.video, ds.superpixels, ds.flows))
+    sp = ds.superpixels
+    s = diffusion_operator(build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp)))
     scored = score_proposals(ds.proposals, ds.motion_masks)
     pooled = pool_confidence(filter_by_confidence(scored, synth.class_id, 0.01),
                              synth.class_id, ds.superpixels)

@@ -43,6 +43,11 @@ def test_context_score_empty_proposal():
         context_score(np.zeros((2, 2), dtype=bool), np.ones((2, 2), dtype=bool))
 
 
+def test_context_score_rejects_masks_of_other_shapes():
+    with pytest.raises(DataError, match="proposal and motion mask dimensions differ"):
+        context_score(np.ones((2, 2), dtype=bool), np.ones((2, 3), dtype=bool))
+
+
 def test_context_score_monotone_in_overlap(rng):
     mask = np.ones((4, 4), dtype=bool)
     prev = -1.0

@@ -81,6 +81,11 @@ def test_shape_exits_frame_rejected():
         generate(_small_cfg(velocity=(20, 0)))
 
 
+def test_unknown_shape_rejected():
+    with pytest.raises(ValueError, match="unknown shape 'star'"):
+        generate(SynthConfig(shape="star"))
+
+
 def test_frame_count_past_what_frame_names_sort_rejected():
     SynthConfig(frame_count=10_000, velocity=(0, 0)).validate()
     with pytest.raises(ValueError, match="frame_count must be <= 10000"):

@@ -190,25 +190,25 @@ def test_stats_uniform_frame():
     frame[:, :, 0] = 255
     video = _video_of([frame])
     sp = SuperpixelMap(np.zeros((1, 8, 8), dtype=np.int32))
-    stats = compute_superpixel_stats(video, sp)
-    assert np.allclose(stats.mean_color, [[255, 0, 0]])
-    assert np.allclose(stats.centroid, [[3.5, 3.5]])
+    mean_color, centroid = compute_superpixel_stats(video, sp)
+    assert np.allclose(mean_color, [[255, 0, 0]])
+    assert np.allclose(centroid, [[3.5, 3.5]])
 
 
 def test_stats_mean_of_two_pixels():
     frame = np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8)
     video = _video_of([frame])
     sp = SuperpixelMap(np.zeros((1, 1, 2), dtype=np.int32))
-    stats = compute_superpixel_stats(video, sp)
-    assert np.allclose(stats.mean_color, [[127.5, 127.5, 127.5]])
+    mean_color, _ = compute_superpixel_stats(video, sp)
+    assert np.allclose(mean_color, [[127.5, 127.5, 127.5]])
 
 
 def test_stats_single_pixel_superpixels():
     frame = np.zeros((1, 2, 3), dtype=np.uint8)
     video = _video_of([frame])
     sp = SuperpixelMap(np.array([[[0, 1]]], dtype=np.int32))
-    stats = compute_superpixel_stats(video, sp)
-    assert np.allclose(stats.centroid, [[0, 0], [1, 0]])
+    _, centroid = compute_superpixel_stats(video, sp)
+    assert np.allclose(centroid, [[0, 0], [1, 0]])
 
 
 def test_stats_match_brute_force_over_frames(rng):
@@ -217,14 +217,14 @@ def test_stats_match_brute_force_over_frames(rng):
     for t, n in enumerate(counts):
         labels[t, 0, :n] = np.arange(n)  # every label present
     frames = rng.integers(0, 256, size=(3, 9, 7, 3)).astype(np.uint8)
-    stats = compute_superpixel_stats(VideoVolume(frames), SuperpixelMap(labels))
-    assert stats.mean_color.shape == (sum(counts), 3)
+    mean_color, centroid = compute_superpixel_stats(VideoVolume(frames), SuperpixelMap(labels))
+    assert mean_color.shape == (sum(counts), 3)
     node = 0
     for t, n in enumerate(counts):
         for s in range(n):
             ys, xs = np.nonzero(labels[t] == s)
-            assert np.allclose(stats.mean_color[node], frames[t, ys, xs].mean(axis=0))
-            assert np.allclose(stats.centroid[node], [xs.mean(), ys.mean()])
+            assert np.allclose(mean_color[node], frames[t, ys, xs].mean(axis=0))
+            assert np.allclose(centroid[node], [xs.mean(), ys.mean()])
             node += 1
 
 
@@ -261,6 +261,19 @@ def test_ingest_transient_memory_does_not_grow_with_the_clip_pixels(layer):
 def test_superpixel_map_rejects_a_negative_label():
     with pytest.raises(DataError, match="frame 1 has a negative superpixel label"):
         SuperpixelMap([[[0, 0], [0, 0]], [[0, -1], [0, 0]]])
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        (np.zeros((2, 4, 4), np.uint8), r"frames must have shape \(T, H, W, 3\)"),
+        (np.zeros((0, 4, 4, 3), np.uint8), "no frames"),
+    ],
+    ids=["grey", "zero-frames"],
+)
+def test_video_volume_rejects_frames_it_cannot_hold(frames, message):
+    with pytest.raises(DataError, match=message):
+        VideoVolume(frames)
 
 
 def test_superpixel_map_rejects_zero_frames():
