@@ -165,7 +165,7 @@ def _cmd_synth(args):
 
 def _cmd_pool(args):
     cfg = _load_config(args)
-    inputs, motion, _ = load_inputs(cfg, build=False)
+    inputs, motion, _ = load_inputs(cfg, ["pool"])
     pooled = pool_stage(cfg, inputs, motion)
     write_confidence_csv(args.out, pooled)
     print(f"pooled confidences for {len(pooled)} class(es) -> {args.out}")
@@ -174,8 +174,8 @@ def _cmd_pool(args):
 
 def _cmd_adapt(args):
     cfg = _load_config(args)
-    graph = load_inputs(cfg)[2]  # adaptation reads only the graph
-    pooled = _read_confidences(args.confidence)
+    pooled = _read_confidences(args.confidence)  # first: its parse never sits on the graph
+    graph = load_inputs(cfg, ["adapt"])[2]
     adapted = adapt_stage(cfg, graph, pooled)
     write_confidence_csv(args.out, adapted)
     print(f"adapted confidences for {len(adapted)} class(es) -> {args.out}")
@@ -184,9 +184,9 @@ def _cmd_adapt(args):
 
 def _cmd_segment(args):
     cfg = _load_config(args, out_dir=args.out)
-    inputs, _, graph = load_inputs(cfg)  # only pooling reads the motion masks
+    inputs, _, graph = load_inputs(cfg, ["segment"])
     potts = pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
-    del _, graph  # segmentation reads the Potts terms instead
+    del graph  # segmentation reads the Potts terms instead
     segment_stage(cfg, inputs, potts, _read_confidences(args.confidence))
     print(f"masks and overlays written under {cfg.out_dir}")
     return EXIT_OK

@@ -144,7 +144,8 @@ def solve_binary(problem: MRFProblem) -> Labeling:
     total exclude the sink and their cut's residual, their energy less the
     flow, is within the certificate. Those nodes are labeled object, so ties
     go to background. ConvergenceError is raised if
-    |energy - flow| > CERTIFICATE_RTOL * max(energy, 1), or after MAX_ROUNDS.
+    |energy - flow| > CERTIFICATE_RTOL * max(energy, 1), after MAX_ROUNDS, or if
+    maximum_flow returns its flow on another sparsity pattern than the network's.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_flow
@@ -180,7 +181,8 @@ def solve_binary(problem: MRFProblem) -> Labeling:
         result = maximum_flow(graph, source, sink, method="dinic")
         flow = result.flow
         if not (np.array_equal(flow.indptr, indptr) and np.array_equal(flow.indices, indices)):
-            raise RuntimeError("maximum_flow returned its flow on another sparsity pattern")
+            message = "maximum_flow returned its flow on another sparsity pattern"
+            raise ConvergenceError(message, reached[:n], bound, rounds)
         rounds += 1
         cap -= flow.data / scale
         flow_value += result.flow_value / scale

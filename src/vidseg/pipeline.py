@@ -1,8 +1,13 @@
 """Pipeline orchestration: ingest -> pool -> adapt -> segment -> eval.
 
-load_inputs returns the clip, its motion masks and its graph. pool_stage (which reads
-the proposal manifest) and adapt_stage return class -> ConfidenceField, one array by
-global node id. segment_stage, given the run's Potts terms, returns class ->
+STAGE_INPUTS is the one table of what each stage reads, and load_inputs, given the
+stages a command runs, loads that and no more: pool reads the frames, superpixels,
+motion masks and proposals; adapt the graph, built from the flow and the superpixels'
+mean colours and centroids, with the frames let go before the build; segment the
+frames, superpixels, colours and graph; eval the ground truth. Only run_pipeline runs
+every stage. load_inputs returns the clip, its motion masks and its graph. pool_stage
+(which reads the proposal manifest) and adapt_stage return class -> ConfidenceField,
+one array by global node id. segment_stage, given the run's Potts terms, returns class ->
 segment_class's dict and writes masks, overlays and mixtures; eval_stage returns the
 EvalReport and writes report.csv. write_confidence_csv alone reads a field by frame.
 run_pipeline and the CLI subcommands write the confidence CSVs at full float
@@ -74,6 +79,19 @@ def _stage(name):
 # Path keys; relative values resolve against the config file.
 _PATHS = ("video_dir", "superpixel_dir", "flow_dir", "motion_dir", "proposal_manifest", "gt_dir",
           "out_dir")
+# stage -> the inputs it reads besides the superpixels, which every stage reads. Ingest
+# always reads the frames, for the clip's frame count and shape, but keeps them only for
+# a stage that reads "frames"; "graph" is built from the flow and the superpixels' mean
+# colours and centroids, and "colors" keeps the colours past the build.
+STAGE_INPUTS = {
+    "pool": ("frames", "motion", "proposals"),
+    "adapt": ("graph",),
+    "segment": ("frames", "colors", "graph"),
+    "eval": ("gt",),
+}
+# input -> the path key it is read from; video_dir and superpixel_dir are always read
+_INPUT_PATHS = {"motion": "motion_dir", "proposals": "proposal_manifest", "graph": "flow_dir",
+                "gt": "gt_dir"}
 # Field annotation -> the JSON values it admits; a bool is never a number.
 _JSON_TYPES = {"str": str, "list[str]": list, "bool": bool, "int": int, "float": (int, float)}
 
@@ -107,7 +125,8 @@ class PipelineConfig:
         return PropagationConfig(**{name: getattr(self, name) for name in names})
 
     def validate(self):
-        """Check each key's type and range, then the input paths; errors name the key."""
+        """Check each key's type and range; errors name the key. load_inputs checks the
+        input paths that its stages read."""
         for f in fields(self):
             value = getattr(self, f.name)
             typed = isinstance(value, _JSON_TYPES[f.type])
@@ -132,11 +151,6 @@ class PipelineConfig:
         check_id("video_id", self.video_id)
         for cls in self.classes:
             check_id("class", cls)
-        for name in _PATHS[:-1]:  # out_dir is written, not read; gt_dir is optional
-            path = getattr(self, name)
-            exists = os.path.isdir if name.endswith("_dir") else os.path.isfile
-            if not exists(path) and (path or name != "gt_dir"):
-                raise DataError(f"{name} does not exist: {path!r}")
         return self
 
     @staticmethod
@@ -162,10 +176,10 @@ class PipelineConfig:
 
 @dataclass
 class LoadedInputs:
-    video: object
+    video: object  # None if no stage reads the frames
     superpixels: object
-    gt_masks: dict  # frame index -> mask; empty when no ground truth
-    colors: np.ndarray | None  # (N, 3) superpixel mean colours; None if loaded without build
+    gt_masks: dict  # frame index -> mask; empty when no ground truth or no stage reads it
+    colors: np.ndarray | None  # (N, 3) superpixel mean colours; None if no stage reads them
 
 
 def load_mask_dir(path, frame_count=None, shape=None):
@@ -189,14 +203,25 @@ def load_mask_dir(path, frame_count=None, shape=None):
     return {idx: load_mask(os.path.join(path, name), shape) for idx, name in names.items()}
 
 
-def load_inputs(cfg: PipelineConfig, build=True):
-    """Ingest stage: load and validate the inputs; with build, also the flow, stats and graph.
+def load_inputs(cfg: PipelineConfig, stages):
+    """Ingest stage: load and validate the inputs that the stages read (STAGE_INPUTS).
 
-    Returns (LoadedInputs, motion masks, graph); the graph is None without build. The
-    flow files are counted up front, then each is read as build_graph reaches its frame
-    pair and freed before the next, so one flow field is resident at a time. Pooling
-    reads neither the flow nor the stats, so `vidseg pool` loads without build.
+    Returns (LoadedInputs, motion masks, graph); what no stage reads is None, or for the
+    ground truth no masks. A missing input path is a DataError naming its key, raised
+    before any file is read. The frames are always read, for the clip's shape, and if
+    no stage reads them they are let go once the superpixel stats are computed, so the
+    graph build never holds them. The flow files are counted up front, then each is
+    read as build_graph reaches its frame pair and freed before the next, so one flow
+    field is resident at a time.
     """
+    reads = {name for stage in stages for name in STAGE_INPUTS[stage]}
+    read_paths = {"video_dir", "superpixel_dir"}
+    read_paths.update(_INPUT_PATHS[name] for name in reads if name in _INPUT_PATHS)
+    for name in _PATHS[:-1]:  # out_dir is written, not read; gt_dir is optional
+        path = getattr(cfg, name)
+        exists = os.path.isdir if name.endswith("_dir") else os.path.isfile
+        if name in read_paths and not exists(path) and (path or name != "gt_dir"):
+            raise DataError(f"{name} does not exist: {path!r}")
     with _stage("ingest"):
         video = load_video(cfg.video_dir)
         sp = load_superpixels(cfg.superpixel_dir, video.frame_count)
@@ -204,15 +229,22 @@ def load_inputs(cfg: PipelineConfig, build=True):
         if sp.labels.shape[1:] != shape:
             raise DataError(f"dimension mismatch: superpixel maps in {cfg.superpixel_dir} are "
                             f"{sp.labels.shape[1:]}, frames are {shape}")
-        motion = np.stack([load_mask(mask_path, shape) for mask_path
-                           in list_frames(cfg.motion_dir, ".pgm", video.frame_count)])
-        gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape) if cfg.gt_dir else {}
-        colors = graph = None
-        if build:
+        motion = colors = graph = None
+        if "motion" in reads:
+            motion = np.stack([load_mask(mask_path, shape) for mask_path
+                               in list_frames(cfg.motion_dir, ".pgm", video.frame_count)])
+        gt_masks = {}
+        if "gt" in reads and cfg.gt_dir:
+            gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape)
+        if "graph" in reads:
             flows = (load_flow(flow_path) for flow_path
                      in list_frames(cfg.flow_dir, ".flo", video.frame_count - 1))
             colors, centroids = compute_superpixel_stats(video, sp)
+            if "frames" not in reads:
+                video = None
             graph = build_graph(sp, flows, colors, centroids, cfg.motion_coherence_weight)
+        if "colors" not in reads:
+            colors = None
     return LoadedInputs(video, sp, gt_masks, colors), motion, graph
 
 
@@ -408,7 +440,7 @@ def read_confidence_csv(path):
 def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     """Execute all stages, writing every artifact under cfg.out_dir."""
     cfg.validate()
-    inputs, motion, graph = load_inputs(cfg)
+    inputs, motion, graph = load_inputs(cfg, tuple(STAGE_INPUTS))
     potts = mrf_mod.pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
     pooled = pool_stage(cfg, inputs, motion)
     del motion  # pooling is their only reader

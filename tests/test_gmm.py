@@ -188,6 +188,15 @@ def test_fit_deterministic(rng):
     assert np.array_equal(g1.covariances, g2.covariances)
 
 
+def test_fit_two_colors_whose_squared_distance_underflows():
+    # 1e-170 squared underflows to 0, so k-means++ seeds the second centre by weight alone
+    colors = _colors([[0, 0, 0], [1e-170, 0, 0]])
+    fits = [fit_gmm(colors, np.ones(2), n_components=2, seed=3) for _ in range(2)]
+    for name in ("weights", "means", "covariances"):
+        assert np.all(np.isfinite(getattr(fits[0], name)))
+        assert np.array_equal(getattr(fits[0], name), getattr(fits[1], name))
+
+
 def test_responsibilities_sum_to_one(rng):
     a, b = _two_cluster_data(rng, n=50)
     colors = np.concatenate([a, b])

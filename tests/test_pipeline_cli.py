@@ -181,20 +181,32 @@ def test_a_falling_em_log_likelihood_exits_3(dataset, tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("fault, message", [
     ("no rounds", "min-cut uncertified after 0 rounds"),
     ("energy off by 1", "min-cut certificate failed: energy"),
+    ("flow columns reversed", "maximum_flow returned its flow on another sparsity pattern"),
 ])
 def test_an_uncertified_min_cut_exits_3(tmp_path, capsys, monkeypatch, fault, message):
+    from scipy.sparse import csgraph
+
     data = str(tmp_path / "data")
     assert main(["synth", "--out", data, "--seed", "7"]) == 0  # the S clip
     if fault == "no rounds":
         monkeypatch.setattr(mrf, "MAX_ROUNDS", 0)
-    else:
+    elif fault == "energy off by 1":
         energy = mrf.mrf_energy
         monkeypatch.setattr(mrf, "mrf_energy", lambda problem, labels: energy(problem, labels) + 1)
+    else:
+        solve = csgraph.maximum_flow
+
+        def reversed_columns(graph, source, sink, **kwargs):
+            result = solve(graph, source, sink, **kwargs)
+            return SimpleNamespace(flow_value=result.flow_value, flow=result.flow[:, ::-1])
+
+        monkeypatch.setattr(csgraph, "maximum_flow", reversed_columns)
     out = str(tmp_path / "out")
     capsys.readouterr()
     assert main(["pipeline", "--config", os.path.join(data, "config.json"), "--out", out]) == 3
     err = capsys.readouterr().err
-    assert "non-convergence" in err and f"segment: {message}" in err
+    assert f"error (non-convergence): segment: {message}" in err
+    assert "Traceback" not in err
     assert not os.path.exists(os.path.join(out, "masks"))
 
 
@@ -558,7 +570,7 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
     if not os.path.isdir(out):
         assert main(["pipeline", "--config", config_path]) == 0
     cfg = PipelineConfig.from_json(config_path, {"out_dir": str(tmp_path / "unused")})
-    inputs, _, graph = load_inputs(cfg)
+    inputs, _, graph = load_inputs(cfg, tuple(pipeline.STAGE_INPUTS))
     potts = mrf.pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
     fieldv = read_confidence_csv(os.path.join(out, "adapted.csv"))["object"]
     seg = segment_class(cfg, inputs, potts, fieldv)
@@ -1211,6 +1223,45 @@ def test_pool_reads_no_flow(dataset, tmp_path):
     pooled_copy = str(tmp_path / "pooled_copy.csv")
     assert main(["pool", "--config", os.path.join(copy, "config.json"), "--out", pooled_copy]) == 0
     assert _digest(pooled_copy) == _digest(pooled)
+
+
+def _copy_without(root, dst, *names):
+    """Copy the clip at root to dst without its out/ and the named input directories;
+    returns the copy's config path."""
+    shutil.copytree(root, dst, ignore=shutil.ignore_patterns("out", *names))
+    assert not any(os.path.exists(os.path.join(dst, name)) for name in names)
+    return os.path.join(dst, "config.json")
+
+
+def test_pool_reads_no_ground_truth(dataset, tmp_path, capsys):
+    root, config_path = dataset
+    pooled = str(tmp_path / "pooled.csv")
+    assert main(["pool", "--config", config_path, "--out", pooled]) == 0
+    copy_config = _copy_without(root, str(tmp_path / "nogt"), "gt")
+    pooled_copy = str(tmp_path / "pooled_copy.csv")
+    assert main(["pool", "--config", copy_config, "--out", pooled_copy]) == 0
+    assert _digest(pooled_copy) == _digest(pooled)
+    # vidseg pipeline alone reads the ground truth
+    capsys.readouterr()
+    assert main(["pipeline", "--config", copy_config]) == 2
+    assert "error: gt_dir does not exist: " in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "nogt", "out"))
+
+
+@pytest.mark.parametrize("command", ["adapt", "segment"])
+def test_adapt_and_segment_read_no_motion_masks_or_ground_truth(dataset, tmp_path, command):
+    root, config_path = dataset
+    pooled = str(tmp_path / "pooled.csv")
+    assert main(["pool", "--config", config_path, "--out", pooled]) == 0
+    copy_config = _copy_without(root, str(tmp_path / "nomasks"), "motion", "gt")
+    outs = []
+    for name, config in (("full", config_path), ("copy", copy_config)):
+        out = str(tmp_path / name / ("adapted.csv" if command == "adapt" else "out"))
+        assert main([command, "--config", config, "--confidence", pooled, "--out", out]) == 0
+        outs.append(_digest(out) if command == "adapt" else _mask_digests(out))
+    assert outs[0] == outs[1]
+    if command == "segment":
+        assert any(name.startswith("masks") for name in outs[0])
 
 
 def test_pool_rejects_superpixels_of_another_size(tmp_path, capsys):
