@@ -5,8 +5,10 @@
 # segment, eval), which must write the single-shot run's files byte for byte,
 # the ablation route, a run without ground truth, a one-frame clip, the default
 # moving clip, a clip with noisy dense flow, a corner clip whose jitter
-# pushes a proposal out of frame, and adapt and segment on a confidence CSV of
-# no rows, which each must reject with exit 2 before creating their --out path.
+# pushes a proposal out of frame, adapt and segment on a confidence CSV of
+# no rows, which each must reject with exit 2 before creating their --out path,
+# and synth of a shorter clip over the demo clip, which must exit 2 and leave
+# that tree as it was.
 # A failing command, a differing file, a Python warning under PYTHONWARNINGS=error
 # or a temporary file left behind by a write fails the script.
 #
@@ -64,6 +66,16 @@ for command in adapt segment; do
     exit 1
   fi
 done
+# a 2-frame clip over the 4-frame demo clip: its frames 2-3 would be read as the new
+# clip's, so synth exits 2 and the demo tree stays as it was
+before=$(cd "$tmp/demo" && find . -type f -exec sha256sum {} + | sort)
+status=0
+vidseg synth --out "$tmp/demo" --frames 2 || status=$?
+after=$(cd "$tmp/demo" && find . -type f -exec sha256sum {} + | sort)
+if [ "$status" -ne 2 ] || [ "$before" != "$after" ]; then
+  echo "vidseg synth --frames 2 over the 4-frame demo clip: exit $status" >&2
+  exit 1
+fi
 # every file is written to a temporary and renamed into place; none may remain
 leftover=$(find "$tmp" -name '*.tmp')
 if [ -n "$leftover" ]; then

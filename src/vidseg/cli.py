@@ -165,8 +165,7 @@ def _cmd_synth(args):
 
 def _cmd_pool(args):
     cfg = _load_config(args)
-    inputs, motion, _ = load_inputs(cfg, ["pool"])
-    pooled = pool_stage(cfg, inputs, motion)
+    pooled = pool_stage(cfg, load_inputs(cfg, ["pool"])[0])
     write_confidence_csv(args.out, pooled)
     print(f"pooled confidences for {len(pooled)} class(es) -> {args.out}")
     return EXIT_OK
@@ -184,10 +183,10 @@ def _cmd_adapt(args):
 
 def _cmd_segment(args):
     cfg = _load_config(args, out_dir=args.out)
-    inputs, _, graph = load_inputs(cfg, ["segment"])
+    clip, colors, graph = load_inputs(cfg, ["segment"])
     potts = pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
     del graph  # segmentation reads the Potts terms instead
-    segment_stage(cfg, inputs, potts, _read_confidences(args.confidence))
+    segment_stage(cfg, clip, colors, potts, _read_confidences(args.confidence))
     print(f"masks and overlays written under {cfg.out_dir}")
     return EXIT_OK
 

@@ -1,22 +1,19 @@
 """Pipeline orchestration: ingest -> pool -> adapt -> segment -> eval.
 
-STAGE_INPUTS is the one table of what each stage reads, and load_inputs, given the
-stages a command runs, loads that and no more: pool reads the frames, superpixels,
-motion masks and proposals; adapt the graph, built from the flow and the superpixels'
-mean colours and centroids, with the frames let go before the build; segment the
-frames, superpixels, colours and graph; eval the ground truth. Only run_pipeline runs
-every stage. load_inputs returns the clip, its motion masks and its graph. pool_stage
-(which reads the proposal manifest) and adapt_stage return class -> ConfidenceField,
-one array by global node id. segment_stage, given the run's Potts terms, returns class ->
-segment_class's dict and writes masks, overlays and mixtures; eval_stage returns the
-EvalReport and writes report.csv. write_confidence_csv alone reads a field by frame.
-run_pipeline and the CLI subcommands write the confidence CSVs at full float
-precision, so the two routes write identical bytes.
-
-The motion masks, the graph and the pooled fields are locals of run_pipeline and the
-CLI commands, let go after their last reader. Segmentation holds only what it reads:
-the video (for overlays), the uint16 superpixel labels, the mean colours, the
-confidences it segments, and the Potts terms, built once per run.
+load_inputs is the only stage that reads input files. Given the stages a command runs,
+it reads what STAGE_INPUTS, the one table of what each stage reads, names and no more:
+pool reads the superpixels, motion masks and proposals; adapt the graph, built from the
+flow and the superpixels' mean colours and centroids, with the frames let go before the
+build; segment the frames, superpixels, colours and graph; eval the ground truth. It
+returns a video.Clip, as synth.generate makes one, with None for what no stage reads,
+beside the colours and the graph. pool_stage and adapt_stage compute over those values
+and return class -> ConfidenceField, one array by global node id. segment_stage, given
+the run's Potts terms, returns class -> segment_class's dict and writes masks, overlays
+and mixtures; eval_stage returns the EvalReport and writes report.csv. Only run_pipeline
+runs every stage. It and the CLI subcommands write the confidence CSVs at full float
+precision, so the two routes write identical bytes; write_confidence_csv alone reads a
+field by frame. Each value is let go after its last reader: the clip's motion masks and
+proposals after pooling, the graph once the Potts terms are built.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from .proposals import (
 )
 from .propagation import ConvergenceError, PropagationConfig, adapt_confidence, diffusion_operator
 from .video import (
+    Clip,
     check_id,
     compute_superpixel_stats,
     list_frames,
@@ -84,7 +82,7 @@ _PATHS = ("video_dir", "superpixel_dir", "flow_dir", "motion_dir", "proposal_man
 # a stage that reads "frames"; "graph" is built from the flow and the superpixels' mean
 # colours and centroids, and "colors" keeps the colours past the build.
 STAGE_INPUTS = {
-    "pool": ("frames", "motion", "proposals"),
+    "pool": ("motion", "proposals"),
     "adapt": ("graph",),
     "segment": ("frames", "colors", "graph"),
     "eval": ("gt",),
@@ -174,14 +172,6 @@ class PipelineConfig:
         return cfg
 
 
-@dataclass
-class LoadedInputs:
-    video: object  # None if no stage reads the frames
-    superpixels: object
-    gt_masks: dict  # frame index -> mask; empty when no ground truth or no stage reads it
-    colors: np.ndarray | None  # (N, 3) superpixel mean colours; None if no stage reads them
-
-
 def load_mask_dir(path, frame_count=None, shape=None):
     """Masks of a directory of PGMs, keyed by the frame number ending each name.
 
@@ -206,13 +196,12 @@ def load_mask_dir(path, frame_count=None, shape=None):
 def load_inputs(cfg: PipelineConfig, stages):
     """Ingest stage: load and validate the inputs that the stages read (STAGE_INPUTS).
 
-    Returns (LoadedInputs, motion masks, graph); what no stage reads is None, or for the
-    ground truth no masks. A missing input path is a DataError naming its key, raised
-    before any file is read. The frames are always read, for the clip's shape, and if
-    no stage reads them they are let go once the superpixel stats are computed, so the
-    graph build never holds them. The flow files are counted up front, then each is
-    read as build_graph reaches its frame pair and freed before the next, so one flow
-    field is resident at a time.
+    Returns (Clip, colors, graph); what no stage reads is None, as are the clip's flows,
+    which the build consumes, and without gt_dir the ground truth is no masks. A missing
+    input path is a DataError naming its key, raised before any file is read. The frames
+    are always read, for the clip's frame count and shape, and let go before the graph
+    build unless a stage reads them. The flow files are counted up front, then each is
+    read as build_graph reaches its frame pair and freed before the next.
     """
     reads = {name for stage in stages for name in STAGE_INPUTS[stage]}
     read_paths = {"video_dir", "superpixel_dir"}
@@ -224,39 +213,35 @@ def load_inputs(cfg: PipelineConfig, stages):
             raise DataError(f"{name} does not exist: {path!r}")
     with _stage("ingest"):
         video = load_video(cfg.video_dir)
-        sp = load_superpixels(cfg.superpixel_dir, video.frame_count)
-        shape = (video.height, video.width)
+        count, shape = video.frame_count, (video.height, video.width)
+        sp = load_superpixels(cfg.superpixel_dir, count)
         if sp.labels.shape[1:] != shape:
             raise DataError(f"dimension mismatch: superpixel maps in {cfg.superpixel_dir} are "
                             f"{sp.labels.shape[1:]}, frames are {shape}")
-        motion = colors = graph = None
+        colors = centroids = graph = None
+        if "graph" in reads:
+            colors, centroids = compute_superpixel_stats(video, sp)
+        clip = Clip(video if "frames" in reads else None, sp)
+        del video
         if "motion" in reads:
-            motion = np.stack([load_mask(mask_path, shape) for mask_path
-                               in list_frames(cfg.motion_dir, ".pgm", video.frame_count)])
-        gt_masks = {}
-        if "gt" in reads and cfg.gt_dir:
-            gt_masks = load_mask_dir(cfg.gt_dir, video.frame_count, shape)
+            clip.motion_masks = np.stack([load_mask(mask_path, shape) for mask_path
+                                          in list_frames(cfg.motion_dir, ".pgm", count)])
+        if "gt" in reads:
+            clip.gt_masks = load_mask_dir(cfg.gt_dir, count, shape) if cfg.gt_dir else {}
         if "graph" in reads:
             flows = (load_flow(flow_path) for flow_path
-                     in list_frames(cfg.flow_dir, ".flo", video.frame_count - 1))
-            colors, centroids = compute_superpixel_stats(video, sp)
-            if "frames" not in reads:
-                video = None
+                     in list_frames(cfg.flow_dir, ".flo", count - 1))
             graph = build_graph(sp, flows, colors, centroids, cfg.motion_coherence_weight)
-        if "colors" not in reads:
-            colors = None
-    return LoadedInputs(video, sp, gt_masks, colors), motion, graph
+        if "proposals" in reads:
+            clip.proposals = load_proposal_manifest(cfg.proposal_manifest, count, shape)
+    return clip, colors if "colors" in reads else None, graph
 
 
-def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs, motion):
-    """Score, filter, and pool proposals into per-class confidence fields."""
+def pool_stage(cfg: PipelineConfig, clip: Clip):
+    """Score, filter, and pool the clip's proposals into per-class confidence fields."""
     with _stage("pool"):
-        video = inputs.video
-        proposals = load_proposal_manifest(
-            cfg.proposal_manifest, video.frame_count, (video.height, video.width)
-        )
-        scored = score_proposals(proposals, motion)
-        offered = {c for p in proposals for c in p.class_confidences}
+        scored = score_proposals(clip.proposals, clip.motion_masks)
+        offered = {c for p in clip.proposals for c in p.class_confidences}
         classes = cfg.classes or sorted(offered)
         if not classes:
             raise DataError("no classes found in proposals or config")
@@ -266,7 +251,7 @@ def pool_stage(cfg: PipelineConfig, inputs: LoadedInputs, motion):
         pooled = {}
         for cls in classes:
             retained = filter_by_confidence(scored, cls, cfg.confidence_threshold)
-            pooled[cls] = pool_confidence(retained, cls, inputs.superpixels)
+            pooled[cls] = pool_confidence(retained, cls, clip.superpixels)
         return pooled
 
 
@@ -281,14 +266,12 @@ def adapt_stage(cfg: PipelineConfig, graph, pooled):
         }
 
 
-def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, potts, fieldv):
-    """Fit color models and min-cut one class over the Potts terms potts, writing nothing;
-    returns {"masks", "gmm_obj", "gmm_bg", "problem", "labeling"}: masks, mixtures, and
-    the MRF problem and its solve."""
-    fieldv.check_counts(inputs.superpixels.counts)
-    (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(
-        fieldv.flat, inputs.colors
-    )
+def segment_class(cfg: PipelineConfig, clip: Clip, colors, potts, fieldv):
+    """Fit color models on the mean colours and min-cut one class over the Potts terms
+    potts, writing nothing; returns {"masks", "gmm_obj", "gmm_bg", "problem", "labeling"}:
+    masks, mixtures, and the MRF problem and its solve."""
+    fieldv.check_counts(clip.superpixels.counts)
+    (obj_colors, obj_w), (bg_colors, bg_w) = gmm_mod.sample_training_sets(fieldv.flat, colors)
     gmm_obj = gmm_mod.fit_gmm(
         obj_colors, obj_w, cfg.gmm_components, seed=cfg.gmm_seed
     )
@@ -297,22 +280,22 @@ def segment_class(cfg: PipelineConfig, inputs: LoadedInputs, potts, fieldv):
     )
     del obj_colors, obj_w, bg_colors, bg_w  # not live through the solve
     problem = mrf_mod.build_problem(
-        potts, fieldv.flat, inputs.colors, gmm_obj, gmm_bg, cfg.lambda_object
+        potts, fieldv.flat, colors, gmm_obj, gmm_bg, cfg.lambda_object
     )
     labeling = mrf_mod.solve_binary(problem)
-    return {"masks": mrf_mod.rasterize(labeling, inputs.superpixels), "gmm_obj": gmm_obj,
+    return {"masks": mrf_mod.rasterize(labeling, clip.superpixels), "gmm_obj": gmm_obj,
             "gmm_bg": gmm_bg, "problem": problem, "labeling": labeling}
 
 
-def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, potts, confidences):
+def segment_stage(cfg: PipelineConfig, clip: Clip, colors, potts, confidences):
     """Segment and write each class (masks, overlays, mixtures); class -> segment_class's dict."""
     with _stage("segment"):
         segs = {}
         for cls, fieldv in sorted(confidences.items()):
-            seg = segs[cls] = segment_class(cfg, inputs, potts, fieldv)
+            seg = segs[cls] = segment_class(cfg, clip, colors, potts, fieldv)
             for t, mask in enumerate(seg["masks"]):
                 write_mask(os.path.join(cfg.out_dir, "masks", cls, f"frame_{t:04d}.pgm"), mask)
-            render_overlay(inputs.video, seg["masks"], os.path.join(cfg.out_dir, "overlays", cls))
+            render_overlay(clip.video, seg["masks"], os.path.join(cfg.out_dir, "overlays", cls))
             models = {
                 name: {f.name: getattr(seg[key], f.name).tolist() for f in fields(seg[key])}
                 for name, key in (("object", "gmm_obj"), ("background", "gmm_bg"))
@@ -322,12 +305,12 @@ def segment_stage(cfg: PipelineConfig, inputs: LoadedInputs, potts, confidences)
         return segs
 
 
-def eval_stage(cfg: PipelineConfig, inputs: LoadedInputs, masks):
-    """Score the masks against ground truth, if any, and write report.csv."""
+def eval_stage(cfg: PipelineConfig, clip: Clip, masks):
+    """Score the masks against the clip's ground truth, if any, and write report.csv."""
     with _stage("eval"):
         report = EvalReport()
-        if inputs.gt_masks:
-            report = score_masks(cfg.video_id, masks, inputs.gt_masks)
+        if clip.gt_masks:
+            report = score_masks(cfg.video_id, masks, clip.gt_masks)
         report.write_csv(os.path.join(cfg.out_dir, "report.csv"))
         return report
 
@@ -440,10 +423,10 @@ def read_confidence_csv(path):
 def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     """Execute all stages, writing every artifact under cfg.out_dir."""
     cfg.validate()
-    inputs, motion, graph = load_inputs(cfg, tuple(STAGE_INPUTS))
+    clip, colors, graph = load_inputs(cfg, tuple(STAGE_INPUTS))
     potts = mrf_mod.pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
-    pooled = pool_stage(cfg, inputs, motion)
-    del motion  # pooling is their only reader
+    pooled = pool_stage(cfg, clip)
+    clip.motion_masks = clip.proposals = None  # pooling is their only reader
     if cfg.gt_dir and len(pooled) > 1:  # gt_dir holds one class's masks
         raise DataError(f"gt_dir is scored against every class, but the run segments "
                         f"{sorted(pooled)}; set classes to the one class gt_dir annotates")
@@ -457,5 +440,5 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         del pooled  # segmentation reads the adapted fields
         write_confidence_csv(os.path.join(cfg.out_dir, "adapted.csv"), confidences)
     del graph  # segmentation reads the Potts terms instead
-    segs = segment_stage(cfg, inputs, potts, confidences)
-    return eval_stage(cfg, inputs, {cls: seg["masks"] for cls, seg in segs.items()})
+    segs = segment_stage(cfg, clip, colors, potts, confidences)
+    return eval_stage(cfg, clip, {cls: seg["masks"] for cls, seg in segs.items()})

@@ -156,7 +156,7 @@ def load_proposal_manifest(path, frame_count, shape):
     "confidences": {"class": float}}. The frame must be a JSON integer in
     0..frame_count-1, the mask path a string, the appearance score and every
     confidence JSON numbers (not true, not "0.9"), the appearance finite and
-    >= 0, and the mask of (H, W) shape.
+    >= 0, and the mask of (H, W) shape with a pixel set.
     """
     base = os.path.dirname(os.path.abspath(path))
     proposals = []
@@ -191,10 +191,13 @@ def load_proposal_manifest(path, frame_count, shape):
             mask_path = os.path.join(base, mask_rel)
             if not os.path.exists(mask_path):
                 raise DataError(f"missing mask file: {mask_path}")
+            mask = load_mask(mask_path, shape)
+            if not mask.any():
+                raise DataError(f"empty mask {mask_path} on manifest line {lineno}")
             proposals.append(
                 ScoredProposal(
                     frame=frame,
-                    mask=load_mask(mask_path, shape),
+                    mask=mask,
                     appearance_score=appearance,
                     class_confidences=confidences,
                 )

@@ -1,9 +1,9 @@
 """Deterministic synthetic video generator.
 
-Generates a desk-scale moving-shape video with exact or noisy optical flow,
-boundary-respecting grid superpixels, motion cue masks, jittered box
-proposals with noisy classifier confidences, and ground truth, all in the
-formats the pipeline ingests.
+generate renders a desk-scale moving-shape video as a video.Clip: exact or noisy
+optical flow, boundary-respecting grid superpixels, motion cue masks, jittered box
+proposals with noisy classifier confidences, and ground truth on every frame.
+write_dataset writes that Clip in the formats pipeline.load_inputs reads back.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnm import write_file, write_pgm, write_ppm
+from .pnm import DataError, write_file, write_pgm, write_ppm
 from .proposals import ScoredProposal
-from .video import SuperpixelMap, VideoVolume, check_id, write_flow, write_mask
+from .video import (FRAME_SUFFIXES, Clip, SuperpixelMap, VideoVolume, check_id, list_frames,
+                    write_flow, write_mask)
 
 # frame_{t:04d} names sort in frame order up to 10,000 frames
 MAX_FRAMES = 10_000
@@ -76,17 +77,6 @@ class SynthConfig:
                 raise ValueError(f"shape exits frame at t={t}")
 
 
-@dataclass
-class SynthDataset:
-    config: SynthConfig
-    video: VideoVolume
-    superpixels: SuperpixelMap
-    flows: list  # (H, W, 2) float32, one per consecutive frame pair
-    motion_masks: np.ndarray  # (T, H, W) bool
-    proposals: list  # ScoredProposal with raw appearance + confidences
-    gt_masks: np.ndarray  # (T, H, W) bool
-
-
 def _shape_mask(cfg: SynthConfig, x, y, height, width):
     mask = np.zeros((height, width), dtype=bool)
     if cfg.shape == "rectangle":
@@ -106,7 +96,7 @@ def _shape_mask(cfg: SynthConfig, x, y, height, width):
     return mask
 
 
-def generate(cfg: SynthConfig) -> SynthDataset:
+def generate(cfg: SynthConfig) -> Clip:
     """Render the synthetic clip; identical configs give identical outputs."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -166,24 +156,18 @@ def generate(cfg: SynthConfig) -> SynthDataset:
                 )
             )
 
-    return SynthDataset(
-        config=cfg,
-        video=VideoVolume(frames),
-        superpixels=sp,
-        flows=flows,
-        motion_masks=gt.copy(),
-        proposals=proposals,
-        gt_masks=gt,
-    )
+    return Clip(video=VideoVolume(frames), superpixels=sp, flows=flows, motion_masks=gt.copy(),
+                proposals=proposals, gt_masks=dict(enumerate(gt)))
 
 
-def write_dataset(ds: SynthDataset, out_dir):
-    """Write the dataset tree in the pipeline's input formats.
+def write_dataset(clip: Clip, out_dir):
+    """Write the clip in the pipeline's input formats; returns the path map.
 
     Layout: frames/, superpixels/ (16-bit PGM), flow/ (.flo), motion/, gt/,
-    proposals/manifest.jsonl with mask PGMs alongside. Returns the path map.
-    Every label map fits a 16-bit PGM: generate's SuperpixelMap rejects a
-    frame with more superpixels, before any file is written.
+    proposals/manifest.jsonl with mask PGMs alongside. Every label map fits a
+    16-bit PGM: generate's SuperpixelMap rejects a frame with more superpixels. A
+    per-frame file that its loader would read and this clip would not overwrite, as
+    another clip's, is a DataError raised before any file is written.
     """
     paths = {
         "video_dir": os.path.join(out_dir, "frames"),
@@ -193,20 +177,32 @@ def write_dataset(ds: SynthDataset, out_dir):
         "gt_dir": os.path.join(out_dir, "gt"),
         "proposal_manifest": os.path.join(out_dir, "proposals", "manifest.jsonl"),
     }
-    os.makedirs(paths["flow_dir"], exist_ok=True)  # a one-frame clip writes no flow
+    # (directory key, file name, writer, array) of each per-frame file, in write order
+    files = []
+    for t in range(clip.video.frame_count):
+        name = f"frame_{t:04d}"
+        files += [("video_dir", name + ".ppm", write_ppm, clip.video.frames[t]),
+                  ("superpixel_dir", name + ".pgm", write_pgm, clip.superpixels.labels[t]),
+                  ("motion_dir", name + ".pgm", write_mask, clip.motion_masks[t])]
+    files += [("gt_dir", f"frame_{t:04d}.pgm", write_mask, mask)
+              for t, mask in sorted(clip.gt_masks.items())]
+    files += [("flow_dir", f"flow_{t:04d}.flo", write_flow, flow)
+              for t, flow in enumerate(clip.flows)]
+    written = {os.path.join(paths[key], name) for key, name, _, _ in files}
+    for key, suffixes in (("video_dir", FRAME_SUFFIXES), ("superpixel_dir", ".pgm"),
+                          ("motion_dir", ".pgm"), ("gt_dir", ".pgm"), ("flow_dir", ".flo")):
+        stale = os.path.isdir(paths[key]) and set(list_frames(paths[key], suffixes)) - written
+        if stale:
+            raise DataError(f"{min(stale)} is not a file of this clip and would be read as "
+                            f"one; write the clip into a new directory")
 
-    for t in range(ds.video.frame_count):
-        write_ppm(os.path.join(paths["video_dir"], f"frame_{t:04d}.ppm"), ds.video.frames[t])
-        labels_path = os.path.join(paths["superpixel_dir"], f"frame_{t:04d}.pgm")
-        write_pgm(labels_path, ds.superpixels.labels[t])
-        write_mask(os.path.join(paths["motion_dir"], f"frame_{t:04d}.pgm"), ds.motion_masks[t])
-        write_mask(os.path.join(paths["gt_dir"], f"frame_{t:04d}.pgm"), ds.gt_masks[t])
-    for t, flow in enumerate(ds.flows):
-        write_flow(os.path.join(paths["flow_dir"], f"flow_{t:04d}.flo"), flow)
+    os.makedirs(paths["flow_dir"], exist_ok=True)  # a one-frame clip writes no flow
+    for key, name, write, array in files:
+        write(os.path.join(paths[key], name), array)
 
     manifest_dir = os.path.dirname(paths["proposal_manifest"])
     lines = []
-    for idx, p in enumerate(ds.proposals):
+    for idx, p in enumerate(clip.proposals):
         mask_name = f"mask_{idx:05d}.pgm"
         write_mask(os.path.join(manifest_dir, mask_name), p.mask)
         record = {"frame": p.frame, "mask": mask_name, "appearance": p.appearance_score,

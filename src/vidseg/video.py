@@ -1,4 +1,4 @@
-"""Core video data model: frames, superpixel maps, optical flow, masks.
+"""Core video data model: frames, superpixel maps, optical flow, masks, clips.
 
 All types are plain containers over numpy arrays and are treated as
 immutable after construction; loaders validate dimensions up front so the
@@ -120,6 +120,20 @@ class SuperpixelMap:
     def frame_offsets(self):
         """Global node-id offset per frame: node = offsets[t] + superpixel id."""
         return np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int64)
+
+
+@dataclass
+class Clip:
+    """One weakly labeled clip: what synth.generate makes and write_dataset writes, and
+    what pipeline.load_inputs reads. A field that no stage of a run reads is None, and
+    a run lets go of a field by setting it to None after its last reader."""
+
+    video: VideoVolume | None
+    superpixels: SuperpixelMap
+    flows: object = None  # (H, W, 2) float32 per consecutive frame pair, in order
+    motion_masks: np.ndarray | None = None  # (T, H, W) bool
+    proposals: list | None = None  # proposals.ScoredProposal, appearance-scored
+    gt_masks: dict | None = None  # frame index -> (H, W) bool, for the annotated frames
 
 
 def load_video(path) -> VideoVolume:

@@ -500,7 +500,7 @@ def test_build_graph_lists_spatial_edges_then_temporal_ones_frame_by_frame():
     assert 0 < ns < len(g.i)
     assert np.array_equal(fi[:ns], fj[:ns])  # spatial: both ends in one frame
     assert np.array_equal(fi[ns:] + 1, fj[ns:])  # temporal: i in frame t, j in frame t+1
-    assert np.unique(fi[ns:]).tolist() == list(range(ds.config.frame_count - 1))
+    assert np.unique(fi[ns:]).tolist() == list(range(ds.video.frame_count - 1))
     edges, weights = pairwise_weights(g, lambda_spatial=1000.0, lambda_temporal=2000.0)
     assert np.array_equal(edges, np.stack([g.i, g.j], axis=1))
     assert np.array_equal(weights, np.concatenate([1000.0 * g.w[:ns], 2000.0 * g.w[ns:]]))

@@ -28,7 +28,7 @@ def _transformed(ds, pixels, flow):
         superpixels=SuperpixelMap(pixels(ds.superpixels.labels)),
         flows=[flow(f) for f in ds.flows],
         motion_masks=pixels(ds.motion_masks),
-        gt_masks=pixels(ds.gt_masks),
+        gt_masks={t: pixels(mask[None])[0] for t, mask in ds.gt_masks.items()},
         proposals=[dataclasses.replace(p, mask=pixels(p.mask[None])[0]) for p in ds.proposals],
     )
 

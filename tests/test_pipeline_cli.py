@@ -17,6 +17,7 @@ import pytest
 
 from vidseg import cli, mrf, pipeline
 from vidseg.cli import main
+from vidseg.graph import build_graph
 from vidseg.pipeline import (
     PipelineConfig,
     StageError,
@@ -29,10 +30,11 @@ from vidseg.pipeline import (
 from vidseg.pnm import DataError, write_pgm, write_ppm
 from vidseg.proposals import ConfidenceField
 from vidseg.synth import SynthConfig, generate, write_dataset
-from vidseg.video import FLOW_MAGIC, check_id, load_mask, write_flow
+from vidseg.video import FLOW_MAGIC, check_id, compute_superpixel_stats, load_mask, write_flow
 
 
-def _dataset_config(root, **synth_kw):
+def _synth_config(**synth_kw):
+    """The SynthConfig of the test clip (8 frames, 64 x 64), synth_kw on top."""
     base = dict(
         width=64,
         height=64,
@@ -47,9 +49,11 @@ def _dataset_config(root, **synth_kw):
         seed=21,
     )
     base.update(synth_kw)
-    cfg = SynthConfig(**base)
-    ds = generate(cfg)
-    write_dataset(ds, root)
+    return SynthConfig(**base)
+
+
+def _dataset_config(root, **synth_kw):
+    write_dataset(generate(_synth_config(**synth_kw)), root)
     config = {
         "video_dir": "frames",
         "superpixel_dir": "superpixels",
@@ -570,10 +574,10 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
     if not os.path.isdir(out):
         assert main(["pipeline", "--config", config_path]) == 0
     cfg = PipelineConfig.from_json(config_path, {"out_dir": str(tmp_path / "unused")})
-    inputs, _, graph = load_inputs(cfg, tuple(pipeline.STAGE_INPUTS))
+    clip, colors, graph = load_inputs(cfg, tuple(pipeline.STAGE_INPUTS))
     potts = mrf.pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
     fieldv = read_confidence_csv(os.path.join(out, "adapted.csv"))["object"]
-    seg = segment_class(cfg, inputs, potts, fieldv)
+    seg = segment_class(cfg, clip, colors, potts, fieldv)
     assert sorted(seg) == ["gmm_bg", "gmm_obj", "labeling", "masks", "problem"]
     assert not os.path.exists(cfg.out_dir)
     for t, name in enumerate(sorted(os.listdir(os.path.join(out, "masks", "object")))):
@@ -587,7 +591,7 @@ def test_segment_class_writes_nothing(dataset, tmp_path):
             assert np.array_equal(value, getattr(seg[key], field_name))
     # the returned problem and labeling are the solve that gave the masks
     labeling = seg["labeling"]
-    assert np.array_equal(mrf.rasterize(labeling, inputs.superpixels), seg["masks"])
+    assert np.array_equal(mrf.rasterize(labeling, clip.superpixels), seg["masks"])
     energy = mrf.mrf_energy(seg["problem"], labeling.labels)
     assert abs(labeling.flow_value - energy) <= mrf.CERTIFICATE_RTOL * max(energy, 1)
     assert labeling.rounds >= 1
@@ -1225,6 +1229,38 @@ def test_pool_reads_no_flow(dataset, tmp_path):
     assert _digest(pooled_copy) == _digest(pooled)
 
 
+def test_load_inputs_reads_back_the_generated_clip(tmp_path):
+    ds = generate(_synth_config(flow_noise_sigma=0.5))
+    cfg = PipelineConfig(**write_dataset(ds, str(tmp_path)))
+    clip, colors, graph = load_inputs(cfg, tuple(pipeline.STAGE_INPUTS))
+    assert np.array_equal(clip.video.frames, ds.video.frames)
+    assert np.array_equal(clip.superpixels.labels, ds.superpixels.labels)
+    assert np.array_equal(clip.motion_masks, ds.motion_masks)
+    assert clip.flows is None  # the build consumed them
+    assert len(clip.proposals) == len(ds.proposals)
+    for got, want in zip(clip.proposals, ds.proposals):
+        assert np.array_equal(got.mask, want.mask)
+        assert (got.frame, got.appearance_score, got.class_confidences) == (
+            want.frame, want.appearance_score, want.class_confidences)
+    assert sorted(clip.gt_masks) == sorted(ds.gt_masks)
+    assert all(np.array_equal(clip.gt_masks[t], mask) for t, mask in ds.gt_masks.items())
+    stats = compute_superpixel_stats(ds.video, ds.superpixels)
+    assert np.array_equal(colors, stats[0])
+    built = build_graph(ds.superpixels, ds.flows, *stats)
+    for f in dataclasses.fields(built):
+        assert np.array_equal(getattr(graph, f.name), getattr(built, f.name)), f.name
+
+
+def test_pool_stage_on_the_generated_clip_writes_what_vidseg_pool_writes(dataset, tmp_path):
+    _, config_path = dataset
+    pooled = str(tmp_path / "pooled.csv")
+    assert main(["pool", "--config", config_path, "--out", pooled]) == 0
+    in_memory = str(tmp_path / "in_memory.csv")
+    cfg = PipelineConfig.from_json(config_path)
+    write_confidence_csv(in_memory, pipeline.pool_stage(cfg, generate(_synth_config())))
+    assert _digest(in_memory) == _digest(pooled)
+
+
 def _copy_without(root, dst, *names):
     """Copy the clip at root to dst without its out/ and the named input directories;
     returns the copy's config path."""
@@ -1400,7 +1436,7 @@ MANIFEST_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", ["mask size", *MANIFEST_FAULTS])
+@pytest.mark.parametrize("fault", ["mask size", "empty mask", *MANIFEST_FAULTS])
 def test_bad_proposal_rejected_where_manifest_is_read(tmp_path, capsys, fault):
     data = str(tmp_path / "data")
     assert main(["synth", "--out", data, "--seed", "7", "--frames", "4", "--width", "48",
@@ -1409,6 +1445,10 @@ def test_bad_proposal_rejected_where_manifest_is_read(tmp_path, capsys, fault):
     if fault == "mask size":
         named = os.path.join(data, "proposals", "mask_00002.pgm")
         write_pgm(named, np.zeros((10, 10), dtype=np.uint8))
+    elif fault == "empty mask":
+        mask_path = os.path.join(data, "proposals", "mask_00002.pgm")
+        write_pgm(mask_path, np.zeros((48, 48), dtype=np.uint8))
+        named = f"empty mask {mask_path} on manifest line 3"
     else:
         manifest = os.path.join(data, "proposals", "manifest.jsonl")
         with open(manifest) as fh:
@@ -1421,7 +1461,7 @@ def test_bad_proposal_rejected_where_manifest_is_read(tmp_path, capsys, fault):
     before = _files_under(str(tmp_path), dirs=True)
     assert main(["pipeline", "--config", os.path.join(data, "config.json")]) == 2
     err = capsys.readouterr().err
-    assert "pool: " in err and named in err
+    assert "ingest: " in err and named in err
     assert _files_under(str(tmp_path), dirs=True) == before
 
 

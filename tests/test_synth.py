@@ -46,20 +46,20 @@ def test_gt_centroid_displacement():
 def test_zero_velocity_static():
     ds = generate(_small_cfg(velocity=(0, 0)))
     assert all(not f.any() for f in ds.flows)
-    for t in range(1, ds.config.frame_count):
+    for t in range(1, ds.video.frame_count):
         assert np.array_equal(ds.gt_masks[t], ds.gt_masks[0])
 
 
 def test_flow_warps_gt_exactly():
     ds = generate(_small_cfg())
-    for t in range(1, ds.config.frame_count):
+    for t in range(1, ds.video.frame_count):
         dest = warp_pixels(ds.flows[t - 1])[ds.gt_masks[t - 1]]
         assert np.array_equal(np.sort(dest), np.flatnonzero(ds.gt_masks[t]))
 
 
 def test_superpixels_respect_boundary():
     ds = generate(_small_cfg())
-    for t in range(ds.config.frame_count):
+    for t in range(ds.video.frame_count):
         labels = ds.superpixels.labels[t]
         gt = ds.gt_masks[t]
         for s in range(ds.superpixels.counts[t]):
@@ -284,3 +284,31 @@ def test_synth_cli_rejects_an_unusable_field_before_writing(tmp_path, capsys, fl
     assert main(["synth", "--out", str(out), *_SMALL_ARGV, flag, *values]) == 2
     assert f"{field} must be >= " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_cli_over_a_longer_clip_rejected_before_writing(tmp_path, capsys):
+    # the older clip's frames 2-3 would be read as the new clip's, so nothing is written
+    out = str(tmp_path / "data")
+    assert main(["synth", "--out", out, *_SMALL_ARGV, "--frames", "4"]) == 0
+    before = tree_digest(out)
+    assert main(["synth", "--out", out, *_SMALL_ARGV]) == 2
+    stale = os.path.join(out, "frames", "frame_0003.ppm")
+    assert f"error: {stale} is not a file of this clip" in capsys.readouterr().err
+    assert tree_digest(out) == before
+
+
+@pytest.mark.parametrize("directory, name", [("frames", "extra.PGM"), ("superpixels", "x.pgm"),
+                                             ("motion", "x.pgm"), ("gt", "x.pgm"),
+                                             ("flow", "x.flo")])
+def test_synth_cli_rejects_a_file_its_loader_would_read(tmp_path, capsys, directory, name):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), *_SMALL_ARGV]) == 0
+    (out / directory / "notes.txt").write_text("no loader reads this\n")
+    assert main(["synth", "--out", str(out), *_SMALL_ARGV]) == 0  # the same clip again
+    before = tree_digest(out)
+    (out / directory / name).write_bytes(b"")
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), *_SMALL_ARGV]) == 2
+    assert f"{out / directory / name} is not a file of this clip" in capsys.readouterr().err
+    os.remove(out / directory / name)
+    assert tree_digest(out) == before
