@@ -7,8 +7,8 @@
 # moving clip, a clip with noisy dense flow, a corner clip whose jitter
 # pushes a proposal out of frame, adapt and segment on a confidence CSV of
 # no rows, which each must reject with exit 2 before creating their --out path,
-# and synth of a shorter clip over the demo clip, which must exit 2 and leave
-# that tree as it was.
+# and synth of a shorter clip over the demo clip and of fewer proposals over a
+# clip of more, which each must exit 2 and leave that tree as it was.
 # A failing command, a differing file, a Python warning under PYTHONWARNINGS=error
 # or a temporary file left behind by a write fails the script.
 #
@@ -66,16 +66,23 @@ for command in adapt segment; do
     exit 1
   fi
 done
-# a 2-frame clip over the 4-frame demo clip: its frames 2-3 would be read as the new
-# clip's, so synth exits 2 and the demo tree stays as it was
-before=$(cd "$tmp/demo" && find . -type f -exec sha256sum {} + | sort)
-status=0
-vidseg synth --out "$tmp/demo" --frames 2 || status=$?
-after=$(cd "$tmp/demo" && find . -type f -exec sha256sum {} + | sort)
-if [ "$status" -ne 2 ] || [ "$before" != "$after" ]; then
-  echo "vidseg synth --frames 2 over the 4-frame demo clip: exit $status" >&2
-  exit 1
-fi
+# synth over a clip whose files it would not overwrite exits 2 and leaves that tree as it was:
+# a 2-frame clip over the 4-frame demo clip, whose frames 2-3 would be taken for the new
+# clip's, and 1 proposal per frame over a clip of 2, whose surplus masks would stay
+synth_over_is_refused() {
+  local dir=$1 before after status=0
+  shift
+  before=$(cd "$dir" && find . -type f -exec sha256sum {} + | sort)
+  vidseg synth --out "$dir" "$@" || status=$?
+  after=$(cd "$dir" && find . -type f -exec sha256sum {} + | sort)
+  if [ "$status" -ne 2 ] || [ "$before" != "$after" ]; then
+    echo "vidseg synth $* over $dir: exit $status" >&2
+    exit 1
+  fi
+}
+synth_over_is_refused "$tmp/demo" --frames 2
+vidseg synth --out "$tmp/two_proposals" --frames 3 --proposals-per-frame 2
+synth_over_is_refused "$tmp/two_proposals" --frames 3 --proposals-per-frame 1
 # every file is written to a temporary and renamed into place; none may remain
 leftover=$(find "$tmp" -name '*.tmp')
 if [ -n "$leftover" ]; then

@@ -63,13 +63,6 @@ class SpaceTimeGraph:
         write_file(path, itertools.chain(["kind,frame_i,sp_i,frame_j,sp_j,weight\n"], lines))
 
 
-def _pair_counts(rows, cols, ncols):
-    """Distinct (row, col) pairs in row-major order, with how often each occurs."""
-    # int64 before the product: numpy 1.x keeps int32 * np.int64 scalar in int32
-    keys, counts = np.unique(np.asarray(rows, np.int64) * ncols + cols, return_counts=True)
-    return keys // ncols, keys % ncols, counts.astype(np.float64)
-
-
 def spatial_edges(sp: SuperpixelMap):
     """Undirected same-frame adjacency under 4-connectivity.
 
@@ -82,29 +75,36 @@ def spatial_edges(sp: SuperpixelMap):
         right, down = labels[:, :-1] != labels[:, 1:], labels[:-1] != labels[1:]
         a = np.concatenate([labels[:, :-1][right], labels[:-1][down]])
         b = np.concatenate([labels[:, 1:][right], labels[1:][down]])
-        pi, pj, _ = _pair_counts(np.minimum(a, b), np.maximum(a, b), n)
-        out_i.append(pi + offsets[t])
-        out_j.append(pj + offsets[t])
+        # distinct pairs in row-major order; int64 before the product, as in temporal_edges
+        key = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        out_i.append(key // n + offsets[t])
+        out_j.append(key % n + offsets[t])
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def temporal_edges(sp: SuperpixelMap, t, flow):
     """Flow-linked adjacency from frame t to frame t+1, along flow.
 
-    Warps every superpixel of frame t forward (union of rounded
-    destinations, out-of-frame dropped) and intersects with frame-t+1
-    superpixels. Returns (i, j, rho) where i is the global source node, j the
-    global target node, and rho the overlap ratio |warp(s_i) ∩ s_j| / |warp(s_i)|.
+    Returns (i, j, rho): global source node i, global target node j and the overlap
+    ratio rho = |warp(s_i) ∩ s_j| / |warp(s_i)|, where warp(s_i) is the union of the
+    rounded in-frame destinations of s_i's pixels. One sort of (source, target,
+    destination pixel) keys gives all three: equal keys count once (the union), each
+    run of one (source, target) is an overlap, and a source's runs sum to its warp.
     """
-    offsets = sp.frame_offsets()
+    offsets, size, n = sp.frame_offsets(), sp.labels[t].size, sp.counts[t + 1]
     dest = warp_pixels(flow).ravel()
     valid = dest >= 0
-    src, dest = sp.labels[t].ravel()[valid], dest[valid]
-    # union semantics: collapse source pixels landing on one destination
-    src_u, dest_u, _ = _pair_counts(src, dest, sp.labels[t].size)
-    warp_size = np.bincount(src_u, minlength=sp.counts[t])
-    pi, pj, counts = _pair_counts(src_u, sp.labels[t + 1].ravel()[dest_u], sp.counts[t + 1])
-    return pi + offsets[t], pj + offsets[t + 1], counts / warp_size[pi]
+    dest = dest[valid]
+    # int64 before the products: numpy 2 keeps uint16 * int in uint16
+    pair = sp.labels[t].ravel()[valid].astype(np.int64) * n + sp.labels[t + 1].ravel()[dest]
+    key = np.sort(pair * size + dest)
+    pair = key[np.diff(key, prepend=-1) != 0] // size
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    counts = np.diff(starts, append=len(pair)).astype(np.float64)
+    pi, pj = pair[starts] // n, pair[starts] % n
+    return pi + offsets[t], pj + offsets[t + 1], counts / np.bincount(pi, counts, sp.counts[t])[pi]
 
 
 def color_distance(colors, i, j):
@@ -166,10 +166,7 @@ def motion_reliability(sp: SuperpixelMap, t, flow, w_c=MOTION_COHERENCE_WEIGHT):
     n = sp.counts[t]
     key = sp.labels[t].ravel().astype(np.int64) * N_FLOW_BINS + flow_bin_index(flow).ravel()
     hist = np.bincount(key, minlength=n * N_FLOW_BINS).reshape(n, N_FLOW_BINS)
-    m = np.ones(n, dtype=np.float64)
-    mixed = np.flatnonzero(np.count_nonzero(hist, axis=1) > 1)  # one occupied bin: m = 1
-    m[mixed] = np.exp(-w_c * histogram_entropy(hist[mixed]))
-    return m
+    return np.exp(-w_c * histogram_entropy(hist))  # one bin: p = 1, log 1 = 0, m exactly 1.0
 
 
 def assemble(frame_offsets, i, j, w, n_spatial) -> SpaceTimeGraph:

@@ -166,8 +166,8 @@ def write_dataset(clip: Clip, out_dir):
     Layout: frames/, superpixels/ (16-bit PGM), flow/ (.flo), motion/, gt/,
     proposals/manifest.jsonl with mask PGMs alongside. Every label map fits a
     16-bit PGM: generate's SuperpixelMap rejects a frame with more superpixels. A
-    per-frame file that its loader would read and this clip would not overwrite, as
-    another clip's, is a DataError raised before any file is written.
+    per-frame file or proposal mask that this clip would not overwrite, as another
+    clip's, is a DataError raised before any file is written.
     """
     paths = {
         "video_dir": os.path.join(out_dir, "frames"),
@@ -177,7 +177,8 @@ def write_dataset(clip: Clip, out_dir):
         "gt_dir": os.path.join(out_dir, "gt"),
         "proposal_manifest": os.path.join(out_dir, "proposals", "manifest.jsonl"),
     }
-    # (directory key, file name, writer, array) of each per-frame file, in write order
+    dirs = dict(paths, proposal_dir=os.path.dirname(paths["proposal_manifest"]))
+    # (key in dirs, file name, writer, array) of each file but the manifest, in write order
     files = []
     for t in range(clip.video.frame_count):
         name = f"frame_{t:04d}"
@@ -188,25 +189,24 @@ def write_dataset(clip: Clip, out_dir):
               for t, mask in sorted(clip.gt_masks.items())]
     files += [("flow_dir", f"flow_{t:04d}.flo", write_flow, flow)
               for t, flow in enumerate(clip.flows)]
-    written = {os.path.join(paths[key], name) for key, name, _, _ in files}
+    files += [("proposal_dir", f"mask_{idx:05d}.pgm", write_mask, p.mask)
+              for idx, p in enumerate(clip.proposals)]
+    written = {os.path.join(dirs[key], name) for key, name, _, _ in files}
     for key, suffixes in (("video_dir", FRAME_SUFFIXES), ("superpixel_dir", ".pgm"),
-                          ("motion_dir", ".pgm"), ("gt_dir", ".pgm"), ("flow_dir", ".flo")):
-        stale = os.path.isdir(paths[key]) and set(list_frames(paths[key], suffixes)) - written
+                          ("motion_dir", ".pgm"), ("gt_dir", ".pgm"), ("flow_dir", ".flo"),
+                          ("proposal_dir", ".pgm")):
+        stale = os.path.isdir(dirs[key]) and set(list_frames(dirs[key], suffixes)) - written
         if stale:
-            raise DataError(f"{min(stale)} is not a file of this clip and would be read as "
+            raise DataError(f"{min(stale)} is not a file of this clip and would be taken for "
                             f"one; write the clip into a new directory")
 
     os.makedirs(paths["flow_dir"], exist_ok=True)  # a one-frame clip writes no flow
     for key, name, write, array in files:
-        write(os.path.join(paths[key], name), array)
+        write(os.path.join(dirs[key], name), array)
 
-    manifest_dir = os.path.dirname(paths["proposal_manifest"])
-    lines = []
-    for idx, p in enumerate(clip.proposals):
-        mask_name = f"mask_{idx:05d}.pgm"
-        write_mask(os.path.join(manifest_dir, mask_name), p.mask)
-        record = {"frame": p.frame, "mask": mask_name, "appearance": p.appearance_score,
-                  "confidences": p.class_confidences}
-        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    lines = [json.dumps({"frame": p.frame, "mask": f"mask_{idx:05d}.pgm",
+                         "appearance": p.appearance_score,
+                         "confidences": p.class_confidences}, sort_keys=True) + "\n"
+             for idx, p in enumerate(clip.proposals)]
     write_file(paths["proposal_manifest"], lines)
     return paths

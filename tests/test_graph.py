@@ -9,7 +9,6 @@ from conftest import graph_from_edges, random_graph
 from oracles import degrees, dense_operator
 from vidseg.graph import (
     MAGNITUDE_EDGES,
-    _pair_counts,
     assemble,
     build_graph,
     color_distance,
@@ -324,17 +323,6 @@ def test_temporal_edges_collision_counts_a_shared_pixel_once():
     assert i.tolist() == [0, 0, 1, 1]
     assert j.tolist() == [2, 3, 3, 4]
     assert rho.tolist() == [0.5, 0.5, 0.5, 0.5]
-
-
-def test_pair_counts_keys_past_int32():
-    # 65535 * 2**21 passes 2**31: the key is built in int64 even from int32 labels
-    rows = np.array([65535, 3, 65535], np.int32)
-    cols = np.array([7, 2**21 - 1, 7], np.int32)
-    i, j, counts = _pair_counts(rows, cols, 2**21)
-    assert (i.dtype, j.dtype, counts.dtype) == (np.int64, np.int64, np.float64)
-    assert i.tolist() == [3, 65535]
-    assert j.tolist() == [2**21 - 1, 7]
-    assert counts.tolist() == [1.0, 2.0]
 
 
 def test_entropy_uniform_32_bins():

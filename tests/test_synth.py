@@ -299,7 +299,7 @@ def test_synth_cli_over_a_longer_clip_rejected_before_writing(tmp_path, capsys):
 
 @pytest.mark.parametrize("directory, name", [("frames", "extra.PGM"), ("superpixels", "x.pgm"),
                                              ("motion", "x.pgm"), ("gt", "x.pgm"),
-                                             ("flow", "x.flo")])
+                                             ("flow", "x.flo"), ("proposals", "mask_99999.pgm")])
 def test_synth_cli_rejects_a_file_its_loader_would_read(tmp_path, capsys, directory, name):
     out = tmp_path / "data"
     assert main(["synth", "--out", str(out), *_SMALL_ARGV]) == 0
