@@ -22,7 +22,7 @@ def main():
         p.frame for p in dataset.proposals if p.class_confidences["object"] > 0.01
     }
     print(
-        f"  classifier fired on {len(fired)}/{dataset.video.frame_count} frames "
+        f"  classifier fired on {len(fired)}/{len(dataset.frames)} frames "
         "(the rest have no retained proposal at all)"
     )
     paths = write_dataset(dataset, os.path.join(OUT, "data"))

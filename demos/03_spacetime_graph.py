@@ -19,10 +19,10 @@ def main():
     ds = generate(SynthConfig(width=64, height=64, frame_count=6, shape_width=24,
                               shape_height=24, start_x=6, start_y=8, seed=1))
     sp = ds.superpixels
-    print(f"{ds.video.frame_count} frames, {sp.total_count} superpixels total "
+    print(f"{len(ds.frames)} frames, {sp.total_count} superpixels total "
           f"({sp.counts[0]} in frame 0)")
 
-    graph = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp))
+    graph = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.frames, sp))
     spatial, temporal = graph.w[: graph.n_spatial], graph.w[graph.n_spatial :]
     print(f"\nspatial edges:  {len(spatial):5d}  "
           f"weights {spatial.min():.3g} .. {spatial.max():.3g}")

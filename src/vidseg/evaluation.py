@@ -78,15 +78,16 @@ def score_masks(video_id, masks, gt_masks):
     return report
 
 
-def render_overlay(video, masks, out_dir):
-    """Write per-frame PPM overlays with object pixels 50% blended in OVERLAY_COLOR.
+def render_overlay(frames, masks, out_dir):
+    """Write per-frame PPM overlays of frames, a (T, H, W, 3) uint8 array, with object
+    pixels 50% blended in OVERLAY_COLOR.
 
     Integer blending ((frame + color) // 2) keeps the output bytes
     deterministic.
     """
     color = np.asarray(OVERLAY_COLOR, dtype=np.uint16)
-    for t in range(video.frame_count):
-        frame = video.frames[t].astype(np.uint16)
+    for t, frame in enumerate(frames):
+        frame = frame.astype(np.uint16)
         mask = np.asarray(masks[t], dtype=bool)
         blended = frame.copy()
         blended[mask] = (frame[mask] + color) // 2

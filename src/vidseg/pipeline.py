@@ -212,17 +212,17 @@ def load_inputs(cfg: PipelineConfig, stages):
         if name in read_paths and not exists(path) and (path or name != "gt_dir"):
             raise DataError(f"{name} does not exist: {path!r}")
     with _stage("ingest"):
-        video = load_video(cfg.video_dir)
-        count, shape = video.frame_count, (video.height, video.width)
+        frames = load_video(cfg.video_dir)
+        count, shape = frames.shape[0], frames.shape[1:3]
         sp = load_superpixels(cfg.superpixel_dir, count)
         if sp.labels.shape[1:] != shape:
             raise DataError(f"dimension mismatch: superpixel maps in {cfg.superpixel_dir} are "
                             f"{sp.labels.shape[1:]}, frames are {shape}")
         colors = centroids = graph = None
         if "graph" in reads:
-            colors, centroids = compute_superpixel_stats(video, sp)
-        clip = Clip(video if "frames" in reads else None, sp)
-        del video
+            colors, centroids = compute_superpixel_stats(frames, sp)
+        clip = Clip(frames if "frames" in reads else None, sp)
+        del frames
         if "motion" in reads:
             clip.motion_masks = np.stack([load_mask(mask_path, shape) for mask_path
                                           in list_frames(cfg.motion_dir, ".pgm", count)])
@@ -295,7 +295,7 @@ def segment_stage(cfg: PipelineConfig, clip: Clip, colors, potts, confidences):
             seg = segs[cls] = segment_class(cfg, clip, colors, potts, fieldv)
             for t, mask in enumerate(seg["masks"]):
                 write_mask(os.path.join(cfg.out_dir, "masks", cls, f"frame_{t:04d}.pgm"), mask)
-            render_overlay(clip.video, seg["masks"], os.path.join(cfg.out_dir, "overlays", cls))
+            render_overlay(clip.frames, seg["masks"], os.path.join(cfg.out_dir, "overlays", cls))
             models = {
                 name: {f.name: getattr(seg[key], f.name).tolist() for f in fields(seg[key])}
                 for name, key in (("object", "gmm_obj"), ("background", "gmm_bg"))

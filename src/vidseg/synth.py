@@ -17,8 +17,8 @@ import numpy as np
 
 from .pnm import DataError, write_file, write_pgm, write_ppm
 from .proposals import ScoredProposal
-from .video import (FRAME_SUFFIXES, Clip, SuperpixelMap, VideoVolume, check_id, list_frames,
-                    write_flow, write_mask)
+from .video import (FRAME_SUFFIXES, Clip, SuperpixelMap, check_id, list_frames, write_flow,
+                    write_mask)
 
 # frame_{t:04d} names sort in frame order up to 10,000 frames
 MAX_FRAMES = 10_000
@@ -156,7 +156,7 @@ def generate(cfg: SynthConfig) -> Clip:
                 )
             )
 
-    return Clip(video=VideoVolume(frames), superpixels=sp, flows=flows, motion_masks=gt.copy(),
+    return Clip(frames=frames, superpixels=sp, flows=flows, motion_masks=gt.copy(),
                 proposals=proposals, gt_masks=dict(enumerate(gt)))
 
 
@@ -180,9 +180,9 @@ def write_dataset(clip: Clip, out_dir):
     dirs = dict(paths, proposal_dir=os.path.dirname(paths["proposal_manifest"]))
     # (key in dirs, file name, writer, array) of each file but the manifest, in write order
     files = []
-    for t in range(clip.video.frame_count):
+    for t in range(len(clip.frames)):
         name = f"frame_{t:04d}"
-        files += [("video_dir", name + ".ppm", write_ppm, clip.video.frames[t]),
+        files += [("video_dir", name + ".ppm", write_ppm, clip.frames[t]),
                   ("superpixel_dir", name + ".pgm", write_pgm, clip.superpixels.labels[t]),
                   ("motion_dir", name + ".pgm", write_mask, clip.motion_masks[t])]
     files += [("gt_dir", f"frame_{t:04d}.pgm", write_mask, mask)

@@ -1,11 +1,12 @@
 """Core video data model: frames, superpixel maps, optical flow, masks, clips.
 
-All types are plain containers over numpy arrays and are treated as
-immutable after construction; loaders validate dimensions up front so the
-rest of the pipeline can assume consistency. SuperpixelMap numbers each
-frame's superpixels 0..n-1 itself, so every map, loaded or built in memory,
-holds contiguous ids. Every per-frame directory is listed by list_frames, and
-every input error is a pnm.DataError that names its file or directory.
+Frames are one (T, H, W, 3) uint8 array; the other types are plain containers
+over numpy arrays and are treated as immutable after construction. Loaders
+validate dimensions up front so the rest of the pipeline can assume
+consistency. SuperpixelMap numbers each frame's superpixels 0..n-1 itself, so
+every map, loaded or built in memory, holds contiguous ids. Every per-frame
+directory is listed by list_frames, and every input error is a pnm.DataError
+that names its file or directory.
 """
 
 from __future__ import annotations
@@ -47,32 +48,6 @@ def list_frames(path, suffixes, count=None):
     if count is not None and len(names) != count:
         raise DataError(f"file count mismatch in {path}: {len(names)} files, expected {count}")
     return [os.path.join(path, n) for n in names]
-
-
-@dataclass
-class VideoVolume:
-    """An ordered stack of RGB frames, shape (T, H, W, 3) uint8."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.uint8)
-        if self.frames.ndim != 4 or self.frames.shape[3] != 3:
-            raise DataError("frames must have shape (T, H, W, 3)")
-        if self.frames.shape[0] < 1:
-            raise DataError("no frames")
-
-    @property
-    def frame_count(self):
-        return self.frames.shape[0]
-
-    @property
-    def height(self):
-        return self.frames.shape[1]
-
-    @property
-    def width(self):
-        return self.frames.shape[2]
 
 
 @dataclass
@@ -128,7 +103,7 @@ class Clip:
     what pipeline.load_inputs reads. A field that no stage of a run reads is None, and
     a run lets go of a field by setting it to None after its last reader."""
 
-    video: VideoVolume | None
+    frames: np.ndarray | None  # (T, H, W, 3) uint8 RGB
     superpixels: SuperpixelMap
     flows: object = None  # (H, W, 2) float32 per consecutive frame pair, in order
     motion_masks: np.ndarray | None = None  # (T, H, W) bool
@@ -136,8 +111,9 @@ class Clip:
     gt_masks: dict | None = None  # frame index -> (H, W) bool, for the annotated frames
 
 
-def load_video(path) -> VideoVolume:
-    """Load a directory of 8-bit PPM/PGM frames in lexicographic filename order.
+def load_video(path) -> np.ndarray:
+    """Load a directory of 8-bit PPM/PGM frames in lexicographic filename order as one
+    (T, H, W, 3) uint8 array; a grey PGM frame is replicated into the three channels.
 
     Every per-frame directory is read in that order, so a frames.txt manifest,
     which would reorder the frames alone, is a data error.
@@ -158,7 +134,7 @@ def load_video(path) -> VideoVolume:
             raise DataError(f"dimension mismatch: {frame_path} is {img.shape[:2]}, "
                             f"expected {frames[0].shape[:2]}")
         frames.append(img)
-    return VideoVolume(np.stack(frames))
+    return np.stack(frames)
 
 
 def load_superpixels(path, expected_frames) -> SuperpixelMap:
@@ -220,14 +196,15 @@ def write_mask(path, mask):
     write_pgm(path, np.where(mask, np.uint8(255), np.uint8(0)))
 
 
-def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap):
+def compute_superpixel_stats(frames, sp: SuperpixelMap):
     """(mean_color, centroid) of every superpixel, by global node id.
 
     mean_color is (N, 3) float on the 0-255 scale, centroid (N, 2) float as
     (x, y) in pixel coordinates. Works one frame at a time: each frame's
     bincounts fill its rows of the two result arrays, so no temporary spans
     the clip's pixels. The sums are of integers, hence exact in any order.
-    The caller checks that video and sp share their (T, H, W) shape.
+    The caller checks that frames, a (T, H, W, 3) array, and sp share their
+    (T, H, W) shape.
     """
     offsets = sp.frame_offsets()
     mean_color, centroid = np.empty((int(offsets[-1]), 3)), np.empty((int(offsets[-1]), 2))
@@ -236,7 +213,7 @@ def compute_superpixel_stats(video: VideoVolume, sp: SuperpixelMap):
     for t in range(sp.frame_count):
         labels, n, rows = sp.labels[t].ravel(), sp.counts[t], slice(offsets[t], offsets[t + 1])
         counts[rows] = np.bincount(labels, minlength=n)
-        for sums, weights in ((mean_color, video.frames[t].reshape(-1, 3).T), (centroid, (xs, ys))):
+        for sums, weights in ((mean_color, frames[t].reshape(-1, 3).T), (centroid, (xs, ys))):
             for k, w in enumerate(weights):
                 sums[rows, k] = np.bincount(labels, weights=w, minlength=n)
     mean_color /= counts[:, None]

@@ -308,7 +308,7 @@ def _scale_l_clip():
     )
     ds = generate(cfg)
     sp = ds.superpixels
-    s = diffusion_operator(build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp)))
+    s = diffusion_operator(build_graph(sp, ds.flows, *compute_superpixel_stats(ds.frames, sp)))
     scored = score_proposals(ds.proposals, ds.motion_masks)
     retained = filter_by_confidence(scored, cfg.class_id, 0.01)
     pooled = pool_confidence(retained, cfg.class_id, ds.superpixels)
@@ -352,7 +352,7 @@ def test_graph_build_speed_at_scale():
     _, ds, _, _ = _scale_l_clip()
     sp = ds.superpixels
     start = time.monotonic()
-    graph = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp))
+    graph = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.frames, sp))
     elapsed = time.monotonic() - start
     edges = len(graph.i)
     _report(
@@ -366,7 +366,7 @@ def test_gmm_fit_speed_at_scale():
     # both color models of the L clip, as segment_class fits them
     _, ds, s, pooled = _scale_l_clip()
     adapted = adapt_confidence(pooled, s, PropagationConfig())
-    colors, _ = compute_superpixel_stats(ds.video, ds.superpixels)
+    colors, _ = compute_superpixel_stats(ds.frames, ds.superpixels)
     (obj_colors, obj_w), (bg_colors, bg_w) = sample_training_sets(adapted.flat, colors)
     histories = ([], [])
     start = time.monotonic()

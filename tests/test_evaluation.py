@@ -8,7 +8,6 @@ from vidseg.evaluation import (
     render_overlay,
 )
 from vidseg.pnm import DataError, read_pnm
-from vidseg.video import VideoVolume
 
 
 def _mask1d(width, lo, hi):
@@ -82,19 +81,17 @@ def test_iou_monotone_in_correct_pixels():
 
 def test_render_overlay_empty_equals_source(tmp_path, rng):
     frames = rng.integers(0, 255, size=(2, 4, 4, 3)).astype(np.uint8)
-    video = VideoVolume(frames)
     masks = np.zeros((2, 4, 4), dtype=bool)
-    render_overlay(video, masks, tmp_path / "ov")
+    render_overlay(frames, masks, tmp_path / "ov")
     for t in range(2):
         assert np.array_equal(read_pnm(tmp_path / "ov" / f"frame_{t:04d}.ppm"), frames[t])
 
 
 def test_render_overlay_blends_and_is_deterministic(tmp_path):
     frames = np.full((1, 2, 2, 3), 100, dtype=np.uint8)
-    video = VideoVolume(frames)
     masks = np.ones((1, 2, 2), dtype=bool)
-    render_overlay(video, masks, tmp_path / "a")
-    render_overlay(video, masks, tmp_path / "b")
+    render_overlay(frames, masks, tmp_path / "a")
+    render_overlay(frames, masks, tmp_path / "b")
     p1, p2 = tmp_path / "a" / "frame_0000.ppm", tmp_path / "b" / "frame_0000.ppm"
     img = read_pnm(p1)
     assert np.all(img == [(100 + 255) // 2, (100 + 64) // 2, (100 + 64) // 2])

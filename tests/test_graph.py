@@ -24,7 +24,7 @@ from vidseg.mrf import pairwise_weights
 from vidseg.pnm import DataError
 from vidseg.propagation import diffusion_operator
 from vidseg.synth import SynthConfig, generate
-from vidseg.video import SuperpixelMap, VideoVolume, compute_superpixel_stats
+from vidseg.video import SuperpixelMap, compute_superpixel_stats
 
 LN2 = 0.6931471805599453
 LN32 = 3.4657359027997265
@@ -428,13 +428,13 @@ def _tiny_scene():
     labels2 = labels + 2 * (np.arange(8)[:, None] >= 4)
     sp = _sp([labels2, labels2, labels2])
     flows = [np.zeros((8, 8, 2), dtype=np.float32)] * 2
-    return VideoVolume(frames), sp, flows
+    return frames, sp, flows
 
 
 def test_build_graph_deterministic():
-    video, sp, flows = _tiny_scene()
-    g1 = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
-    g2 = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
+    frames, sp, flows = _tiny_scene()
+    g1 = build_graph(sp, flows, *compute_superpixel_stats(frames, sp))
+    g2 = build_graph(sp, flows, *compute_superpixel_stats(frames, sp))
     assert g1.n_spatial == g2.n_spatial
     assert np.array_equal(g1.i, g2.i)
     assert np.array_equal(g1.w, g2.w)
@@ -443,8 +443,8 @@ def test_build_graph_deterministic():
 
 
 def test_build_graph_dump_csv(tmp_path):
-    video, sp, flows = _tiny_scene()
-    g = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
+    frames, sp, flows = _tiny_scene()
+    g = build_graph(sp, flows, *compute_superpixel_stats(frames, sp))
     path = tmp_path / "graph.csv"
     g.dump_csv(path)
     text = path.read_bytes().decode()
@@ -474,21 +474,21 @@ def test_build_graph_dump_csv(tmp_path):
 
 
 def test_build_graph_operator_has_zero_diagonal():
-    video, sp, flows = _tiny_scene()
-    g = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
+    frames, sp, flows = _tiny_scene()
+    g = build_graph(sp, flows, *compute_superpixel_stats(frames, sp))
     assert len(g.i) > g.n_spatial and np.all(np.diag(dense_operator(diffusion_operator(g))) == 0.0)
 
 
 def test_build_graph_lists_spatial_edges_then_temporal_ones_frame_by_frame():
     ds = generate(SynthConfig(velocity=(1, 1)))
     sp = ds.superpixels
-    g = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp))
+    g = build_graph(sp, ds.flows, *compute_superpixel_stats(ds.frames, sp))
     ns = g.n_spatial
     fi, fj = np.searchsorted(g.frame_offsets, np.stack([g.i, g.j]), side="right") - 1
     assert 0 < ns < len(g.i)
     assert np.array_equal(fi[:ns], fj[:ns])  # spatial: both ends in one frame
     assert np.array_equal(fi[ns:] + 1, fj[ns:])  # temporal: i in frame t, j in frame t+1
-    assert np.unique(fi[ns:]).tolist() == list(range(ds.video.frame_count - 1))
+    assert np.unique(fi[ns:]).tolist() == list(range(sp.frame_count - 1))
     edges, weights = pairwise_weights(g, lambda_spatial=1000.0, lambda_temporal=2000.0)
     assert np.array_equal(edges, np.stack([g.i, g.j], axis=1))
     assert np.array_equal(weights, np.concatenate([1000.0 * g.w[:ns], 2000.0 * g.w[ns:]]))
@@ -499,7 +499,7 @@ def _noisy_flow(t):
 
 
 def test_build_graph_holds_one_flow_field_at_a_time():
-    video, sp, _ = _tiny_scene()
+    frames, sp, _ = _tiny_scene()
     refs = []
 
     def fields():
@@ -511,7 +511,7 @@ def test_build_graph_holds_one_flow_field_at_a_time():
             del flow
         assert all(ref() is None for ref in refs), "the last field is still alive"
 
-    stats = compute_superpixel_stats(video, sp)
+    stats = compute_superpixel_stats(frames, sp)
     streamed = build_graph(sp, fields(), *stats)
     listed = build_graph(sp, [_noisy_flow(t) for t in range(2)], *stats)
     assert len(refs) == 2 and len(streamed.i) > streamed.n_spatial == listed.n_spatial
@@ -524,28 +524,28 @@ def test_build_graph_holds_one_flow_field_at_a_time():
 
 @pytest.mark.parametrize("count", [0, 1, 3, 4])
 def test_build_graph_flow_count_error_is_the_same_for_an_iterator(count):
-    video, sp, _ = _tiny_scene()
+    frames, sp, _ = _tiny_scene()
     flows = [np.zeros((8, 8, 2), np.float32)] * count
     messages = []
     for given in (flows, iter(flows), (flow for flow in flows)):
         with pytest.raises(DataError) as raised:
-            build_graph(sp, given, *compute_superpixel_stats(video, sp))
+            build_graph(sp, given, *compute_superpixel_stats(frames, sp))
         messages.append(str(raised.value))
     assert messages == [f"expected 2 flow fields, got {count}"] * 3
 
 
 @pytest.mark.parametrize("clip", ["one frame", "one superpixel per frame"])
 def test_build_graph_with_an_empty_pool(clip):
-    video, sp, flows = _tiny_scene()
+    frames, sp, flows = _tiny_scene()
     if clip == "one frame":
-        video, sp, flows = VideoVolume(video.frames[:1]), _sp(sp.labels[:1]), []
+        frames, sp, flows = frames[:1], _sp(sp.labels[:1]), []
         empty, full = "temporal", "spatial"
     else:
         sp = _sp(np.zeros_like(sp.labels))
         empty, full = "spatial", "temporal"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = build_graph(sp, flows, *compute_superpixel_stats(video, sp))
+        g = build_graph(sp, flows, *compute_superpixel_stats(frames, sp))
     pools = {"spatial": slice(None, g.n_spatial), "temporal": slice(g.n_spatial, None)}
     for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
         arr = getattr(g, name)

@@ -13,7 +13,7 @@ import pytest
 from vidseg.pipeline import PipelineConfig, read_confidence_csv, run_pipeline
 from vidseg.pnm import write_pgm
 from vidseg.synth import SynthConfig, generate, write_dataset
-from vidseg.video import SuperpixelMap, VideoVolume, list_frames, load_mask, load_superpixels
+from vidseg.video import SuperpixelMap, list_frames, load_mask, load_superpixels
 
 M_NOISY = SynthConfig(frame_count=20, cell_size=4, flow_noise_sigma=2.0, confidence_base=0.6,
                       seed=5)
@@ -24,7 +24,7 @@ def _transformed(ds, pixels, flow):
     """ds with pixels applied to every (T, H, W, ...) array and flow to every flow field."""
     return dataclasses.replace(
         ds,
-        video=VideoVolume(pixels(ds.video.frames)),
+        frames=pixels(ds.frames),
         superpixels=SuperpixelMap(pixels(ds.superpixels.labels)),
         flows=[flow(f) for f in ds.flows],
         motion_masks=pixels(ds.motion_masks),
@@ -64,7 +64,7 @@ def _run(ds, root, cls=CLASS, label_frames=None):
         write_pgm(os.path.join(paths["superpixel_dir"], f"frame_{t:04d}.pgm"), frame)
     out = os.path.join(root, "out")
     run_pipeline(PipelineConfig(**paths, out_dir=out, classes=[cls]))
-    labels = load_superpixels(paths["superpixel_dir"], ds.video.frame_count).labels
+    labels = load_superpixels(paths["superpixel_dir"], ds.superpixels.frame_count).labels
     result = {"masks": np.stack([load_mask(p) for p in
                                  list_frames(os.path.join(out, "masks", cls), ".pgm")])}
     for name in ("pooled", "adapted"):

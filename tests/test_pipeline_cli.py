@@ -1041,7 +1041,7 @@ def test_graph_build_loads_no_scipy():
             "from vidseg.video import compute_superpixel_stats\n"
             "ds = generate(SynthConfig())\n"
             "graph = build_graph(ds.superpixels, ds.flows,\n"
-            "                    *compute_superpixel_stats(ds.video, ds.superpixels))\n"
+            "                    *compute_superpixel_stats(ds.frames, ds.superpixels))\n"
             "assert 0 < graph.n_spatial < len(graph.i)")
     assert _loaded_after(code, "scipy") == set()
 
@@ -1127,7 +1127,7 @@ def test_adapt_stage_loads_no_scipy():
             "from vidseg.video import compute_superpixel_stats\n"
             "ds = generate(SynthConfig())\n"
             "graph = build_graph(ds.superpixels, ds.flows,\n"
-            "                    *compute_superpixel_stats(ds.video, ds.superpixels))\n"
+            "                    *compute_superpixel_stats(ds.frames, ds.superpixels))\n"
             "scored = filter_by_confidence(score_proposals(ds.proposals, ds.motion_masks), 'object')\n"
             "pooled = {'object': pool_confidence(scored, 'object', ds.superpixels)}\n"
             "adapted = adapt_stage(PipelineConfig(), graph, pooled)\n"
@@ -1233,7 +1233,7 @@ def test_load_inputs_reads_back_the_generated_clip(tmp_path):
     ds = generate(_synth_config(flow_noise_sigma=0.5))
     cfg = PipelineConfig(**write_dataset(ds, str(tmp_path)))
     clip, colors, graph = load_inputs(cfg, tuple(pipeline.STAGE_INPUTS))
-    assert np.array_equal(clip.video.frames, ds.video.frames)
+    assert np.array_equal(clip.frames, ds.frames)
     assert np.array_equal(clip.superpixels.labels, ds.superpixels.labels)
     assert np.array_equal(clip.motion_masks, ds.motion_masks)
     assert clip.flows is None  # the build consumed them
@@ -1244,7 +1244,7 @@ def test_load_inputs_reads_back_the_generated_clip(tmp_path):
             want.frame, want.appearance_score, want.class_confidences)
     assert sorted(clip.gt_masks) == sorted(ds.gt_masks)
     assert all(np.array_equal(clip.gt_masks[t], mask) for t, mask in ds.gt_masks.items())
-    stats = compute_superpixel_stats(ds.video, ds.superpixels)
+    stats = compute_superpixel_stats(ds.frames, ds.superpixels)
     assert np.array_equal(colors, stats[0])
     built = build_graph(ds.superpixels, ds.flows, *stats)
     for f in dataclasses.fields(built):

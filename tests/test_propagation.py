@@ -166,7 +166,7 @@ def _s_clip_pooled():
     synth = SynthConfig(seed=7)
     ds = generate(synth)
     sp = ds.superpixels
-    s = diffusion_operator(build_graph(sp, ds.flows, *compute_superpixel_stats(ds.video, sp)))
+    s = diffusion_operator(build_graph(sp, ds.flows, *compute_superpixel_stats(ds.frames, sp)))
     scored = score_proposals(ds.proposals, ds.motion_masks)
     pooled = pool_confidence(filter_by_confidence(scored, synth.class_id, 0.01),
                              synth.class_id, ds.superpixels)

@@ -46,20 +46,20 @@ def test_gt_centroid_displacement():
 def test_zero_velocity_static():
     ds = generate(_small_cfg(velocity=(0, 0)))
     assert all(not f.any() for f in ds.flows)
-    for t in range(1, ds.video.frame_count):
+    for t in range(1, len(ds.frames)):
         assert np.array_equal(ds.gt_masks[t], ds.gt_masks[0])
 
 
 def test_flow_warps_gt_exactly():
     ds = generate(_small_cfg())
-    for t in range(1, ds.video.frame_count):
+    for t in range(1, len(ds.frames)):
         dest = warp_pixels(ds.flows[t - 1])[ds.gt_masks[t - 1]]
         assert np.array_equal(np.sort(dest), np.flatnonzero(ds.gt_masks[t]))
 
 
 def test_superpixels_respect_boundary():
     ds = generate(_small_cfg())
-    for t in range(ds.video.frame_count):
+    for t in range(len(ds.frames)):
         labels = ds.superpixels.labels[t]
         gt = ds.gt_masks[t]
         for s in range(ds.superpixels.counts[t]):
@@ -128,7 +128,7 @@ def test_class_id_that_is_not_a_path_component_rejected(tmp_path, capsys, bad):
 def test_generation_deterministic():
     d1 = generate(_small_cfg())
     d2 = generate(_small_cfg())
-    assert np.array_equal(d1.video.frames, d2.video.frames)
+    assert np.array_equal(d1.frames, d2.frames)
     assert np.array_equal(d1.superpixels.labels, d2.superpixels.labels)
     assert all(
         p1.class_confidences == p2.class_confidences

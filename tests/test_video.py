@@ -10,7 +10,6 @@ from vidseg.pnm import DataError, write_pgm, write_ppm
 from vidseg.synth import SynthConfig, generate
 from vidseg.video import (
     SuperpixelMap,
-    VideoVolume,
     compute_superpixel_stats,
     load_mask,
     load_superpixels,
@@ -32,16 +31,15 @@ def _write_frames(path, count=3, size=(8, 8), fmt="ppm"):
 
 def test_load_video_basic(tmp_path):
     _write_frames(tmp_path / "v", count=3)
-    video = load_video(tmp_path / "v")
-    assert video.frame_count == 3
-    assert (video.width, video.height) == (8, 8)
+    frames = load_video(tmp_path / "v")
+    assert frames.shape == (3, 8, 8, 3) and frames.dtype == np.uint8
 
 
 def test_load_video_pgm_replicates_channels(tmp_path):
     _write_frames(tmp_path / "v", count=2, fmt="pgm")
-    video = load_video(tmp_path / "v")
-    assert video.frames.shape == (2, 8, 8, 3)
-    assert np.all(video.frames[:, :, :, 0] == video.frames[:, :, :, 2])
+    frames = load_video(tmp_path / "v")
+    assert frames.shape == (2, 8, 8, 3)
+    assert np.all(frames[:, :, :, 0] == frames[:, :, :, 2])
 
 
 def test_load_video_empty(tmp_path):
@@ -181,33 +179,26 @@ def test_superpixel_map_rejects_non_integer_labels():
         SuperpixelMap(np.zeros((1, 2, 2)))
 
 
-def _video_of(frame_arrays):
-    return VideoVolume(np.stack(frame_arrays))
-
-
 def test_stats_uniform_frame():
     frame = np.zeros((8, 8, 3), dtype=np.uint8)
     frame[:, :, 0] = 255
-    video = _video_of([frame])
     sp = SuperpixelMap(np.zeros((1, 8, 8), dtype=np.int32))
-    mean_color, centroid = compute_superpixel_stats(video, sp)
+    mean_color, centroid = compute_superpixel_stats(frame[None], sp)
     assert np.allclose(mean_color, [[255, 0, 0]])
     assert np.allclose(centroid, [[3.5, 3.5]])
 
 
 def test_stats_mean_of_two_pixels():
     frame = np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8)
-    video = _video_of([frame])
     sp = SuperpixelMap(np.zeros((1, 1, 2), dtype=np.int32))
-    mean_color, _ = compute_superpixel_stats(video, sp)
+    mean_color, _ = compute_superpixel_stats(frame[None], sp)
     assert np.allclose(mean_color, [[127.5, 127.5, 127.5]])
 
 
 def test_stats_single_pixel_superpixels():
     frame = np.zeros((1, 2, 3), dtype=np.uint8)
-    video = _video_of([frame])
     sp = SuperpixelMap(np.array([[[0, 1]]], dtype=np.int32))
-    _, centroid = compute_superpixel_stats(video, sp)
+    _, centroid = compute_superpixel_stats(frame[None], sp)
     assert np.allclose(centroid, [[0, 0], [1, 0]])
 
 
@@ -217,7 +208,7 @@ def test_stats_match_brute_force_over_frames(rng):
     for t, n in enumerate(counts):
         labels[t, 0, :n] = np.arange(n)  # every label present
     frames = rng.integers(0, 256, size=(3, 9, 7, 3)).astype(np.uint8)
-    mean_color, centroid = compute_superpixel_stats(VideoVolume(frames), SuperpixelMap(labels))
+    mean_color, centroid = compute_superpixel_stats(frames, SuperpixelMap(labels))
     assert mean_color.shape == (sum(counts), 3)
     node = 0
     for t, n in enumerate(counts):
@@ -242,7 +233,7 @@ def _transient_bytes(fn, *args):
 @pytest.mark.parametrize(
     "layer",
     [
-        lambda ds: (compute_superpixel_stats, ds.video, ds.superpixels),
+        lambda ds: (compute_superpixel_stats, ds.frames, ds.superpixels),
         lambda ds: (rasterize, Labeling(np.ones(ds.superpixels.total_count, bool)), ds.superpixels),
     ],
     ids=["compute_superpixel_stats", "rasterize"],
@@ -261,19 +252,6 @@ def test_ingest_transient_memory_does_not_grow_with_the_clip_pixels(layer):
 def test_superpixel_map_rejects_a_negative_label():
     with pytest.raises(DataError, match="frame 1 has a negative superpixel label"):
         SuperpixelMap([[[0, 0], [0, 0]], [[0, -1], [0, 0]]])
-
-
-@pytest.mark.parametrize(
-    "frames, message",
-    [
-        (np.zeros((2, 4, 4), np.uint8), r"frames must have shape \(T, H, W, 3\)"),
-        (np.zeros((0, 4, 4, 3), np.uint8), "no frames"),
-    ],
-    ids=["grey", "zero-frames"],
-)
-def test_video_volume_rejects_frames_it_cannot_hold(frames, message):
-    with pytest.raises(DataError, match=message):
-        VideoVolume(frames)
 
 
 def test_superpixel_map_rejects_zero_frames():
