@@ -73,6 +73,11 @@ class PropagationResult:
     residual: float
 
 
+def _dot(a, b):
+    """a . b by einsum, not BLAS, whose summation order moves with its thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def diffusion_operator(graph):
     """S = D^-1/2 A D^-1/2 as the graph with weights w_e * dinv_i * dinv_j, sharing its
     i, j and frame_offsets, which no caller may write in place. assemble rejects
@@ -129,24 +134,24 @@ def propagate(s, c, cfg: PropagationConfig) -> PropagationResult:
     eta = cfg.eta
     gamma = 1.0 - eta
     b = eta * c
-    norm_b = float(np.linalg.norm(b))
+    norm_b = math.sqrt(_dot(b, b))
     if norm_b == 0.0:
         return PropagationResult(np.zeros_like(c), 0, 0.0)
 
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
-    rr = float(r @ r)
+    rr = _dot(r, r)
     residual = 1.0
     for k in range(1, cfg.max_iterations + 1):
         ap = p - gamma * s.dot(p)
-        alpha = rr / float(p @ ap)
+        alpha = rr / _dot(p, ap)
         x += alpha * p
         r -= alpha * ap
-        residual = float(np.linalg.norm(r)) / norm_b
+        rr_next = _dot(r, r)
+        residual = math.sqrt(rr_next) / norm_b
         if residual <= cfg.tolerance:
             return PropagationResult(x, k, residual)
-        rr_next = float(r @ r)
         p = r + (rr_next / rr) * p
         rr = rr_next
     raise ConvergenceError(
@@ -171,7 +176,7 @@ def adapt_confidence(field: ConfidenceField, s, cfg: PropagationConfig) -> Confi
     result = propagate(s, c, cfg)
     residual = stationarity_residual(result.x, s, c, cfg.mu)
     roundoff = STATIONARITY_ROUNDOFF * np.finfo(np.float64).eps * np.max(np.abs(c), initial=0.0)
-    bound = (1.0 + cfg.mu) * (cfg.tolerance * cfg.eta * float(np.linalg.norm(c)) + roundoff)
+    bound = (1.0 + cfg.mu) * (cfg.tolerance * cfg.eta * math.sqrt(_dot(c, c)) + roundoff)
     if not residual <= bound:  # NaN fails too
         raise ConvergenceError(
             f"diffusion uncertified: stationarity residual {residual:.3e} exceeds {bound:.3e}",

@@ -22,6 +22,10 @@ from .video import (FRAME_SUFFIXES, Clip, SuperpixelMap, check_id, list_frames, 
 
 # frame_{t:04d} names sort in frame order up to 10,000 frames
 MAX_FRAMES = 10_000
+# colours of the background and of the shape, and the sigma of the appearance scores' noise
+BACKGROUND_COLOR = (60, 70, 160)
+OBJECT_COLOR = (200, 70, 60)
+SCORE_NOISE = 0.1
 # SynthConfig field -> its least usable value; -inf admits every number but NaN
 SYNTH_MINIMA = {"width": 1, "height": 1, "frame_count": 1, "cell_size": 1, "shape_width": 1,
                 "shape_height": 1, "proposals_per_frame": 1, "jitter_px": 0,
@@ -44,14 +48,11 @@ class SynthConfig:
     start_x: int = 10
     start_y: int = 20
     velocity: tuple = (2, 1)
-    background_color: tuple = (60, 70, 160)
-    object_color: tuple = (200, 70, 60)
     color_noise_sigma: float = 3.0
     flow_noise_sigma: float = 0.0  # N(0, sigma) px on each written flow component
     cell_size: int = 8
     proposals_per_frame: int = 1
     jitter_px: int = 5
-    score_noise: float = 0.1
     confidence_base: float = 0.05
     confidence_noise_sigma: float = 0.2
     class_id: str = "object"
@@ -109,10 +110,8 @@ def generate(cfg: SynthConfig) -> Clip:
         )
 
     frames = np.empty((T, h, w, 3), dtype=np.uint8)
-    bg = np.asarray(cfg.background_color, dtype=np.float64)
-    obj = np.asarray(cfg.object_color, dtype=np.float64)
     for t in range(T):
-        base = np.where(gt[t][:, :, None], obj, bg)
+        base = np.where(gt[t][:, :, None], OBJECT_COLOR, BACKGROUND_COLOR)
         noisy = base + rng.normal(0.0, cfg.color_noise_sigma, size=base.shape)
         frames[t] = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
 
@@ -141,7 +140,7 @@ def generate(cfg: SynthConfig) -> Clip:
         for _ in range(cfg.proposals_per_frame):
             ox, oy = rng.integers(-cfg.jitter_px, cfg.jitter_px + 1, size=2)
             mask = _shape_mask(cfg, x + int(ox), y + int(oy), h, w)
-            appearance = float(np.clip(0.7 + cfg.score_noise * rng.normal(), 0.0, 1.0))
+            appearance = float(np.clip(0.7 + SCORE_NOISE * rng.normal(), 0.0, 1.0))
             confidence = float(
                 np.clip(cfg.confidence_base + cfg.confidence_noise_sigma * rng.normal(), 0.0, 1.0)
             )

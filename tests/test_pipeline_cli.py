@@ -325,8 +325,10 @@ PINNED_CLIPS = {
     "S-seed7": ["--seed", "7"],
     "M-seed4": ["--seed", "4", "--frames", "20", "--cell-size", "4"],
 }
-# Relative tolerance of the by-value checks. CG dot products, exp and log may
-# round differently on another BLAS or numpy, so floats are not pinned by bytes.
+# Relative tolerance of the by-value checks. CG's inner products are numpy einsum
+# sums, not BLAS calls, so the BLAS thread count moves no bit of them; EM's exp, log
+# and matrix products may still round differently on another BLAS or numpy, so floats
+# are not pinned by bytes.
 PINNED_RTOL = 1e-12
 
 

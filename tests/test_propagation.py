@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import vidseg
 from conftest import graph_from_edges, random_graph
 from oracles import dense_operator, dense_solve_oracle, energy
 from vidseg.graph import build_graph
@@ -21,6 +26,22 @@ from vidseg.propagation import (
 )
 from vidseg.synth import SynthConfig, generate
 from vidseg.video import compute_superpixel_stats
+
+# Adapts the M clip that tests/pinned_values.json pins (20 frames, cell 4, seed 4:
+# 20,980 nodes) in memory and writes the adapted field's bytes to stdout.
+_ADAPT_M_CLIP = """
+import sys
+from vidseg.graph import build_graph
+from vidseg.pipeline import PipelineConfig, pool_stage
+from vidseg.propagation import PropagationConfig, adapt_confidence, diffusion_operator
+from vidseg.synth import SynthConfig, generate
+from vidseg.video import compute_superpixel_stats
+ds = generate(SynthConfig(frame_count=20, cell_size=4, seed=4))
+graph = build_graph(ds.superpixels, ds.flows, *compute_superpixel_stats(ds.frames, ds.superpixels))
+adapted = adapt_confidence(pool_stage(PipelineConfig(), ds)["object"], diffusion_operator(graph),
+                           PropagationConfig())
+sys.stdout.buffer.write(adapted.flat.tobytes())
+"""
 
 
 def two_node_graph():
@@ -195,6 +216,21 @@ def test_adapt_confidence_certifies_the_s_clip():
     adapt_confidence(pooled, s, cfg)
     # CG run on past the round-off floor: only the round-off slack certifies it
     adapt_confidence(pooled, s, PropagationConfig(tolerance=1e-17))
+
+
+def test_adapted_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product across its threads past about 10k elements, which
+    # changes its summation order; CG's inner products must not go through it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vidseg.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _ADAPT_M_CLIP], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 8 * 20_980
+    assert outputs[0] == outputs[1]
 
 
 def test_adapt_confidence_rejects_an_uncertified_solution(monkeypatch):
