@@ -79,8 +79,7 @@ def score_masks(video_id, masks, gt_masks):
 
 
 def render_overlay(frames, masks, out_dir):
-    """Write per-frame PPM overlays of frames, a (T, H, W, 3) uint8 array, with object
-    pixels 50% blended in OVERLAY_COLOR.
+    """Write a PPM overlay per frame of frames, object pixels 50% blended in OVERLAY_COLOR.
 
     Integer blending ((frame + color) // 2) keeps the output bytes
     deterministic.

@@ -1,12 +1,11 @@
 """Core video data model: frames, superpixel maps, optical flow, masks, clips.
 
-Frames are one (T, H, W, 3) uint8 array; the other types are plain containers
-over numpy arrays and are treated as immutable after construction. Loaders
-validate dimensions up front so the rest of the pipeline can assume
-consistency. SuperpixelMap numbers each frame's superpixels 0..n-1 itself, so
-every map, loaded or built in memory, holds contiguous ids. Every per-frame
-directory is listed by list_frames, and every input error is a pnm.DataError
-that names its file or directory.
+Frames are one (T, H, W, 3) uint8 array and the other types plain containers over
+numpy arrays, treated as immutable after construction; loaders validate dimensions up
+front so the rest of the pipeline can assume consistency. SuperpixelMap numbers each
+frame's superpixels 0..n-1 itself, so every map, loaded or built in memory, holds
+contiguous ids. Every per-frame directory is listed by list_frames, and every input
+error is a pnm.DataError that names its file or directory.
 """
 
 from __future__ import annotations
@@ -203,8 +202,7 @@ def compute_superpixel_stats(frames, sp: SuperpixelMap):
     (x, y) in pixel coordinates. Works one frame at a time: each frame's
     bincounts fill its rows of the two result arrays, so no temporary spans
     the clip's pixels. The sums are of integers, hence exact in any order.
-    The caller checks that frames, a (T, H, W, 3) array, and sp share their
-    (T, H, W) shape.
+    frames is (T, H, W, 3); the caller checks that it and sp share their (T, H, W).
     """
     offsets = sp.frame_offsets()
     mean_color, centroid = np.empty((int(offsets[-1]), 3)), np.empty((int(offsets[-1]), 2))
