@@ -42,6 +42,29 @@ def test_load_video_pgm_replicates_channels(tmp_path):
     assert np.all(frames[:, :, :, 0] == frames[:, :, :, 2])
 
 
+def test_load_video_stacks_grey_and_colour_frames_in_name_order(tmp_path):
+    # a grey PGM becomes three channels before the size check, so it stacks with PPMs
+    d = tmp_path / "v"
+    d.mkdir()
+    write_ppm(d / "b.ppm", np.full((4, 5, 3), (10, 20, 30), dtype=np.uint8))
+    write_pgm(d / "a.pgm", np.full((4, 5), 7, dtype=np.uint8))
+    write_pgm(d / "c.PGM", np.full((4, 5), 9, dtype=np.uint8))
+    frames = load_video(d)
+    assert frames.shape == (3, 4, 5, 3) and frames.dtype == np.uint8
+    assert frames.flags.c_contiguous
+    assert np.all(frames[0] == 7)
+    assert np.all(frames[1] == np.array([10, 20, 30], dtype=np.uint8))
+    assert np.all(frames[2] == 9)
+
+
+def test_load_video_rejects_a_16_bit_frame(tmp_path):
+    d = tmp_path / "v"
+    _write_frames(d, count=2)
+    write_pgm(d / "frame_0002.pgm", np.full((8, 8), 300, dtype=np.uint16))
+    with pytest.raises(DataError, match=r"frame_0002\.pgm is not 8-bit"):
+        load_video(d)
+
+
 def test_load_video_empty(tmp_path):
     (tmp_path / "v").mkdir()
     with pytest.raises(DataError, match="no frames"):
