@@ -3,8 +3,10 @@
 # written under the directory given as the one argument, which must not hold
 # earlier runs: the single-shot pipeline, the staged route (pool, adapt,
 # segment, eval), which must write the single-shot run's files byte for byte,
-# the ablation route, a run without ground truth, a one-frame clip, the default
-# moving clip, a clip with noisy dense flow, a corner clip whose jitter
+# adapt on the pooled CSV with its rows reversed, which must write the staged
+# run's adapted CSV byte for byte, the ablation route, a run without ground
+# truth, a one-frame clip, the default moving clip, a clip with noisy dense
+# flow, a corner clip whose jitter
 # pushes a proposal out of frame, adapt and segment on a confidence CSV of
 # no rows, which each must reject with exit 2 before creating their --out path,
 # and synth of a shorter clip over the demo clip and of fewer proposals over a
@@ -35,6 +37,10 @@ cmp "$single/gmm_object.json" "$out/seg/gmm_object.json"
 cmp "$single/report.csv" "$out/new/report.csv"
 diff -r "$single/masks" "$out/seg/masks"
 diff -r "$single/overlays" "$out/seg/overlays"
+# rows may come in any order: adapt on pooled.csv with its rows reversed writes the same bytes
+{ head -1 "$out/pooled.csv"; tail -n +2 "$out/pooled.csv" | tac; } > "$tmp/reversed.csv"
+PYTHONWARNINGS=error vidseg adapt --config "$cfg" --confidence "$tmp/reversed.csv" --out "$tmp/reversed_adapted.csv"
+cmp "$out/adapted.csv" "$tmp/reversed_adapted.csv"
 # the ablation route: no diffusion, graph dump
 vidseg pipeline --config "$cfg" --skip-adaptation --dump-graph --out "$out/ablation"
 # a run without ground truth scores nothing: its report is the header line alone. Its

@@ -119,14 +119,6 @@ def _load_config(args, **overrides):
     return PipelineConfig.from_json(args.config, overrides).validate()
 
 
-def _read_confidences(path):
-    """read_confidence_csv, rejecting a file of no rows: no stage runs on no classes."""
-    confidences = read_confidence_csv(path)
-    if not confidences:
-        raise DataError(f"no confidence rows in {path}")
-    return confidences
-
-
 def _cmd_pipeline(args):
     cfg = _load_config(args, out_dir=args.out, skip_adaptation=args.skip_adaptation,
                        dump_graph=args.dump_graph)
@@ -173,7 +165,7 @@ def _cmd_pool(args):
 
 def _cmd_adapt(args):
     cfg = _load_config(args)
-    pooled = _read_confidences(args.confidence)  # first: its parse never sits on the graph
+    pooled = read_confidence_csv(args.confidence)  # first: its parse never sits on the graph
     graph = load_inputs(cfg, ["adapt"])[2]
     adapted = adapt_stage(cfg, graph, pooled)
     write_confidence_csv(args.out, adapted)
@@ -186,7 +178,7 @@ def _cmd_segment(args):
     clip, colors, graph = load_inputs(cfg, ["segment"])
     potts = pairwise_weights(graph, cfg.lambda_spatial, cfg.lambda_temporal)
     del graph  # segmentation reads the Potts terms instead
-    segment_stage(cfg, clip, colors, potts, _read_confidences(args.confidence))
+    segment_stage(cfg, clip, colors, potts, read_confidence_csv(args.confidence))
     print(f"masks and overlays written under {cfg.out_dir}")
     return EXIT_OK
 

@@ -23,6 +23,7 @@ import math
 import os
 import re
 import warnings
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -57,7 +58,7 @@ from .video import (
 _FRAME_INDEX_RE = re.compile(r"(\d+)\D*$")
 CONFIDENCE_HEADER = "frame,superpixel_id,class,value"
 _CONFIDENCE_ROW = np.dtype(
-    [("frame", np.int64), ("superpixel_id", np.int64), ("class", object), ("value", np.float64)]
+    [("frame", np.int64), ("superpixel_id", np.int64), ("class", np.int64), ("value", np.float64)]
 )
 
 
@@ -334,13 +335,19 @@ def write_confidence_csv(path, confidence_fields):
 
 
 def _parse_confidence_rows(lines):
-    """The rows of lines (a text stream or a list of lines) as a _CONFIDENCE_ROW array."""
+    """The rows of lines (a text stream or a list of lines) as a _CONFIDENCE_ROW array, and
+    the dict class name -> the code in its rows' class field, in order of first appearance."""
+    codes = defaultdict()
+    codes.default_factory = codes.__len__  # a new name gets the next code; no Python call per row
     with warnings.catch_warnings():
         # numpy 1.23-1.26 read "1.5" into an int64 field as 1, with a DeprecationWarning
         warnings.simplefilter("error", DeprecationWarning)
-        # no rows is an empty array: read_confidence_csv returns {} for a blank body
+        # no rows is an empty array, which read_confidence_csv rejects
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, _CONFIDENCE_ROW, delimiter=",", comments=None, ndmin=1)
+        # encoding=None: numpy < 2 defaults to "bytes", which hands converters bytes, not str
+        rows = np.loadtxt(lines, _CONFIDENCE_ROW, delimiter=",", comments=None, ndmin=1,
+                          converters={2: codes.__getitem__}, encoding=None)
+    return rows, codes
 
 
 def _numbered_rows(path):
@@ -354,22 +361,22 @@ def read_confidence_csv(path):
     """Read confidence fields back; inverse of write_confidence_csv.
 
     Ids are ASCII decimal integers and values decimal floats; blank lines are
-    skipped. Every error names the file line of its row, malformed rows first.
-    The rows are parsed straight from the open file; only an error reads the
-    file again, for its line numbers.
+    skipped, and a body of no rows is a DataError. Every error names the file
+    line of its row, malformed rows first. The rows are parsed straight from the
+    open file; only an error reads the file again, for its line numbers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().strip() != CONFIDENCE_HEADER:
             raise DataError(f"unexpected confidence CSV header in {path}")
         try:
-            rows = _parse_confidence_rows(fh)
+            rows, codes = _parse_confidence_rows(fh)
         except (ValueError, DeprecationWarning):
             rows = None
     if rows is None:
         # a malformed row, or a whitespace-only line, which np.loadtxt rejects too
         numbered = _numbered_rows(path)
         try:
-            rows = _parse_confidence_rows([line for _, line in numbered])
+            rows, codes = _parse_confidence_rows([line for _, line in numbered])
         except (ValueError, DeprecationWarning) as exc:
             lo, hi = 0, len(numbered)  # the first malformed row lies in numbered[lo:hi]
             while hi - lo > 1:
@@ -381,13 +388,8 @@ def read_confidence_csv(path):
                     hi = mid
             raise DataError(f"malformed confidence row {numbered[lo][0]} in {path}") from exc
     if not len(rows):
-        return {}
-    frame, sp_id, cls, value = (rows[name] for name in _CONFIDENCE_ROW.names)
-    # class codes in order of first appearance, one dict lookup per run of equal names
-    starts = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1]])
-    codes = {}
-    run_codes = [codes.setdefault(name, len(codes)) for name in cls[starts].tolist()]
-    code = np.repeat(run_codes, np.diff(np.r_[starts, len(rows)]))
+        raise DataError(f"no confidence rows in {path}")
+    frame, sp_id, code, value = (rows[name] for name in _CONFIDENCE_ROW.names)
     order = np.lexsort((sp_id, frame, code))  # stable: of two equal rows, the later sorts second
     c, f, s = code[order], frame[order], sp_id[order]
     same_frame = (c[1:] == c[:-1]) & (f[1:] == f[:-1])

@@ -841,12 +841,13 @@ def test_read_confidence_csv_reports_the_first_bad_row_of_a_large_file(tmp_path)
 def test_confidence_csv_round_trips_odd_class_ids_and_empty_frames(tmp_path):
     fields = {
         cls: ConfidenceField(cls, np.array([0.5, 0.25, 1 / 3]), [2, 0, 1])
-        for cls in ('a#b"c', "100%d", "%s%%", "obj ect")
+        for cls in ('a#b"c', "100%d", "%s%%", "obj ect", " lead", "trail ", "in\tner")
     }
     path = tmp_path / "conf.csv"
     write_confidence_csv(path, fields)
     text = path.read_text()
     assert '0,1,a#b"c,0.25\n' in text and "2,0,100%d,0.33333333333333331\n" in text
+    assert "0,0, lead,0.5\n" in text and "0,1,trail ,0.25\n" in text and "2,0,in\tner," in text
     back = read_confidence_csv(path)
     assert list(back) == sorted(fields)
     for cls, fieldv in fields.items():
@@ -887,6 +888,8 @@ def _read_confidence_rows_one_by_one(path):
             if sorted(row) != list(range(len(row))):
                 raise DataError(f"non-contiguous superpixel ids for frame {t} in {path}")
             out[cls].append([row[s] for s in range(len(row))])
+    if not out:
+        raise DataError(f"no confidence rows in {path}")
     return out
 
 
@@ -942,7 +945,17 @@ def test_read_confidence_csv_matches_a_row_by_row_reader(tmp_path):
 def test_read_confidence_csv_of_no_rows_is_empty(tmp_path, body):
     path = tmp_path / "pooled.csv"
     path.write_text("frame,superpixel_id,class,value\n" + body)
-    assert read_confidence_csv(str(path)) == {}
+    with pytest.raises(DataError, match=f"no confidence rows in {re.escape(str(path))}$"):
+        read_confidence_csv(str(path))
+
+
+def test_parse_confidence_rows_codes_classes_by_first_appearance():
+    lines = ["0,0,b,0.5\n", "0,0,a,0.25\n", "0,1,b,1\n", "1,0,c,0\n", "0,1,a,2\n", "0,2,b,3\n"]
+    rows, codes = pipeline._parse_confidence_rows(lines)
+    assert not rows.dtype.hasobject
+    assert list(codes.items()) == [("b", 0), ("a", 1), ("c", 2)]
+    assert rows["class"].tolist() == [0, 1, 0, 2, 1, 0]
+    assert rows["value"].tolist() == [0.5, 0.25, 1.0, 0.0, 2.0, 3.0]
 
 
 def _run_on_edited_pooled(dataset, tmp_path, capsys, command, edit):
