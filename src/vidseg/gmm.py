@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import ConvergenceError
+from .propagation import ConvergenceError, _dot
 
 DEFAULT_COMPONENTS = 5
 COVARIANCE_FLOOR = 1.0  # squared 8-bit units, on covariance eigenvalues
 LIKELIHOOD_FLOOR = 1e-12
 WEIGHT_CUTOFF = 1e-3
-EM_TOLERANCE = 1e-6
+EM_TOLERANCE = 1e-6  # absolute: EM fails if its log-likelihood falls by more
+EM_RELATIVE_GAIN = 1e-6  # EM stops once a gain is at most this times |log-likelihood|
 EM_MAX_ITERATIONS = 200
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -161,13 +162,15 @@ def fit_gmm(colors, weights, n_components=DEFAULT_COMPONENTS, seed=0, history=No
     """Fit a Gaussian mixture to weighted color samples by EM.
 
     Starts from weighted k-means++ centers (seeded, deterministic), iterates
-    until the weighted log-likelihood gain drops below 1e-6 or 200
-    iterations, and floors covariance eigenvalues at 1.0 to keep components
-    non-singular on flat-color data. If fewer distinct samples than
-    components exist, the component count is reduced to match. Appends the
-    per-iteration weighted log-likelihood to `history` when given. EM never
-    lowers it, so a fall of more than EM_TOLERANCE from one iteration to the
-    next raises ConvergenceError, carrying the model that gave it.
+    until an iteration gains at most 1e-6 * |ll| of weighted log-likelihood
+    ll, or for 200 iterations, and floors covariance eigenvalues at 1.0 to
+    keep components non-singular on flat-color data. That floor keeps every
+    log-density at or below -1.5 log(2 pi), so ll < 0, and scaling every
+    weight by a power of two leaves the stop where it was. If fewer distinct
+    samples than components exist, the component count is reduced to match.
+    Appends the per-iteration ll to `history` when given. EM never lowers it,
+    so a fall of more than the absolute EM_TOLERANCE from one iteration to
+    the next raises ConvergenceError, carrying the model that gave it.
     """
     colors = np.asarray(colors, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -189,13 +192,13 @@ def fit_gmm(colors, weights, n_components=DEFAULT_COMPONENTS, seed=0, history=No
     prev_ll = -np.inf
     for iteration in range(EM_MAX_ITERATIONS):
         post, log_norm = _log_normalize(_coefficients(model, center) @ feats)
-        ll = float(weights @ log_norm)
+        ll = _dot(weights, log_norm)
         if history is not None:
             history.append(ll)
         if prev_ll - ll > EM_TOLERANCE:
             raise ConvergenceError(f"EM log-likelihood fell by {prev_ll - ll:.3e} at iteration "
                                    f"{iteration}", model, prev_ll - ll, iteration)
-        if ll - prev_ll < EM_TOLERANCE and np.isfinite(prev_ll):
+        if ll - prev_ll <= EM_RELATIVE_GAIN * abs(ll):
             break
         prev_ll = ll
         model = _m_step(model, post, weighted, center, total_w)

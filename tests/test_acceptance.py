@@ -375,8 +375,8 @@ def test_gmm_fit_speed_at_scale():
     elapsed = time.monotonic() - start
     worst_drop = max(0.0, *(float(-np.diff(h).min()) for h in histories))
     _report(
-        "GMM fit speed at scale (both L color models, monotone EM, < 2 s)",
-        elapsed < 2.0 and worst_drop <= 1e-9,
+        "GMM fit speed at scale (both L color models, monotone EM, <= 15 iterations each, < 2 s)",
+        elapsed < 2.0 and worst_drop <= 1e-9 and max(map(len, histories)) <= 15,
         f"samples={len(obj_colors)}+{len(bg_colors)} "
         f"iterations={len(histories[0])}+{len(histories[1])} "
         f"worst LL drop={worst_drop:.2e} time={elapsed:.2f}s",

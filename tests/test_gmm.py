@@ -4,6 +4,8 @@ import pytest
 from oracles import responsibilities
 from vidseg.gmm import (
     COVARIANCE_FLOOR,
+    EM_MAX_ITERATIONS,
+    EM_RELATIVE_GAIN,
     EM_TOLERANCE,
     GaussianMixture,
     _count_distinct,
@@ -152,6 +154,24 @@ def test_em_loglik_monotone(rng):
         fit_gmm(colors, weights, n_components=3, seed=seed, history=history)
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-9)
+
+
+def test_em_stop_does_not_depend_on_the_weight_scale(rng):
+    # a power-of-two factor scales every weighted product and sum exactly, so EM must
+    # take the same steps to the same mixture, stopping at its first relative gain <= 1e-6
+    a, b = _two_cluster_data(rng, n=150)
+    colors = np.concatenate([a, b])
+    weights = rng.uniform(0.2, 1.0, size=len(colors))
+    histories = [], []
+    fits = [fit_gmm(colors, w, n_components=3, seed=0, history=h)
+            for w, h in zip((weights, weights * 1024), histories)]
+    assert len(histories[0]) == len(histories[1]) < EM_MAX_ITERATIONS
+    assert np.array_equal(np.multiply(histories[0], 1024), histories[1])
+    for name in ("weights", "means", "covariances"):
+        assert np.array_equal(getattr(fits[0], name), getattr(fits[1], name))
+    ll = np.array(histories[0])
+    gains, bounds = np.diff(ll), EM_RELATIVE_GAIN * np.abs(ll[1:])
+    assert gains[-1] <= bounds[-1] and np.all(gains[:-1] > bounds[:-1])
 
 
 def test_em_raises_when_the_log_likelihood_falls(rng, monkeypatch):

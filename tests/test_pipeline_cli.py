@@ -942,7 +942,7 @@ def test_read_confidence_csv_matches_a_row_by_row_reader(tmp_path):
 
 
 @pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"], ids=["header-only", "blank", "whitespace"])
-def test_read_confidence_csv_of_no_rows_is_empty(tmp_path, body):
+def test_read_confidence_csv_of_no_rows_is_a_data_error(tmp_path, body):
     path = tmp_path / "pooled.csv"
     path.write_text("frame,superpixel_id,class,value\n" + body)
     with pytest.raises(DataError, match=f"no confidence rows in {re.escape(str(path))}$"):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -28,19 +29,30 @@ from vidseg.synth import SynthConfig, generate
 from vidseg.video import compute_superpixel_stats
 
 # Adapts the M clip that tests/pinned_values.json pins (20 frames, cell 4, seed 4:
-# 20,980 nodes) in memory and writes the adapted field's bytes to stdout.
+# 20,980 nodes) in memory and writes the adapted field's bytes to stdout; given the
+# argument `fit`, it instead fits that field's two colour models as segment_class
+# does and prints the repr of their EM log-likelihood histories.
 _ADAPT_M_CLIP = """
 import sys
+from vidseg.gmm import fit_gmm, sample_training_sets
 from vidseg.graph import build_graph
 from vidseg.pipeline import PipelineConfig, pool_stage
 from vidseg.propagation import PropagationConfig, adapt_confidence, diffusion_operator
 from vidseg.synth import SynthConfig, generate
 from vidseg.video import compute_superpixel_stats
 ds = generate(SynthConfig(frame_count=20, cell_size=4, seed=4))
-graph = build_graph(ds.superpixels, ds.flows, *compute_superpixel_stats(ds.frames, ds.superpixels))
-adapted = adapt_confidence(pool_stage(PipelineConfig(), ds)["object"], diffusion_operator(graph),
+colors, sizes = compute_superpixel_stats(ds.frames, ds.superpixels)
+graph = build_graph(ds.superpixels, ds.flows, colors, sizes)
+cfg = PipelineConfig()
+adapted = adapt_confidence(pool_stage(cfg, ds)["object"], diffusion_operator(graph),
                            PropagationConfig())
-sys.stdout.buffer.write(adapted.flat.tobytes())
+if sys.argv[1:] == ["fit"]:
+    histories = [], []
+    for k, (samples, weights) in enumerate(sample_training_sets(adapted.flat, colors)):
+        fit_gmm(samples, weights, cfg.gmm_components, seed=cfg.gmm_seed + k, history=histories[k])
+    print(repr(histories))
+else:
+    sys.stdout.buffer.write(adapted.flat.tobytes())
 """
 
 
@@ -218,18 +230,34 @@ def test_adapt_confidence_certifies_the_s_clip():
     adapt_confidence(pooled, s, PropagationConfig(tolerance=1e-17))
 
 
-def test_adapted_bits_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits a dot product across its threads past about 10k elements, which
-    # changes its summation order; CG's inner products must not go through it
+def _m_clip_at_each_thread_count(*args):
+    """Stdout of _ADAPT_M_CLIP run with args at 1 and at 2 BLAS threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(vidseg.__file__)))
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", _ADAPT_M_CLIP], env=env, capture_output=True)
+        proc = subprocess.run([sys.executable, "-c", _ADAPT_M_CLIP, *args], env=env,
+                              capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_adapted_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product across its threads past about 10k elements, which
+    # changes its summation order; CG's inner products must not go through it
+    outputs = _m_clip_at_each_thread_count()
     assert len(outputs[0]) == 8 * 20_980
+    assert outputs[0] == outputs[1]
+
+
+def test_em_histories_do_not_depend_on_the_blas_thread_count():
+    # EM's log-likelihood sums over the samples (20,980 for the background model) and
+    # its stop compares those sums, so like CG's inner products it must not go through BLAS
+    outputs = _m_clip_at_each_thread_count("fit")
+    histories = ast.literal_eval(outputs[0].decode())
+    assert min(map(len, histories)) > 1
     assert outputs[0] == outputs[1]
 
 
