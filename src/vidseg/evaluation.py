@@ -86,8 +86,7 @@ def render_overlay(frames, masks, out_dir):
     """
     color = np.asarray(OVERLAY_COLOR, dtype=np.uint16)
     for t, frame in enumerate(frames):
-        frame = frame.astype(np.uint16)
         mask = np.asarray(masks[t], dtype=bool)
         blended = frame.copy()
-        blended[mask] = (frame[mask] + color) // 2
-        write_ppm(os.path.join(out_dir, f"frame_{t:04d}.ppm"), blended.astype(np.uint8))
+        blended[mask] = (frame[mask] + color) // 2  # in uint16; the halves fit in uint8
+        write_ppm(os.path.join(out_dir, f"frame_{t:04d}.ppm"), blended)

@@ -5,15 +5,12 @@ solving the stationarity system
 
     (I - (1 - eta) S) X = eta C,   eta = mu / (1 + mu)
 
-with conjugate gradients. The paper's damped diffusion iteration
-
-    X_{k+1} = alpha * S @ X_k + (1 - alpha) * C
-
-with alpha = 1 / (1 + mu) has the same fixed point; it is kept as the
-reference the solve is checked against. Both take S: diffusion_operator
-returns the graph with normalized weights, sharing its i, j and frame_offsets
-(no caller may write them in place), so S @ x is two bincounts, without SciPy.
-C and X are a ConfidenceField's one (N,) array, indexed by S's node ids.
+with conjugate gradients: the fixed point of the paper's damped diffusion
+X_{k+1} = (1 - eta) S X_k + eta C (Zhou et al., NIPS 2004). S comes from
+diffusion_operator as the graph with normalized weights, sharing its i, j and
+frame_offsets (no caller may write them in place), so S @ x is two bincounts,
+without SciPy. C and X are a ConfidenceField's one (N,) array, indexed by
+S's node ids.
 """
 
 from __future__ import annotations
@@ -58,15 +55,11 @@ class PropagationConfig:
     def eta(self):
         return self.mu / (1.0 + self.mu)
 
-    @property
-    def alpha(self):
-        return 1.0 / (1.0 + self.mu)
-
 
 @dataclass
 class PropagationResult:
-    """An iterate, its iteration count and the residual that stopped the solve
-    (propagate's is CG's recurrence residual, not the true one)."""
+    """CG's iterate, its iteration count and the recurrence residual that stopped
+    the solve, not the true residual of x."""
 
     x: np.ndarray
     iterations: int
@@ -91,31 +84,6 @@ def stationarity_residual(x, s, c, mu):
     """Max-norm residual of the optimality condition X - SX + mu (X - C)."""
     r = x - s.dot(x) + mu * (x - c)
     return float(np.max(np.abs(r), initial=0.0))
-
-
-def propagate_iterative(s, c, cfg: PropagationConfig) -> PropagationResult:
-    """Run the diffusion iteration from X0 = C to its fixed point.
-
-    Converged when the max-norm of successive iterates is within tolerance;
-    raises ConvergenceError (carrying the last iterate) past max_iterations.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    alpha = cfg.alpha
-    x = c.copy()
-    residual = np.inf
-    for k in range(1, cfg.max_iterations + 1):
-        x_next = alpha * s.dot(x) + (1.0 - alpha) * c
-        residual = float(np.max(np.abs(x_next - x), initial=0.0))
-        x = x_next
-        if residual <= cfg.tolerance:
-            return PropagationResult(x, k, residual)
-    raise ConvergenceError(
-        f"diffusion did not converge in {cfg.max_iterations} iterations "
-        f"(residual {residual:.3e})",
-        x,
-        residual,
-        cfg.max_iterations,
-    )
 
 
 def propagate(s, c, cfg: PropagationConfig) -> PropagationResult:

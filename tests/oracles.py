@@ -1,18 +1,18 @@
 """Independent references the solver tests check vidseg against.
 
-None of these is on a vidseg route: the dense solve shares its fixed point
-with the diffusion iteration and the CG solve, enumeration finds the exact
-minimum the min-cut must reach, `energy` is the objective the diffusion
-minimizes, `degrees` sums the affinities the diffusion normalizes by,
-`dense_operator` spells out A or S as a matrix, and `responsibilities` exposes the
-E-step posteriors.
+None of these is on a vidseg route: the paper's damped diffusion iteration
+and the dense solve share their fixed point with the CG solve, enumeration
+finds the exact minimum the min-cut must reach, `energy` is the objective
+the diffusion minimizes, `degrees` sums the affinities the diffusion
+normalizes by, `dense_operator` spells out A or S as a matrix, and
+`responsibilities` exposes the E-step posteriors.
 """
 
 import numpy as np
 
 from vidseg.gmm import GaussianMixture, _coefficients, _features, _log_normalize
 from vidseg.mrf import Labeling, MRFProblem, mrf_energy
-from vidseg.propagation import diffusion_operator
+from vidseg.propagation import ConvergenceError, PropagationResult, diffusion_operator
 
 DENSE_ORACLE_LIMIT = 1000
 ENUMERATION_LIMIT = 16
@@ -29,6 +29,32 @@ def dense_solve_oracle(graph, c, mu):
     eta = mu / (1.0 + mu)
     m = np.eye(n) - (1.0 - eta) * dense_operator(diffusion_operator(graph))
     return np.linalg.solve(m, eta * np.asarray(c, dtype=np.float64))
+
+
+def propagate_iterative(s, c, cfg):
+    """Run the damped diffusion X_{k+1} = alpha S X_k + (1 - alpha) C, alpha = 1 / (1 + mu),
+    from X0 = C to its fixed point.
+
+    Converged when the max-norm of successive iterates is within tolerance;
+    raises ConvergenceError (carrying the last iterate) past max_iterations.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    alpha = 1.0 / (1.0 + cfg.mu)
+    x = c.copy()
+    residual = np.inf
+    for k in range(1, cfg.max_iterations + 1):
+        x_next = alpha * s.dot(x) + (1.0 - alpha) * c
+        residual = float(np.max(np.abs(x_next - x), initial=0.0))
+        x = x_next
+        if residual <= cfg.tolerance:
+            return PropagationResult(x, k, residual)
+    raise ConvergenceError(
+        f"diffusion did not converge in {cfg.max_iterations} iterations "
+        f"(residual {residual:.3e})",
+        x,
+        residual,
+        cfg.max_iterations,
+    )
 
 
 def enumerate_labelings_oracle(problem: MRFProblem):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from conftest import random_graph, tree_digest
-from oracles import dense_solve_oracle, enumerate_labelings_oracle
+from oracles import dense_solve_oracle, enumerate_labelings_oracle, propagate_iterative
 from vidseg.gmm import fit_gmm, sample_training_sets
 from vidseg.graph import (
     histogram_entropy,
@@ -25,7 +25,6 @@ from vidseg.propagation import (
     adapt_confidence,
     diffusion_operator,
     propagate,
-    propagate_iterative,
     stationarity_residual,
 )
 from vidseg.synth import SynthConfig, generate, write_dataset

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vidseg.evaluation import (
+    OVERLAY_COLOR,
     EvalReport,
     frame_counts,
     mask_scores,
@@ -97,6 +98,19 @@ def test_render_overlay_blends_and_is_deterministic(tmp_path):
     assert np.all(img == [(100 + 255) // 2, (100 + 64) // 2, (100 + 64) // 2])
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_render_overlay_blends_only_masked_pixels_without_wrapping(tmp_path):
+    # channels of 0 and 255 on both sides of a partial mask: 255 + 255 must not wrap
+    f, y, x, ch = np.indices((2, 4, 5, 3))
+    frames = np.where((f + y + x + ch) % 2, 255, 0).astype(np.uint8)
+    masks = x[..., 0] < 2
+    render_overlay(frames, masks, tmp_path)
+    expected = (frames.astype(np.int64) + OVERLAY_COLOR) // 2
+    for t in range(2):
+        img = read_pnm(tmp_path / f"frame_{t:04d}.ppm")
+        assert np.array_equal(img[masks[t]], expected[t][masks[t]])
+        assert np.array_equal(img[~masks[t]], frames[t][~masks[t]])
 
 
 def test_report_csv(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 import vidseg
 from conftest import graph_from_edges, random_graph
-from oracles import dense_operator, dense_solve_oracle, energy
+from oracles import dense_operator, dense_solve_oracle, energy, propagate_iterative
 from vidseg.graph import build_graph
 from vidseg.proposals import (
     ConfidenceField,
@@ -22,7 +22,6 @@ from vidseg.propagation import (
     adapt_confidence,
     diffusion_operator,
     propagate,
-    propagate_iterative,
     stationarity_residual,
 )
 from vidseg.synth import SynthConfig, generate
@@ -67,8 +66,7 @@ def operator_from_edges(n, spatial):
 def test_config_eta_alpha():
     cfg = PropagationConfig(mu=0.5)
     assert cfg.eta == pytest.approx(1 / 3)
-    assert cfg.alpha == pytest.approx(2 / 3)
-    assert cfg.alpha == pytest.approx(1 - cfg.eta)
+    assert 1 - cfg.eta == pytest.approx(2 / 3)  # the damping alpha = 1 / (1 + mu)
 
 
 def test_config_validation():
@@ -314,10 +312,10 @@ def test_iteration_residual_contracts(rng):
     c = rng.random(s.n_nodes)
     cfg = PropagationConfig(mu=0.5)
     x_prev = c.copy()
-    x = cfg.alpha * s.dot(x_prev) + (1 - cfg.alpha) * c
+    x = (1 - cfg.eta) * s.dot(x_prev) + cfg.eta * c
     prev_res = np.max(np.abs(x - x_prev))
     for _ in range(30):
-        x_next = cfg.alpha * s.dot(x) + (1 - cfg.alpha) * c
+        x_next = (1 - cfg.eta) * s.dot(x) + cfg.eta * c
         res = np.max(np.abs(x_next - x))
         assert res <= (1 - cfg.eta) * prev_res + 1e-15
         x, prev_res = x_next, res
